@@ -36,10 +36,8 @@ from .groebner import (
 from .numtheory import (
     NoPrimesInClassError,
     NotAUnitError,
-    Residue,
     find_prime_in_class,
     is_prime,
-    mod_pow,
     multiplicative_order,
 )
 from .period import (
@@ -76,7 +74,6 @@ __all__ = [
     "Q_CAP_DEFAULT",
     "QCapExceededError",
     "RealizationResult",
-    "Residue",
     "RingSpec",
     "SearchExhausted",
     "SearchStats",
@@ -89,7 +86,6 @@ __all__ = [
     "hk_table",
     "hk_value",
     "is_prime",
-    "mod_pow",
     "multiplicative_order",
     "period_of",
     "phi_value",

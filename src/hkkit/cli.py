@@ -13,368 +13,189 @@ and parse/re-render round-trips.
 
 import argparse
 import csv
-import enum
 import json
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .closed_form import InvalidRingError, RingSpec, hk_table, hk_value
+from .closed_form import RingSpec, hk_table, hk_value
 from .groebner import (
-    QCapExceededError,
-    buchberger,
-    frobenius_power_generators,
-    hk_brute,
-    standard_monomial_count,
-    verify_closed_form_basis,
+    Q_CAP_DEFAULT, QCapExceededError, buchberger, count_under_staircase,
+    frobenius_power_generators, hk_brute, verify_closed_form_basis,
 )
-from .numtheory import NoPrimesInClassError, NotAUnitError
-from .period import period_of
+from .period import PeriodReport, period_of
 from .realize import SearchExhausted, realize
 
-DEFAULT_Q_CAP = 512
-DEFAULT_N_LIMIT = 10_000
-DEFAULT_P_LIMIT = 10_000
-
-ENV_Q_CAP = "HKKIT_QCAP"
-ENV_N_LIMIT = "HKKIT_NLIMIT"
-ENV_P_LIMIT = "HKKIT_PLIMIT"
-
-
-class OutputFormat(enum.Enum):
-    PLAIN = "plain"
-    CSV = "csv"
-    JSON = "json"
+# Limit options: dest -> (env variable, default, help); flag > env > default.
+LIMITS = {
+    "qcap": ("HKKIT_QCAP", Q_CAP_DEFAULT, "oracle cap on q = p^e"),
+    "nlimit": ("HKKIT_NLIMIT", 10_000, "modulus search bound"),
+    "plimit": ("HKKIT_PLIMIT", 10_000, "characteristic search bound"),
+}
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved runtime knobs: flag beats environment beats default."""
-
-    q_cap: int = DEFAULT_Q_CAP
-    n_limit: int = DEFAULT_N_LIMIT
-    p_limit: int = DEFAULT_P_LIMIT
-    format: OutputFormat = OutputFormat.PLAIN
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
+def _cell(value, sep: str):
+    """A CSV or plain-text cell: booleans as true/false, tuples joined by sep."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return sep.join(str(v) for v in value)
     return value
 
 
-def _pick(flag: int | None, env: int | None, default: int) -> int:
-    if flag is not None:
-        if flag < 1:
-            raise ValueError(f"limits must be positive, got {flag}")
-        return flag
-    if env is not None:
-        return env
-    return default
+def _aligned(table) -> list[str]:
+    """Right-aligned columns, two spaces apart."""
+    cells = [[str(_cell(c, " ")) for c in row] for row in table]
+    widths = [max(len(row[k]) for row in cells) for k in range(len(cells[0]))]
+    return ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
 
 
-def _resolve_config(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        q_cap=_pick(getattr(args, "qcap", None), _env_int(ENV_Q_CAP), DEFAULT_Q_CAP),
-        n_limit=_pick(
-            getattr(args, "nlimit", None), _env_int(ENV_N_LIMIT), DEFAULT_N_LIMIT
-        ),
-        p_limit=_pick(
-            getattr(args, "plimit", None), _env_int(ENV_P_LIMIT), DEFAULT_P_LIMIT
-        ),
-        format=OutputFormat(args.format),
-    )
+def _pairs(fields: dict) -> list[str]:
+    """One `key  value` line per field, keys left-aligned."""
+    width = max(len(k) for k in fields)
+    return [f"{k:<{width}}  {_cell(v, ' ')}" for k, v in fields.items()]
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _emit(fmt: str, doc, table, plain=None) -> None:
+    """Write one result to stdout as fmt, building only that format's view.
+
+    doc() gives the JSON document, table() the header row and records for
+    CSV, and plain() the lines of plain text (by default the table, aligned).
+    """
+    if fmt == "json":
+        sys.stdout.write(json.dumps(doc(), sort_keys=True, indent=2) + "\n")
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerows([_cell(c, ";") for c in row] for row in table())
+    else:
+        for line in plain() if plain else _aligned(table()):
+            print(line)
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit_record(fmt: str, fields: dict, doc: dict | None = None) -> None:
+    """One record: a single CSV row, `key  value` lines in plain text."""
+    table = [list(fields), fields.values()]
+    _emit(fmt, lambda: doc or fields, lambda: table, lambda: _pairs(fields))
 
 
-def _emit_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [
-        max(len(h), *(len(row[k]) for row in cells)) if cells else len(h)
-        for k, h in enumerate(header)
-    ]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    for row in cells:
-        print("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+def _report(r: PeriodReport) -> dict:
+    return {"omega": r.omega, "pi": r.pi, "branch": r.branch.value,
+            "involution": r.involution_check, "phi_profile": r.phi_profile}
 
 
-def _emit_pairs(pairs: Sequence[tuple[str, object]]) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        print(f"{key:<{width}}  {value}")
-
-
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-def cmd_table(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
     records = hk_table(spec, args.emax)
-    rows = [[r.e, r.q, r.b, r.hk, r.phi] for r in records]
-    if config.format is OutputFormat.JSON:
-        _emit_json(
-            {
-                "p": spec.p,
-                "n": spec.n,
-                "rows": [
-                    {"e": r.e, "q": r.q, "b": r.b, "hk": r.hk, "phi": r.phi}
-                    for r in records
-                ],
-            }
-        )
-    elif config.format is OutputFormat.CSV:
-        _emit_csv(["e", "q", "b", "hk", "phi"], rows)
-    else:
-        _emit_table(["e", "q", "b", "hk", "phi"], rows)
+    header = ["e", "q", "b", "hk", "phi"]
+    rows = ([r.e, r.q, r.b, r.hk, r.phi] for r in records)  # read by one view only
+    doc = {"p": spec.p, "n": spec.n}
+    _emit(args.format, lambda: {**doc, "rows": [dict(zip(header, r)) for r in rows]},
+          lambda: [header, *rows])
     return 0
 
 
-def cmd_period(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_period(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
-    report = period_of(spec)
-    if config.format is OutputFormat.JSON:
-        _emit_json(
-            {
-                "p": spec.p,
-                "n": spec.n,
-                "omega": report.omega,
-                "pi": report.pi,
-                "branch": report.branch.value,
-                "involution": report.involution_check,
-                "phi_profile": list(report.phi_profile),
-            }
-        )
-    elif config.format is OutputFormat.CSV:
-        _emit_csv(
-            ["p", "n", "omega", "pi", "branch", "involution", "phi_profile"],
-            [
-                [
-                    spec.p,
-                    spec.n,
-                    report.omega,
-                    report.pi,
-                    report.branch.value,
-                    _bool_str(report.involution_check),
-                    ";".join(str(v) for v in report.phi_profile),
-                ]
-            ],
-        )
-    else:
-        _emit_pairs(
-            [
-                ("p", spec.p),
-                ("n", spec.n),
-                ("omega", report.omega),
-                ("pi", report.pi),
-                ("branch", report.branch.value),
-                ("involution", _bool_str(report.involution_check)),
-                ("phi_profile", " ".join(str(v) for v in report.phi_profile)),
-            ]
-        )
+    _emit_record(args.format, {"p": spec.p, "n": spec.n, **_report(period_of(spec))})
     return 0
 
 
-def cmd_realize(args: argparse.Namespace, config: CliConfig) -> int:
-    result = realize(args.pi, config.n_limit, config.p_limit)
-    spec, report, stats = result.spec, result.report, result.search_stats
-    if config.format is OutputFormat.JSON:
-        _emit_json(
-            {
-                "target_pi": result.target_pi,
-                "spec": {"p": spec.p, "n": spec.n},
-                "report": {
-                    "omega": report.omega,
-                    "pi": report.pi,
-                    "branch": report.branch.value,
-                    "involution": report.involution_check,
-                    "phi_profile": list(report.phi_profile),
-                },
-                "residue_used": result.residue_used,
-                "search_stats": {
-                    "n_candidates": stats.n_candidates,
-                    "p_candidates": stats.p_candidates,
-                },
-            }
-        )
-    elif config.format is OutputFormat.CSV:
-        _emit_csv(
-            [
-                "target_pi",
-                "p",
-                "n",
-                "omega",
-                "pi",
-                "branch",
-                "residue_used",
-                "n_candidates",
-                "p_candidates",
-            ],
-            [
-                [
-                    result.target_pi,
-                    spec.p,
-                    spec.n,
-                    report.omega,
-                    report.pi,
-                    report.branch.value,
-                    result.residue_used,
-                    stats.n_candidates,
-                    stats.p_candidates,
-                ]
-            ],
-        )
-    else:
-        _emit_pairs(
-            [
-                ("target_pi", result.target_pi),
-                ("p", spec.p),
-                ("n", spec.n),
-                ("omega", report.omega),
-                ("pi", report.pi),
-                ("branch", report.branch.value),
-                ("residue_used", result.residue_used),
-                ("n_candidates", stats.n_candidates),
-                ("p_candidates", stats.p_candidates),
-            ]
-        )
+def cmd_realize(args: argparse.Namespace) -> int:
+    result = realize(args.pi, args.nlimit, args.plimit)
+    spec = {"p": result.spec.p, "n": result.spec.n}
+    report = _report(result.report)
+    counts = result.search_stats
+    stats = {"n_candidates": counts.n_candidates, "p_candidates": counts.p_candidates}
+    doc = {"target_pi": result.target_pi, "spec": spec, "report": report,
+           "residue_used": result.residue_used, "search_stats": stats}
+    brief = {k: report[k] for k in ("omega", "pi", "branch")}
+    fields = {"target_pi": result.target_pi, **spec, **brief,
+              "residue_used": result.residue_used, **stats}
+    _emit_record(args.format, fields, doc)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
     rows = []
     skipped: list[int] = []
-    all_pass = True
     for e in range(args.emax + 1):
         q = spec.p**e
-        if q > config.q_cap:
+        if q > args.qcap:
             skipped.append(e)
             continue
         closed = hk_value(spec, e)
-        oracle = hk_brute(spec, e, config.q_cap)
         basis_ok = None
         if q > spec.n:
-            basis_ok = bool(verify_closed_form_basis(spec, e, config.q_cap))
+            # one Buchberger run serves both the basis check and the oracle count
+            check = verify_closed_form_basis(spec, e, args.qcap)
+            basis_ok = check.ok
+            oracle = count_under_staircase(check.computed_staircase)
+        else:
+            oracle = hk_brute(spec, e, args.qcap)
         ok = closed == oracle and basis_ok is not False
-        all_pass = all_pass and ok
         rows.append((e, q, closed, oracle, basis_ok, ok))
     if skipped:
-        print(
-            f"skipped e = {skipped[0]}..{skipped[-1]}: "
-            f"q = p^e exceeds the oracle cap {config.q_cap}",
-            file=sys.stderr,
-        )
-    if config.format is OutputFormat.JSON:
-        _emit_json(
-            {
-                "p": spec.p,
-                "n": spec.n,
-                "q_cap": config.q_cap,
-                "rows": [
-                    {
-                        "e": e,
-                        "q": q,
-                        "closed_form": closed,
-                        "oracle": oracle,
-                        "basis_check": basis_ok,
-                        "pass": ok,
-                    }
-                    for e, q, closed, oracle, basis_ok, ok in rows
-                ],
-                "skipped_e": skipped,
-                "all_pass": all_pass,
-            }
-        )
-    elif config.format is OutputFormat.CSV:
-        _emit_csv(
-            ["e", "q", "closed_form", "oracle", "basis_check", "status"],
-            [
-                [
-                    e,
-                    q,
-                    closed,
-                    oracle,
-                    "na" if basis_ok is None else ("pass" if basis_ok else "fail"),
-                    "PASS" if ok else "FAIL",
-                ]
-                for e, q, closed, oracle, basis_ok, ok in rows
-            ],
-        )
-    else:
-        _emit_table(
-            ["e", "q", "closed_form", "oracle", "basis", "status"],
-            [
-                [
-                    e,
-                    q,
-                    closed,
-                    oracle,
-                    "-" if basis_ok is None else ("ok" if basis_ok else "FAIL"),
-                    "PASS" if ok else "FAIL",
-                ]
-                for e, q, closed, oracle, basis_ok, ok in rows
-            ],
-        )
+        print(f"skipped e = {skipped[0]}..{skipped[-1]}: "
+              f"q = p^e exceeds the oracle cap {args.qcap}", file=sys.stderr)
+    all_pass = all(row[-1] for row in rows)
+    keys = ["e", "q", "closed_form", "oracle", "basis_check", "pass"]
+    doc = {"p": spec.p, "n": spec.n, "q_cap": args.qcap, "skipped_e": skipped,
+           "all_pass": all_pass}
+
+    def table():
+        # the basis column by format: name, then cells for not run, held, failed
+        if args.format == "csv":
+            name, cell = "basis_check", {None: "na", True: "pass", False: "fail"}
+        else:
+            name, cell = "basis", {None: "-", True: "ok", False: "FAIL"}
+        yield [*keys[:4], name, "status"]
+        for *values, basis_ok, ok in rows:
+            yield [*values, cell[basis_ok], "PASS" if ok else "FAIL"]
+
+    _emit(args.format, lambda: {**doc, "rows": [dict(zip(keys, r)) for r in rows]},
+          table)
     return 0 if all_pass else 1
 
 
-def cmd_gb(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_gb(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
     q = spec.p**args.e
-    if q > config.q_cap:
-        raise QCapExceededError(q, config.q_cap)
+    if q > args.qcap:
+        raise QCapExceededError(q, args.qcap)
     gb = buchberger(frobenius_power_generators(spec, args.e))
-    count = standard_monomial_count(gb)
-    if config.format is OutputFormat.JSON:
-        _emit_json(
-            {
-                "p": spec.p,
-                "n": spec.n,
-                "e": args.e,
-                "q": q,
-                "generators": [str(g) for g in gb.generators],
-                "staircase": [[m.i, m.j] for m in gb.staircase],
-                "count": count,
-            }
-        )
-    elif config.format is OutputFormat.CSV:
-        _emit_csv(
-            ["generator", "lead_i", "lead_j"],
-            [[str(g), m.i, m.j] for g, m in zip(gb.generators, gb.staircase)],
-        )
-    else:
-        _emit_pairs(
-            [
-                ("p", spec.p),
-                ("n", spec.n),
-                ("e", args.e),
-                ("q", q),
-                ("count", "infinite" if count is None else count),
-                ("staircase", "  ".join(str(m) for m in gb.staircase)),
-            ]
-        )
-        print("basis:")
-        for g in gb.generators:
-            print(f"  {g}")
+    count = count_under_staircase(gb.staircase)
+    head = {"p": spec.p, "n": spec.n, "e": args.e, "q": q}
+    generators = [str(g) for g in gb.generators]
+    leads = [[m.i, m.j] for m in gb.staircase]
+    table = [["generator", "lead_i", "lead_j"]]
+    table += ([g, *lead] for g, lead in zip(generators, leads))
+
+    def plain():
+        summary = {**head, "count": "infinite" if count is None else count}
+        summary["staircase"] = "  ".join(str(m) for m in gb.staircase)
+        return [*_pairs(summary), "basis:", *(f"  {g}" for g in generators)]
+
+    doc = {**head, "generators": generators, "staircase": leads, "count": count}
+    _emit(args.format, lambda: doc, lambda: table, plain)
     return 0
+
+
+def _resolve_limits(args: argparse.Namespace) -> None:
+    """Set every LIMITS dest on args: flag, else environment, else default."""
+    for dest, (var, value, _) in LIMITS.items():
+        raw = os.environ.get(var)
+        if raw is not None:
+            try:
+                value = int(raw)
+            except ValueError:
+                raise ValueError(f"{var} must be an integer, got {raw!r}") from None
+            if value < 1:
+                raise ValueError(f"{var} must be positive, got {value}")
+        flag = getattr(args, dest, None)
+        if flag is not None and flag < 1:
+            raise ValueError(f"limits must be positive, got {flag}")
+        setattr(args, dest, value if flag is None else flag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,88 +207,43 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=[f.value for f in OutputFormat],
-        default=OutputFormat.PLAIN.value,
-        help="output format (default plain)",
-    )
+    common.add_argument("--format", choices=["plain", "csv", "json"], default="plain",
+                        help="output format (default plain)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser(
-        "table", parents=[common], help="tabulate e, q, b, HK(e), phi(e)"
-    )
-    p_table.add_argument("--p", type=int, required=True, help="characteristic (prime)")
-    p_table.add_argument("--n", type=int, required=True, help="exponent n in x^n - y^n")
-    p_table.add_argument("--emax", type=int, required=True, help="largest e to tabulate")
-    p_table.set_defaults(handler=cmd_table)
-
-    p_period = sub.add_parser(
-        "period", parents=[common], help="order, period, and branch report"
-    )
-    p_period.add_argument("--p", type=int, required=True, help="characteristic (prime)")
-    p_period.add_argument("--n", type=int, required=True, help="exponent n in x^n - y^n")
-    p_period.set_defaults(handler=cmd_period)
-
-    p_realize = sub.add_parser(
-        "realize", parents=[common], help="find a ring with a prescribed period"
-    )
-    p_realize.add_argument("--pi", type=int, required=True, help="target period")
-    p_realize.add_argument(
-        "--nlimit", type=int, help=f"modulus search bound (default {DEFAULT_N_LIMIT})"
-    )
-    p_realize.add_argument(
-        "--plimit",
-        type=int,
-        help=f"characteristic search bound (default {DEFAULT_P_LIMIT})",
-    )
-    p_realize.set_defaults(handler=cmd_realize)
-
-    p_verify = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="closed form vs. Groebner oracle, row per e",
-    )
-    p_verify.add_argument("--p", type=int, required=True, help="characteristic (prime)")
-    p_verify.add_argument("--n", type=int, required=True, help="exponent n in x^n - y^n")
-    p_verify.add_argument("--emax", type=int, required=True, help="largest e to check")
-    p_verify.add_argument(
-        "--qcap", type=int, help=f"oracle cap on q = p^e (default {DEFAULT_Q_CAP})"
-    )
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_gb = sub.add_parser(
-        "gb", parents=[common], help="reduced Groebner basis of (x^q, y^q, x^n - y^n)"
-    )
-    p_gb.add_argument("--p", type=int, required=True, help="characteristic (prime)")
-    p_gb.add_argument("--n", type=int, required=True, help="exponent n in x^n - y^n")
-    p_gb.add_argument("--e", type=int, required=True, help="Frobenius exponent")
-    p_gb.add_argument(
-        "--qcap", type=int, help=f"oracle cap on q = p^e (default {DEFAULT_Q_CAP})"
-    )
-    p_gb.set_defaults(handler=cmd_gb)
-
+    ring = [("p", "characteristic (prime)"), ("n", "exponent n in x^n - y^n")]
+    # (name, handler, help, required options with help, LIMITS options)
+    for name, handler, summary, options, limits in [
+        ("table", cmd_table, "tabulate e, q, b, HK(e), phi(e)",
+         [*ring, ("emax", "largest e to tabulate")], []),
+        ("period", cmd_period, "order, period, and branch report", ring, []),
+        ("realize", cmd_realize, "find a ring with a prescribed period",
+         [("pi", "target period")], ["nlimit", "plimit"]),
+        ("verify", cmd_verify, "closed form vs. Groebner oracle, row per e",
+         [*ring, ("emax", "largest e to check")], ["qcap"]),
+        ("gb", cmd_gb, "reduced Groebner basis of (x^q, y^q, x^n - y^n)",
+         [*ring, ("e", "Frobenius exponent")], ["qcap"]),
+    ]:
+        cmd = sub.add_parser(name, parents=[common], help=summary)
+        for dest, text in options:
+            cmd.add_argument(f"--{dest}", type=int, required=True, help=text)
+        for dest in limits:
+            _, default, text = LIMITS[dest]
+            cmd.add_argument(f"--{dest}", type=int, help=f"{text} (default {default})")
+        cmd.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # render huge integers in full; CPython limits int/str to 4300 digits
+        sys.set_int_max_str_digits(0)
+    args = build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        return args.handler(args, config)
-    except SearchExhausted as exc:
+        _resolve_limits(args)
+        return args.handler(args)
+    except (SearchExhausted, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (
-        InvalidRingError,
-        QCapExceededError,
-        NotAUnitError,
-        NoPrimesInClassError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, SearchExhausted) else 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ arbitrary-precision integers, so nothing can overflow silently.
 """
 
 import math
-from dataclasses import dataclass
 
 # Largest input for which the fixed witness set below is a *proven*
 # deterministic primality test (first 12 primes; certified bound from
@@ -21,40 +20,6 @@ class NotAUnitError(ValueError):
 
 class NoPrimesInClassError(ValueError):
     """A progression r mod s with gcd(r, s) > 1 was searched for primes."""
-
-
-@dataclass(frozen=True)
-class Residue:
-    """A canonical residue: an integer value in [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(
-                f"residue value {self.value} outside [0, {self.modulus})"
-            )
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> Residue:
-    """base**exp mod modulus as a canonical residue.
-
-    Delegates to the built-in three-argument pow, which performs
-    square-and-multiply in O(log exp) modular multiplications.
-    """
-    if modulus < 2:
-        raise ValueError(f"modulus must be at least 2, got {modulus}")
-    if base < 0:
-        raise ValueError(f"base must be nonnegative, got {base}")
-    if exp < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exp}")
-    return Residue(pow(base, exp, modulus), modulus)
 
 
 def multiplicative_order(a: int, n: int) -> int:

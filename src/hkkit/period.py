@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .closed_form import RingSpec, phi_value
-from .numtheory import mod_pow, multiplicative_order
+from .numtheory import multiplicative_order
 
 
 class Branch(enum.Enum):
@@ -38,10 +38,7 @@ class PeriodReport:
 def period_of(spec: RingSpec) -> PeriodReport:
     """Compute omega, the exact period pi, and one full cycle of phi values."""
     omega = multiplicative_order(spec.p, spec.n)
-    involution = (
-        omega % 2 == 0
-        and mod_pow(spec.p, omega // 2, spec.n).value == spec.n - 1
-    )
+    involution = omega % 2 == 0 and pow(spec.p, omega // 2, spec.n) == spec.n - 1
     if involution:
         pi, branch = omega // 2, Branch.HALF
     else:

@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .closed_form import RingSpec
-from .numtheory import find_prime_in_class, is_prime, mod_pow, multiplicative_order
+from .numtheory import find_prime_in_class, is_prime, multiplicative_order
 from .period import PeriodReport, period_of
 
 
@@ -98,7 +98,7 @@ def realize(pi: int, n_limit: int = 10_000, p_limit: int = 10_000) -> Realizatio
                 if p is None:
                     continue
                 spec = RingSpec(p, n)
-                if mod_pow(p, pi, n).value != n - 1:
+                if pow(p, pi, n) != n - 1:
                     raise RuntimeError(
                         f"unique-involution check failed for p={p}, n={n}: "
                         "library bug"

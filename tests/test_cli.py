@@ -71,13 +71,16 @@ class TestTable:
         assert "divides" in err
 
     def test_huge_values_render_in_full_decimal(self, capsys):
-        _, out, _ = run(
-            capsys, "table", "--p", "2", "--n", "5", "--emax", "80", "--format", "json"
-        )
-        payload = json.loads(out)
-        last = payload["rows"][-1]
-        assert last["hk"] == 5 * 2**80 - 4
-        assert str(last["hk"]) in out  # exact decimal, no float collapse
+        # at emax=14300, q = 2^e has 4305 digits: past CPython's default limit of 4300
+        for emax in (80, 14300):
+            _, out, _ = run(
+                capsys, "table", "--p", "2", "--n", "5", "--emax", str(emax),
+                "--format", "json",
+            )
+            payload = json.loads(out)
+            last = payload["rows"][-1]
+            assert last["hk"] == 5 * 2**emax - 4
+            assert str(last["hk"]) in out  # exact decimal, no float collapse
 
 
 class TestPeriod:

@@ -1,0 +1,163 @@
+"""Byte-for-byte pins of the CLI's stdout.
+
+test_cli.py samples lines and fields; these tests compare whole outputs, so
+any change to spacing, key order, quoting or line endings fails here.  The
+README examples are read from README.md itself, so the documentation cannot
+drift from the program either.
+"""
+
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+
+from hkkit.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    for name in ("HKKIT_QCAP", "HKKIT_NLIMIT", "HKKIT_PLIMIT"):
+        monkeypatch.delenv(name, raising=False)
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """(command, expected stdout) for each `$ hkkit ...` in README's CLI block."""
+    text = README.read_text().split("## CLI", 1)[1]
+    block = text.split("```\n", 2)[1]
+    examples = []
+    for chunk in block.split("\n\n"):
+        command, *output = chunk.strip("\n").splitlines()
+        examples.append((command.removeprefix("$ hkkit "), "\n".join(output) + "\n"))
+    return examples
+
+
+EXAMPLES = readme_examples()
+
+
+def stdout_of(capsys, command: str) -> str:
+    code = main(shlex.split(command))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    return captured.out
+
+
+def canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_readme_has_all_five_commands():
+    commands = [command.split()[0] for command, _ in EXAMPLES]
+    assert commands == ["table", "period", "realize", "verify", "gb"]
+
+
+@pytest.mark.parametrize("command, expected", EXAMPLES, ids=[c for c, _ in EXAMPLES])
+def test_readme_example_reproduces(capsys, command, expected):
+    assert stdout_of(capsys, command) == expected
+
+
+PROFILE_13 = [12, 22, 36, 40, 30, 42] * 2
+
+
+def test_realize_csv(capsys):
+    assert stdout_of(capsys, "realize --pi 6 --format csv") == (
+        "target_pi,p,n,omega,pi,branch,residue_used,n_candidates,p_candidates\n"
+        "6,2,13,12,6,HALF,2,1,1\n"
+    )
+
+
+def test_realize_json(capsys):
+    assert stdout_of(capsys, "realize --pi 6 --format json") == canonical(
+        {
+            "target_pi": 6,
+            "spec": {"p": 2, "n": 13},
+            "report": {
+                "omega": 12,
+                "pi": 6,
+                "branch": "HALF",
+                "involution": True,
+                "phi_profile": PROFILE_13,
+            },
+            "residue_used": 2,
+            "search_stats": {"n_candidates": 1, "p_candidates": 1},
+        }
+    )
+
+
+def test_period_json(capsys):
+    assert stdout_of(capsys, "period --p 2 --n 5 --format json") == canonical(
+        {
+            "p": 2,
+            "n": 5,
+            "omega": 4,
+            "pi": 2,
+            "branch": "HALF",
+            "involution": True,
+            "phi_profile": [4, 6, 4, 6],
+        }
+    )
+
+
+def test_verify_json(capsys):
+    rows = [
+        (0, 1, 1, None),
+        (1, 2, 4, None),
+        (2, 4, 16, None),
+        (3, 8, 50, True),
+        (4, 16, 102, True),
+        (5, 32, 212, True),
+    ]
+    assert stdout_of(capsys, "verify --p 2 --n 7 --emax 5 --format json") == canonical(
+        {
+            "p": 2,
+            "n": 7,
+            "q_cap": 512,
+            "rows": [
+                {
+                    "e": e,
+                    "q": q,
+                    "closed_form": hk,
+                    "oracle": hk,
+                    "basis_check": basis,
+                    "pass": True,
+                }
+                for e, q, hk, basis in rows
+            ],
+            "skipped_e": [],
+            "all_pass": True,
+        }
+    )
+
+
+def test_gb_json(capsys):
+    assert stdout_of(capsys, "gb --p 2 --n 3 --e 2 --format json") == canonical(
+        {
+            "p": 2,
+            "n": 3,
+            "e": 2,
+            "q": 4,
+            "generators": ["y^4", "x*y^3", "x^3 + y^3"],
+            "staircase": [[0, 4], [1, 3], [3, 0]],
+            "count": 10,
+        }
+    )
+
+
+def test_canonical_json_layout(capsys):
+    """The helper above renders what the CLI prints, byte for byte."""
+    assert stdout_of(capsys, "period --p 3 --n 2 --format json") == (
+        "{\n"
+        '  "branch": "FULL",\n'
+        '  "involution": false,\n'
+        '  "n": 2,\n'
+        '  "omega": 1,\n'
+        '  "p": 3,\n'
+        '  "phi_profile": [\n'
+        "    1\n"
+        "  ],\n"
+        '  "pi": 1\n'
+        "}\n"
+    )

@@ -6,11 +6,9 @@ from hypothesis import given, strategies as st
 from hkkit.numtheory import (
     NoPrimesInClassError,
     NotAUnitError,
-    Residue,
     _MR_CERTIFIED_BOUND,
     find_prime_in_class,
     is_prime,
-    mod_pow,
     multiplicative_order,
 )
 
@@ -24,50 +22,6 @@ def _trial_division_prime(m: int) -> bool:
             return False
         d += 1
     return True
-
-
-class TestResidue:
-    def test_holds_value_and_modulus(self):
-        r = Residue(3, 7)
-        assert r.value == 3
-        assert r.modulus == 7
-        assert int(r) == 3
-
-    def test_rejects_out_of_range_value(self):
-        with pytest.raises(ValueError):
-            Residue(7, 7)
-        with pytest.raises(ValueError):
-            Residue(-1, 5)
-
-    def test_rejects_tiny_modulus(self):
-        with pytest.raises(ValueError):
-            Residue(0, 1)
-        with pytest.raises(ValueError):
-            Residue(0, 0)
-
-
-class TestModPow:
-    def test_small_values(self):
-        assert mod_pow(3, 4, 7).value == 4
-        assert mod_pow(2, 0, 5).value == 1
-        assert mod_pow(0, 5, 7).value == 0
-        assert mod_pow(10, 1, 3).value == 1
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 1)
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 5)
-        with pytest.raises(ValueError):
-            mod_pow(-2, 3, 5)
-
-    @given(
-        st.integers(min_value=0, max_value=10**12),
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=2, max_value=10**9),
-    )
-    def test_agrees_with_builtin_pow(self, base, exp, modulus):
-        assert mod_pow(base, exp, modulus).value == pow(base, exp, modulus)
 
 
 class TestMultiplicativeOrder:

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 
 from .closed_form import RingSpec, hk_table, hk_value
 from .groebner import (
-    Q_CAP_DEFAULT, QCapExceededError, buchberger, count_under_staircase,
+    Q_CAP_DEFAULT, buchberger, capped_q, count_under_staircase,
     frobenius_power_generators, hk_brute, verify_closed_form_basis,
 )
 from .period import PeriodReport, period_of
@@ -119,11 +119,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
     rows = []
     skipped: list[int] = []
+    q = 1
     for e in range(args.emax + 1):
-        q = spec.p**e
         if q > args.qcap:
-            skipped.append(e)
-            continue
+            # q only grows with e: every later row is past the cap too
+            skipped = list(range(e, args.emax + 1))
+            break
         closed = hk_value(spec, e)
         basis_ok = None
         if q > spec.n:
@@ -135,6 +136,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             oracle = hk_brute(spec, e, args.qcap)
         ok = closed == oracle and basis_ok is not False
         rows.append((e, q, closed, oracle, basis_ok, ok))
+        q *= spec.p
     if skipped:
         print(f"skipped e = {skipped[0]}..{skipped[-1]}: "
               f"q = p^e exceeds the oracle cap {args.qcap}", file=sys.stderr)
@@ -160,9 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_gb(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
-    q = spec.p**args.e
-    if q > args.qcap:
-        raise QCapExceededError(q, args.qcap)
+    q = capped_q(spec.p, args.e, args.qcap)
     gb = buchberger(frobenius_power_generators(spec, args.e))
     count = count_under_staircase(gb.staircase)
     head = {"p": spec.p, "n": spec.n, "e": args.e, "q": q}

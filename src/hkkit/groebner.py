@@ -69,10 +69,31 @@ class PairBudgetExceededError(RuntimeError):
 class QCapExceededError(ValueError):
     """q = p^e exceeds the cap the brute-force oracle was given."""
 
-    def __init__(self, q: int, q_cap: int):
-        self.q = q
+    def __init__(self, p: int, e: int, q_cap: int):
+        self.p = p
+        self.e = e
         self.q_cap = q_cap
-        super().__init__(f"q = {q} exceeds the oracle cap {q_cap}")
+        super().__init__(f"q = {p}^{e} exceeds the oracle cap {q_cap}")
+
+    @property
+    def q(self) -> int:
+        """p^e itself, built only on request: it can be astronomically large."""
+        return self.p**self.e
+
+
+def capped_q(p: int, e: int, q_cap: int) -> int:
+    """q = p^e, or QCapExceededError if q > q_cap; needs e >= 0, q_cap >= 1.
+
+    Multiplies one factor of p at a time and stops at the first power past
+    the cap, so the check costs O(log q_cap) whatever e is and never builds
+    a power larger than p * q_cap.
+    """
+    q = 1
+    for _ in range(e):
+        q *= p
+        if q > q_cap:
+            raise QCapExceededError(p, e, q_cap)
+    return q
 
 
 class FpPoly:
@@ -229,6 +250,56 @@ def s_polynomial(f: FpPoly, g: FpPoly) -> FpPoly:
     return left - right
 
 
+def _first_at_or_below(mono: Monomial, di: int, dj: int, top: Monomial, limit: int) -> int:
+    """Smallest k in [1, limit) with mono + k*(di, dj) <= top, else limit.
+
+    mono > top, and (di, dj) is lex-negative, so the points fall strictly.
+    """
+    if di == 0:
+        if mono.i > top.i:
+            return limit
+        k = -((top.j - mono.j) // -dj)  # ceil((mono.j - top.j) / -dj)
+    else:
+        k, r = divmod(mono.i - top.i, -di)  # k: last step in or right of top's column
+        if r or mono.j + k * dj > top.j:
+            k += 1
+    return min(limit, k)
+
+
+def _first_divisible(mono: Monomial, di: int, dj: int, lead: Monomial, limit: int) -> int:
+    """Smallest k in [1, limit) with lead dividing mono + k*(di, dj), else limit."""
+    lo, hi = 1, limit - 1
+    for m, d, bound in ((mono.i, di, lead.i), (mono.j, dj, lead.j)):
+        if d > 0:
+            lo = max(lo, -((m - bound) // d))  # ceil((bound - m) / d)
+        elif d < 0:
+            hi = min(hi, (m - bound) // -d)
+        elif m < bound:
+            return limit
+    return lo if lo <= hi else limit
+
+
+def _chain_length(
+    mono: Monomial, lm: Monomial, di: int, dj: int,
+    earlier: Sequence[Monomial], top: Monomial | None,
+) -> int:
+    """How many rewrites in a row a binomial with lead lm makes, from mono.
+
+    (di, dj) is the binomial's tail minus lm, and step k rewrites
+    mono + k*(di, dj).  The chain ends at the first k >= 1 where lm no longer
+    divides that monomial, an earlier lead does, or it is no longer above
+    top, the largest other monomial waiting (None if none).
+    """
+    # the tail is below lm in lex, so di < 0 or dj < 0: this bound is finite
+    steps = 1 + min((m - bound) // -d for m, bound, d in
+                    ((mono.i, lm.i, di), (mono.j, lm.j, dj)) if d < 0)
+    if top is not None:
+        steps = _first_at_or_below(mono, di, dj, top, steps)
+    for lead in earlier:
+        steps = _first_divisible(mono, di, dj, lead, steps)
+    return steps
+
+
 def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     """Full normal form of f modulo a list of nonzero polynomials.
 
@@ -238,6 +309,18 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     divisible by any basis leading monomial.  Rewriting only ever introduces
     monomials strictly below the one removed, and lex on nonnegative
     exponents is a well-order, so this terminates.
+
+    A binomial g = lc*lm + ct*tail rewrites c*mono into -(ct/lc)*c times
+    mono + (tail - lm), and often rewrites that term next, and so on.  Such a
+    chain is applied in one jump: its length T is the first step at which lm
+    stops dividing the moving monomial, an earlier basis lead starts to, or
+    it falls to or below the largest other monomial waiting (a few integer
+    divisions, see _chain_length).  The term c*(-ct/lc)^T at
+    mono + T*(tail - lm) then merges into the waiting terms as a single
+    rewrite would.  The output is term for term that of rewriting one step
+    at a time, which is what reducers of three or more terms still do.  For
+    the oracle's ideals, whose reducers are all monomials or binomials, the
+    jump turns the O(q/n) rewrites of a chain by x^n - y^n into one.
     """
     leads = []
     for g in basis:
@@ -251,10 +334,23 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     while work:
         mono = max(work)
         coeff = work.pop(mono)
-        for g, (lm, lc) in zip(basis, leads):
+        for idx, (g, (lm, lc)) in enumerate(zip(basis, leads)):
             if lm.divides(mono):
-                factor = (coeff * pow(lc, -1, p)) % p
+                inv = pow(lc, -1, p)
+                factor = (coeff * inv) % p
                 shift = mono.div(lm)
+                if len(g.terms) == 2:
+                    tail = min(g.terms)
+                    di, dj = tail.i - lm.i, tail.j - lm.j
+                    if shift.i + di >= 0 and shift.j + dj >= 0:
+                        # lm divides the next monomial too: skip to the
+                        # chain's last rewrite, each step before it moving
+                        # shift by (di, dj) and scaling factor by -ct/lc
+                        earlier = [m for m, _ in leads[:idx]]
+                        skip = _chain_length(mono, lm, di, dj, earlier,
+                                             max(work) if work else None) - 1
+                        shift = Monomial(shift.i + skip * di, shift.j + skip * dj)
+                        factor = (factor * pow(-g.terms[tail] * inv, skip, p)) % p
                 for m2, c2 in g.terms.items():
                     if m2 == lm:
                         continue
@@ -414,9 +510,7 @@ def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
         raise ValueError(f"e must be nonnegative, got {e}")
     if q_cap < 1:
         raise ValueError(f"q_cap must be positive, got {q_cap}")
-    q = spec.p**e
-    if q > q_cap:
-        raise QCapExceededError(q, q_cap)
+    capped_q(spec.p, e, q_cap)
     gb = buchberger(frobenius_power_generators(spec, e))
     count = standard_monomial_count(gb)
     if count is None:
@@ -431,6 +525,18 @@ def _minimal_monomials(monos: Sequence[Monomial]) -> tuple[Monomial, ...]:
         if not any(k.divides(m) for k in out):
             out.append(m)
     return tuple(out)
+
+
+def _telescopes(relation: FpPoly, q: int, b: int) -> bool:
+    """Whether relation = x^n - y^n divides x^q - x^b y^(q-b).
+
+    Division by a single polynomial leaves a zero remainder exactly when it
+    divides, and the quotient is then the ladder
+    x^(q-n) + x^(q-2n) y^n + ... + x^b y^(q-b-n); reduce walks the ladder in
+    one binomial jump instead of multiplying it out.
+    """
+    lhs = FpPoly(relation.p, {Monomial(q, 0): 1, Monomial(b, q - b): -1})
+    return reduce(lhs, [relation]).is_zero()
 
 
 @dataclass(frozen=True)
@@ -460,8 +566,8 @@ def verify_closed_form_basis(
 
     (a) telescoping: x^q - x^b y^(q-b) equals
         (x^(q-n) + x^(q-2n) y^n + ... + x^b y^(q-b-n)) * (x^n - y^n),
-        verified by explicit multiplication, so swapping x^q for x^b y^(q-b)
-        leaves the ideal unchanged;
+        so swapping x^q for x^b y^(q-b) leaves the ideal unchanged.  Checked
+        by exact division (see _telescopes), at a cost independent of q;
     (b) all three S-polynomials of the predicted basis reduce to zero modulo
         it (Buchberger's criterion, so the predicted set is a Groebner basis);
     (c) buchberger run on the raw generators lands on the staircase
@@ -469,23 +575,16 @@ def verify_closed_form_basis(
     """
     if e < 0:
         raise ValueError(f"e must be nonnegative, got {e}")
-    q = spec.p**e
-    if q <= spec.n:
-        raise ValueError(f"need q > n, got q = {q} and n = {spec.n}")
     if q_cap < 1:
         raise ValueError(f"q_cap must be positive, got {q_cap}")
-    if q > q_cap:
-        raise QCapExceededError(q, q_cap)
+    q = capped_q(spec.p, e, q_cap)
+    if q <= spec.n:
+        raise ValueError(f"need q > n, got q = {q} and n = {spec.n}")
     p, n = spec.p, spec.n
     b = q % n
 
     relation = FpPoly(p, {Monomial(n, 0): 1, Monomial(0, n): -1})
-    steps = (q - b) // n
-    ladder = FpPoly(
-        p, {Monomial(q - k * n, (k - 1) * n): 1 for k in range(1, steps + 1)}
-    )
-    lhs = FpPoly(p, {Monomial(q, 0): 1, Monomial(b, q - b): -1})
-    telescoping_ok = ladder * relation == lhs
+    telescoping_ok = _telescopes(relation, q, b)
 
     predicted = [
         FpPoly(p, {Monomial(b, q - b): 1}),

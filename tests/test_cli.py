@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -207,6 +209,18 @@ class TestVerify:
         assert [row["e"] for row in payload["rows"]] == [0, 1, 2, 3, 4]
         assert "skipped e = 5..12" in err
 
+    def test_skipped_rows_cost_no_powers(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--p", "2", "--n", "5", "--emax", "20000", "--format", "json"
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out)["skipped_e"] == list(range(10, 20001))
+        assert "skipped e = 10..20000" in err
+        # building 2^e for every skipped e took about 0.6 s
+        assert elapsed < 0.3
+
     def test_qcap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("HKKIT_QCAP", "16")
         code, out, err = run(
@@ -270,6 +284,21 @@ class TestGb:
         assert code == 2
         assert out == ""
         assert "512" in err
+
+    def test_huge_exponent_fails_fast_without_building_q(self, capsys):
+        # 2^100000000000 would take 12.5 GB
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run(capsys, "gb", "--p", "2", "--n", "5", "--e", "100000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert peak < 10**6
+        assert code == 2
+        assert out == ""
+        assert err == "error: q = 2^100000000000 exceeds the oracle cap 512\n"
 
     def test_csv_schema(self, capsys):
         code, out, _ = run(

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hkkit import groebner
 from hkkit.closed_form import RingSpec, hk_value
 from hkkit.groebner import (
     BasisCheck,
@@ -239,6 +240,126 @@ class TestReduce:
             assert not any(lm.divides(mono) for lm in lead)
 
 
+def reduce_stepwise(f, basis):
+    """Reference normal form that reduce must match term for term.
+
+    One rewrite per loop, no jumps: the largest monomial, by the first basis
+    element (in list order) whose leading monomial divides it.
+    """
+    leads = [g.leading_term() for g in basis]
+    p = f.p
+    work = dict(f.terms)
+    out = {}
+    while work:
+        mono = max(work)
+        coeff = work.pop(mono)
+        for g, (lm, lc) in zip(basis, leads):
+            if lm.divides(mono):
+                factor = (coeff * pow(lc, -1, p)) % p
+                shift = mono.div(lm)
+                for m2, c2 in g.terms.items():
+                    if m2 == lm:
+                        continue
+                    key = m2.mul(shift)
+                    c = (work.get(key, 0) - factor * c2) % p
+                    if c:
+                        work[key] = c
+                    else:
+                        work.pop(key, None)
+                break
+        else:
+            out[mono] = coeff
+    return FpPoly(p, out)
+
+
+def small_polys(p, max_exp, max_terms):
+    monos = st.tuples(
+        st.integers(min_value=0, max_value=max_exp),
+        st.integers(min_value=0, max_value=max_exp),
+    )
+    coeffs = st.integers(min_value=1, max_value=p - 1)
+    return st.dictionaries(monos, coeffs, min_size=1, max_size=max_terms).map(
+        lambda d: FpPoly(p, d)
+    )
+
+
+def relation(p, n):
+    return FpPoly(p, {Monomial(n, 0): 1, Monomial(0, n): -1})
+
+
+def chain_length_stepwise(mono, lm, di, dj, earlier, top):
+    """First k >= 1 at which the chain from mono stops, by walking it."""
+    k = 1
+    while True:
+        m = Monomial(mono.i + k * di, mono.j + k * dj)
+        if (not lm.divides(m) or any(lead.divides(m) for lead in earlier)
+                or (top is not None and m <= top)):
+            return k
+        k += 1
+
+
+class TestBinomialChainJump:
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_chain_length_matches_walking_the_chain(self, data):
+        monos = st.builds(Monomial, st.integers(0, 12), st.integers(0, 12))
+        lm = data.draw(monos.filter(lambda m: m > Monomial(0, 0)))
+        tail = data.draw(monos.filter(lambda m: m < lm))
+        mono = lm.mul(data.draw(monos))
+        earlier = data.draw(st.lists(monos.filter(lambda m: not m.divides(mono)), max_size=3))
+        top = data.draw(st.none() | monos.filter(lambda m: m < mono))
+        di, dj = tail.i - lm.i, tail.j - lm.j
+        assert groebner._chain_length(mono, lm, di, dj, earlier, top) == (
+            chain_length_stepwise(mono, lm, di, dj, earlier, top)
+        )
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_stepwise_reference(self, data):
+        # monomial, binomial and trinomial reducers, several per basis, so
+        # chains get cut by earlier leads and land on waiting terms
+        p = data.draw(st.sampled_from((2, 3, 5, 7)))
+        basis = data.draw(st.lists(small_polys(p, 8, 3), min_size=1, max_size=4))
+        f = data.draw(small_polys(p, 16, 6))
+        assert reduce(f, basis).terms == reduce_stepwise(f, basis).terms
+
+    @pytest.mark.parametrize(
+        "p, basis, f, expected",
+        [
+            # the earlier lead x^4*y^2 divides x^4*y^3, one step into the
+            # chain; running on past it would leave 4*x^2*y^5
+            (5, [{(4, 2): 1}, {(4, 0): 1, (2, 2): 1}], {(6, 1): 4}, {}),
+            # the chain lands on a waiting term and merges with it
+            (5, [{(2, 0): 1, (0, 2): -1}], {(7, 0): 1, (1, 6): 2}, {(1, 6): 3}),
+            # ... or cancels it
+            (5, [{(2, 0): 1, (0, 2): -1}], {(7, 0): 1, (1, 6): -1}, {}),
+            # the chain drops past a waiting term's column
+            (5, [{(2, 0): 1, (0, 2): -1}], {(7, 0): 1, (4, 1): 3},
+             {(1, 6): 1, (0, 5): 3}),
+            # the chain enters a waiting term's column below it
+            (5, [{(2, 0): 1, (0, 2): -1}], {(7, 0): 1, (3, 5): 3},
+             {(1, 7): 3, (1, 6): 1}),
+            # a tail in the lead's column: the chain moves down in y only
+            (3, [{(0, 3): 1, (0, 1): 1}], {(2, 11): 1, (2, 4): 1},
+             {(2, 2): 2, (2, 1): 2}),
+        ],
+    )
+    def test_chain_edge_cases(self, p, basis, f, expected):
+        basis = [FpPoly(p, g) for g in basis]
+        out = reduce(FpPoly(p, f), basis)
+        assert out == reduce_stepwise(FpPoly(p, f), basis)
+        assert out == FpPoly(p, expected)
+
+    def test_chain_of_2_pow_60_steps_is_one_jump(self):
+        # far too long to walk step by step: about q/7 rewrites of x^q
+        q = 2**60
+        b = q % 7
+        assert reduce(mono_poly(2, q, 0), [relation(2, 7)]) == mono_poly(2, b, q - b)
+        # an earlier lead y^(q-14) cuts the chain one step before its end
+        cut = [mono_poly(2, 0, q - 14), relation(2, 7)]
+        assert reduce(mono_poly(2, q, 0), cut).is_zero()
+
+
 class TestBuchberger:
     def test_frobenius_generators_give_predicted_staircase(self):
         gb = buchberger(frobenius_power_generators(RingSpec(2, 3), 2))
@@ -391,6 +512,20 @@ class TestHKBrute:
         assert info.value.q == 16
         assert info.value.q_cap == 8
 
+    def test_cap_check_never_builds_p_to_the_e(self):
+        # p^e here would have 3 * 10^10 digits; the check must stop at the cap
+        for check in (hk_brute, verify_closed_form_basis):
+            with pytest.raises(QCapExceededError) as info:
+                check(RingSpec(2, 5), 10**11)
+            assert (info.value.p, info.value.e, info.value.q_cap) == (2, 10**11, 512)
+            assert str(info.value) == "q = 2^100000000000 exceeds the oracle cap 512"
+
+    @pytest.mark.parametrize("p, n, e", [(2, 3, 20), (10007, 3, 2), (2, 7, 60)])
+    def test_large_q_agrees_with_closed_form(self, p, n, e):
+        spec = RingSpec(p, n)
+        assert hk_brute(spec, e, q_cap=p**e) == hk_value(spec, e)
+        assert verify_closed_form_basis(spec, e, q_cap=p**e).ok
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             hk_brute(RingSpec(2, 5), -1)
@@ -430,6 +565,23 @@ class TestVerifyClosedFormBasis:
             verify_closed_form_basis(RingSpec(2, 3), 1)  # q = 2 < 3
         with pytest.raises(ValueError):
             verify_closed_form_basis(RingSpec(2, 5), 0)
+
+    def test_telescoping_is_exact_division(self):
+        rel = relation(2, 3)
+        q = 2**16
+        assert groebner._telescopes(rel, q, q % 3)
+        assert groebner._telescopes(rel, q, q % 3 + 3)  # same class mod n
+        assert not groebner._telescopes(rel, q, q % 3 + 1)
+
+    def test_wrong_b_fails_telescoping(self, monkeypatch):
+        honest = groebner._telescopes
+        monkeypatch.setattr(
+            groebner, "_telescopes", lambda rel, q, b: honest(rel, q, b + 1)
+        )
+        check = verify_closed_form_basis(RingSpec(2, 5), 3)
+        assert not check.telescoping_ok
+        assert not check.ok
+        assert check.spoly_ok and check.staircase_ok
 
     def test_respects_q_cap(self):
         with pytest.raises(QCapExceededError):

@@ -30,7 +30,6 @@ from .groebner import (
     frobenius_power_generators,
     hk_brute,
     s_polynomial,
-    standard_monomial_count,
     verify_closed_form_basis,
 )
 from .numtheory import (
@@ -92,7 +91,6 @@ __all__ = [
     "realize",
     "residue_b",
     "s_polynomial",
-    "standard_monomial_count",
     "verify_closed_form_basis",
     "verify_minimal_period",
 ]

@@ -117,6 +117,9 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
+    if args.emax < 0:
+        # zero rows would report all_pass: a check that checked nothing
+        raise ValueError(f"e_max must be nonnegative, got {args.emax}")
     rows = []
     skipped: list[int] = []
     q = 1

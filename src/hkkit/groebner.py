@@ -82,12 +82,16 @@ class QCapExceededError(ValueError):
 
 
 def capped_q(p: int, e: int, q_cap: int) -> int:
-    """q = p^e, or QCapExceededError if q > q_cap; needs e >= 0, q_cap >= 1.
+    """q = p^e; ValueError if e < 0 or q_cap < 1, QCapExceededError if q > q_cap.
 
     Multiplies one factor of p at a time and stops at the first power past
     the cap, so the check costs O(log q_cap) whatever e is and never builds
     a power larger than p * q_cap.
     """
+    if e < 0:
+        raise ValueError(f"e must be nonnegative, got {e}")
+    if q_cap < 1:
+        raise ValueError(f"q_cap must be positive, got {q_cap}")
     q = 1
     for _ in range(e):
         q *= p
@@ -250,22 +254,6 @@ def s_polynomial(f: FpPoly, g: FpPoly) -> FpPoly:
     return left - right
 
 
-def _first_at_or_below(mono: Monomial, di: int, dj: int, top: Monomial, limit: int) -> int:
-    """Smallest k in [1, limit) with mono + k*(di, dj) <= top, else limit.
-
-    mono > top, and (di, dj) is lex-negative, so the points fall strictly.
-    """
-    if di == 0:
-        if mono.i > top.i:
-            return limit
-        k = -((top.j - mono.j) // -dj)  # ceil((mono.j - top.j) / -dj)
-    else:
-        k, r = divmod(mono.i - top.i, -di)  # k: last step in or right of top's column
-        if r or mono.j + k * dj > top.j:
-            k += 1
-    return min(limit, k)
-
-
 def _first_divisible(mono: Monomial, di: int, dj: int, lead: Monomial, limit: int) -> int:
     """Smallest k in [1, limit) with lead dividing mono + k*(di, dj), else limit."""
     lo, hi = 1, limit - 1
@@ -280,21 +268,17 @@ def _first_divisible(mono: Monomial, di: int, dj: int, lead: Monomial, limit: in
 
 
 def _chain_length(
-    mono: Monomial, lm: Monomial, di: int, dj: int,
-    earlier: Sequence[Monomial], top: Monomial | None,
+    mono: Monomial, lm: Monomial, di: int, dj: int, earlier: Sequence[Monomial]
 ) -> int:
     """How many rewrites in a row a binomial with lead lm makes, from mono.
 
     (di, dj) is the binomial's tail minus lm, and step k rewrites
     mono + k*(di, dj).  The chain ends at the first k >= 1 where lm no longer
-    divides that monomial, an earlier lead does, or it is no longer above
-    top, the largest other monomial waiting (None if none).
+    divides that monomial or an earlier lead does.
     """
     # the tail is below lm in lex, so di < 0 or dj < 0: this bound is finite
     steps = 1 + min((m - bound) // -d for m, bound, d in
                     ((mono.i, lm.i, di), (mono.j, lm.j, dj)) if d < 0)
-    if top is not None:
-        steps = _first_at_or_below(mono, di, dj, top, steps)
     for lead in earlier:
         steps = _first_divisible(mono, di, dj, lead, steps)
     return steps
@@ -311,16 +295,16 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     exponents is a well-order, so this terminates.
 
     A binomial g = lc*lm + ct*tail rewrites c*mono into -(ct/lc)*c times
-    mono + (tail - lm), and often rewrites that term next, and so on.  Such a
-    chain is applied in one jump: its length T is the first step at which lm
-    stops dividing the moving monomial, an earlier basis lead starts to, or
-    it falls to or below the largest other monomial waiting (a few integer
-    divisions, see _chain_length).  The term c*(-ct/lc)^T at
-    mono + T*(tail - lm) then merges into the waiting terms as a single
-    rewrite would.  The output is term for term that of rewriting one step
-    at a time, which is what reducers of three or more terms still do.  For
-    the oracle's ideals, whose reducers are all monomials or binomials, the
-    jump turns the O(q/n) rewrites of a chain by x^n - y^n into one.
+    mono + (tail - lm), and so on until lm stops dividing the moving monomial
+    or an earlier basis lead starts to.  Such a chain of T rewrites (T from a
+    few integer divisions, see _chain_length) is one jump: c*(-ct/lc)^T at
+    mono + T*(tail - lm) merges into the waiting terms as one rewrite would.
+    Which rewrite a monomial gets depends on that monomial alone, so the
+    normal form is linear in f: a waiting term the jump passes runs down the
+    same chain later, and the output is term for term that of rewriting one
+    step at a time, as reducers of three or more terms still do.  For the
+    oracle's ideals, whose reducers are all monomials or binomials, the jump
+    turns the O(q/n) rewrites of a chain by x^n - y^n into one.
     """
     leads = []
     for g in basis:
@@ -347,8 +331,7 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
                         # chain's last rewrite, each step before it moving
                         # shift by (di, dj) and scaling factor by -ct/lc
                         earlier = [m for m, _ in leads[:idx]]
-                        skip = _chain_length(mono, lm, di, dj, earlier,
-                                             max(work) if work else None) - 1
+                        skip = _chain_length(mono, lm, di, dj, earlier) - 1
                         shift = Monomial(shift.i + skip * di, shift.j + skip * dj)
                         factor = (factor * pow(-g.terms[tail] * inv, skip, p)) % p
                 for m2, c2 in g.terms.items():
@@ -467,23 +450,18 @@ def count_under_staircase(staircase: Sequence[Monomial]) -> int | None:
     """Monomials divisible by no staircase element; None when infinitely many.
 
     In two variables the count is finite exactly when the staircase blocks
-    both axes, i.e. contains pure powers x^a and y^c.  Row sweep: in column
-    i < a the blocked y-exponents are an upward ray starting at
-    min{m.j : m.i <= i}, so the column contributes that minimum.
+    both axes, i.e. contains pure powers x^a and y^c.  Corner walk: column i
+    contributes min{m.j : m.i <= i}, which changes only at corners, so each
+    gap between sorted corners adds its width times that running minimum.
     """
-    x_power = min((m.i for m in staircase if m.j == 0), default=None)
-    y_power = min((m.j for m in staircase if m.i == 0), default=None)
-    if x_power is None or y_power is None:
+    if not any(m.j == 0 for m in staircase) or not any(m.i == 0 for m in staircase):
         return None
-    total = 0
-    for i in range(x_power):
-        total += min(m.j for m in staircase if m.i <= i)
+    corners = sorted(staircase)
+    total, height = 0, corners[0].j
+    for corner, following in zip(corners, corners[1:]):
+        height = min(height, corner.j)
+        total += (following.i - corner.i) * height
     return total
-
-
-def standard_monomial_count(gb: GroebnerBasis) -> int | None:
-    """Dimension of the quotient by gb's ideal; None when infinite."""
-    return count_under_staircase(gb.staircase)
 
 
 def frobenius_power_generators(spec: RingSpec, e: int) -> list[FpPoly]:
@@ -506,25 +484,13 @@ def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
     with hk_value meaningful.  q above q_cap raises QCapExceededError to
     tell the caller to fall back to the formula.
     """
-    if e < 0:
-        raise ValueError(f"e must be nonnegative, got {e}")
-    if q_cap < 1:
-        raise ValueError(f"q_cap must be positive, got {q_cap}")
     capped_q(spec.p, e, q_cap)
     gb = buchberger(frobenius_power_generators(spec, e))
-    count = standard_monomial_count(gb)
+    count = count_under_staircase(gb.staircase)
     if count is None:
         # x^q and y^q are in the ideal, so both axes are always blocked
         raise RuntimeError("staircase misses a pure power: library bug")
     return count
-
-
-def _minimal_monomials(monos: Sequence[Monomial]) -> tuple[Monomial, ...]:
-    out: list[Monomial] = []
-    for m in sorted(set(monos)):
-        if not any(k.divides(m) for k in out):
-            out.append(m)
-    return tuple(out)
 
 
 def _telescopes(relation: FpPoly, q: int, b: int) -> bool:
@@ -571,12 +537,9 @@ def verify_closed_form_basis(
     (b) all three S-polynomials of the predicted basis reduce to zero modulo
         it (Buchberger's criterion, so the predicted set is a Groebner basis);
     (c) buchberger run on the raw generators lands on the staircase
-        {x^b y^(q-b), y^q, x^n}, redundancies dropped.
+        (y^q, x^b y^(q-b), x^n): pairwise indivisible because q > n > b >= 1,
+        and listed in ascending lex order, as GroebnerBasis keeps it.
     """
-    if e < 0:
-        raise ValueError(f"e must be nonnegative, got {e}")
-    if q_cap < 1:
-        raise ValueError(f"q_cap must be positive, got {q_cap}")
     q = capped_q(spec.p, e, q_cap)
     if q <= spec.n:
         raise ValueError(f"need q > n, got q = {q} and n = {spec.n}")
@@ -596,9 +559,7 @@ def verify_closed_form_basis(
         for f, g in itertools.combinations(predicted, 2)
     )
 
-    expected = _minimal_monomials(
-        [Monomial(b, q - b), Monomial(0, q), Monomial(n, 0)]
-    )
+    expected = (Monomial(0, q), Monomial(b, q - b), Monomial(n, 0))
     computed = buchberger(frobenius_power_generators(spec, e)).staircase
     staircase_ok = computed == expected
 

@@ -300,6 +300,25 @@ class TestGb:
         assert out == ""
         assert err == "error: q = 2^100000000000 exceeds the oracle cap 512\n"
 
+    def test_negative_exponent_is_invalid_input(self, capsys):
+        code, out, err = run(capsys, "gb", "--p", "2", "--n", "5", "--e", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: e must be nonnegative, got -1\n"
+
+    def test_large_modulus_count_is_fast(self, capsys):
+        # q = 2^20 > n = 1000003: counting column by column took about 1.1 s
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "gb", "--p", "2", "--n", "1000003", "--e", "20",
+            "--qcap", "2097152", "--format", "json",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["count"] == 1002365336338  # n*q - b(n-b), b = 48573
+        assert elapsed < 0.3
+
     def test_csv_schema(self, capsys):
         code, out, _ = run(
             capsys, "gb", "--p", "2", "--n", "3", "--e", "2", "--format", "csv"
@@ -333,9 +352,12 @@ class TestDriver:
         assert info.value.code == 2
 
     def test_negative_emax_is_invalid_input(self, capsys):
-        code, _, err = run(capsys, "table", "--p", "2", "--n", "5", "--emax", "-1")
-        assert code == 2
-        assert err != ""
+        # zero rows must not let verify report a pass it never checked
+        for command in ("table", "verify"):
+            code, out, err = run(capsys, command, "--p", "2", "--n", "5", "--emax", "-1")
+            assert code == 2, command
+            assert out == ""
+            assert err == "error: e_max must be nonnegative, got -1\n"
 
     def test_nonpositive_qcap_flag_rejected(self, capsys):
         code, _, err = run(

@@ -18,7 +18,6 @@ from hkkit.groebner import (
     hk_brute,
     reduce,
     s_polynomial,
-    standard_monomial_count,
     verify_closed_form_basis,
 )
 
@@ -287,13 +286,12 @@ def relation(p, n):
     return FpPoly(p, {Monomial(n, 0): 1, Monomial(0, n): -1})
 
 
-def chain_length_stepwise(mono, lm, di, dj, earlier, top):
+def chain_length_stepwise(mono, lm, di, dj, earlier):
     """First k >= 1 at which the chain from mono stops, by walking it."""
     k = 1
     while True:
         m = Monomial(mono.i + k * di, mono.j + k * dj)
-        if (not lm.divides(m) or any(lead.divides(m) for lead in earlier)
-                or (top is not None and m <= top)):
+        if not lm.divides(m) or any(lead.divides(m) for lead in earlier):
             return k
         k += 1
 
@@ -307,10 +305,9 @@ class TestBinomialChainJump:
         tail = data.draw(monos.filter(lambda m: m < lm))
         mono = lm.mul(data.draw(monos))
         earlier = data.draw(st.lists(monos.filter(lambda m: not m.divides(mono)), max_size=3))
-        top = data.draw(st.none() | monos.filter(lambda m: m < mono))
         di, dj = tail.i - lm.i, tail.j - lm.j
-        assert groebner._chain_length(mono, lm, di, dj, earlier, top) == (
-            chain_length_stepwise(mono, lm, di, dj, earlier, top)
+        assert groebner._chain_length(mono, lm, di, dj, earlier) == (
+            chain_length_stepwise(mono, lm, di, dj, earlier)
         )
 
     @given(st.data())
@@ -364,7 +361,7 @@ class TestBuchberger:
     def test_frobenius_generators_give_predicted_staircase(self):
         gb = buchberger(frobenius_power_generators(RingSpec(2, 3), 2))
         assert gb.staircase == (Monomial(0, 4), Monomial(1, 3), Monomial(3, 0))
-        assert standard_monomial_count(gb) == 10
+        assert count_under_staircase(gb.staircase) == 10
 
     def test_single_generator_returned_monic(self):
         f = FpPoly(5, {Monomial(3, 0): 2, Monomial(0, 3): 3})
@@ -527,9 +524,9 @@ class TestHKBrute:
         assert verify_closed_form_basis(spec, e, q_cap=p**e).ok
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="e must be nonnegative, got -1"):
             hk_brute(RingSpec(2, 5), -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="q_cap must be positive, got 0"):
             hk_brute(RingSpec(2, 5), 1, q_cap=0)
 
 
@@ -586,6 +583,12 @@ class TestVerifyClosedFormBasis:
     def test_respects_q_cap(self):
         with pytest.raises(QCapExceededError):
             verify_closed_form_basis(RingSpec(2, 5), 10, q_cap=512)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="e must be nonnegative, got -1"):
+            verify_closed_form_basis(RingSpec(2, 5), -1)
+        with pytest.raises(ValueError, match="q_cap must be positive, got 0"):
+            verify_closed_form_basis(RingSpec(2, 5), 3, q_cap=0)
 
     def test_check_object_is_falsy_when_failed(self):
         failed = BasisCheck(

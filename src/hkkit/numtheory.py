@@ -1,8 +1,10 @@
-"""Modular arithmetic, multiplicative orders, primality, and prime search.
+"""Primality, factoring, multiplicative orders, and prime search.
 
-Everything here is exact integer arithmetic.  Moduli are expected to fit in a
-64-bit word; derived quantities (powers, products) use Python's
-arbitrary-precision integers, so nothing can overflow silently.
+Everything here is exact integer arithmetic, with no randomness.  Moduli are
+expected to fit in a 64-bit word; derived quantities (powers, products) use
+Python's arbitrary-precision integers, so nothing can overflow silently.
+Orders come from the factored Carmichael function, so an order modulo any
+64-bit n costs at most tens of milliseconds, not O(n) multiplications.
 """
 
 import math
@@ -25,9 +27,12 @@ class NoPrimesInClassError(ValueError):
 def multiplicative_order(a: int, n: int) -> int:
     """Least omega >= 1 with a**omega == 1 (mod n).
 
-    Strategy: naive power iteration, O(n) modular multiplications worst case.
-    The moduli in this package are small, so factoring the group order to do
-    better is not worth the machinery.
+    Factors n, builds the Carmichael exponent lambda(n) with its prime
+    factors, and strips each prime from lambda(n) while a**(order/l) == 1
+    still holds (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 1.4.3).  The cost is that of factoring n, at most tens of
+    milliseconds for n below 2**64.  A cofactor past is_prime's certified
+    bound raises ValueError.
     """
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
@@ -35,12 +40,84 @@ def multiplicative_order(a: int, n: int) -> int:
     g = math.gcd(a, n)
     if g != 1:
         raise NotAUnitError(f"{a} is not a unit modulo {n} (gcd = {g})")
-    order = 1
-    power = a
-    while power != 1:
-        power = power * a % n
-        order += 1
+    lam, primes = 1, set()  # lambda(n) and a set holding its prime factors
+    for q, k in prime_factors(n).items():
+        part = (q - 1) * q ** (k - 1)
+        if q == 2 and k >= 3:
+            part //= 2  # lambda(2^k) = 2^(k-2) for k >= 3
+        lam = math.lcm(lam, part)
+        primes.add(q)
+        primes.update(prime_factors(q - 1))
+    order = lam
+    for l in primes:
+        while order % l == 0 and pow(a, order // l, n) == 1:
+            order //= l
     return order
+
+
+# Trial division covers the primes below this bound; Pollard-Brent rho splits
+# what is left, so rho only ever sees composites without small factors.
+_TRIAL_BOUND = 1 << 10
+
+
+def prime_factors(m: int) -> dict[int, int]:
+    """The factorization of m >= 1 as {prime: exponent}, primes ascending.
+
+    Trial division below 2**10, then Pollard-Brent rho (Brent 1980) on what
+    is left, with is_prime deciding when to stop.  Perfect squares are split
+    by isqrt first, since rho can cycle on them without finding a factor.
+    Deterministic: rho tries the maps x**2 + c for c = 1, 2, ... in turn.
+    """
+    if m < 1:
+        raise ValueError(f"can only factor positive integers, got {m}")
+    factors: dict[int, int] = {}
+    d = 2
+    while d < _TRIAL_BOUND and d * d <= m:
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    # every x left has no prime factor below d, so x < d*d means x is prime
+    pending = [m] if m > 1 else []
+    while pending:
+        x = pending.pop()
+        if x < d * d or is_prime(x):
+            factors[x] = factors.get(x, 0) + 1
+            continue
+        root = math.isqrt(x)
+        if root * root == x:
+            pending += (root, root)
+            continue
+        divisor = _rho_divisor(x)
+        pending += (divisor, x // divisor)
+    return dict(sorted(factors.items()))
+
+
+def _rho_divisor(m: int) -> int:
+    """A proper divisor of the composite m, by Brent's variant of rho."""
+    for c in range(1, m):
+        y, power, product, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % m
+            done = 0
+            while done < power and g == 1:
+                saved = y
+                for _ in range(min(128, power - done)):
+                    y = (y * y + c) % m
+                    product = product * abs(x - y) % m
+                g = math.gcd(product, m)
+                done += 128
+            power *= 2
+        if g == m:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % m
+                g = math.gcd(abs(x - saved), m)
+        if g != m:
+            return g
+    raise ValueError(f"{m} has no proper divisor")
 
 
 def is_prime(m: int) -> bool:

@@ -9,7 +9,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .closed_form import RingSpec, phi_value
+from .closed_form import RingSpec
 from .numtheory import multiplicative_order
 
 
@@ -43,13 +43,17 @@ def period_of(spec: RingSpec) -> PeriodReport:
         pi, branch = omega // 2, Branch.HALF
     else:
         pi, branch = omega, Branch.FULL
-    profile = tuple(phi_value(spec, e) for e in range(omega))
+    # phi repeats after pi, since p^pi == -1 maps b to n - b on the halved branch
+    n, b, profile = spec.n, 1, []
+    for _ in range(pi):
+        profile.append(b * (n - b))
+        b = b * spec.p % n
     return PeriodReport(
         omega=omega,
         pi=pi,
         branch=branch,
         involution_check=involution,
-        phi_profile=profile,
+        phi_profile=tuple(profile) * (omega // pi),
     )
 
 
@@ -94,19 +98,33 @@ def verify_minimal_period(spec: RingSpec, window_multiplier: int) -> PeriodCheck
 def _check_claimed_period(
     spec: RingSpec, pi: int, omega: int, window_multiplier: int
 ) -> PeriodCheck:
-    for e in range(window_multiplier * omega + 1):
-        if phi_value(spec, e + pi) != phi_value(spec, e):
-            return PeriodCheck(ok=False, failing_distance=pi, failing_index=e)
+    failing = _first_mismatch(spec, pi, window_multiplier * omega + 1)
+    if failing is not None:
+        return PeriodCheck(ok=False, failing_distance=pi, failing_index=failing)
     witnesses: dict[int, int] = {}
     for d in range(1, pi):
         if pi % d != 0:
             continue
-        for e in range(omega):
-            if phi_value(spec, e + d) != phi_value(spec, e):
-                witnesses[d] = e
-                break
-        else:
+        witness = _first_mismatch(spec, d, omega)
+        if witness is None:
             return PeriodCheck(
                 ok=False, failing_distance=d, divisor_witnesses=witnesses
             )
+        witnesses[d] = witness
     return PeriodCheck(ok=True, divisor_witnesses=witnesses)
+
+
+def _first_mismatch(spec: RingSpec, d: int, count: int) -> int | None:
+    """Least e < count with phi(e + d) != phi(e), or None.
+
+    Walks b = p^e and c = p^(e+d) mod n side by side, one multiplication
+    each per index, in constant memory.
+    """
+    n, p = spec.n, spec.p
+    b, c = 1, pow(p, d, n)
+    for e in range(count):
+        if b * (n - b) != c * (n - c):
+            return e
+        b = b * p % n
+        c = c * p % n
+    return None

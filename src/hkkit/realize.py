@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .closed_form import RingSpec
-from .numtheory import find_prime_in_class, is_prime, multiplicative_order
+from .numtheory import find_prime_in_class, is_prime, prime_factors
 from .period import PeriodReport, period_of
 
 
@@ -86,12 +86,18 @@ def realize(pi: int, n_limit: int = 10_000, p_limit: int = 10_000) -> Realizatio
         raise ValueError("search limits must be at least 2")
     stats = SearchStats()
     step = 2 * pi
+    step_primes: list[int] | None = None
     n = 1 + step
     while n <= n_limit:
         stats.n_candidates += 1
         if is_prime(n):
-            for r in range(2, n):
-                if multiplicative_order(r, n) != step:
+            if step_primes is None:  # step < n, inside is_prime's range
+                step_primes = list(prime_factors(step))
+            # a class r > p_limit holds no p <= p_limit, since p >= r
+            for r in range(2, min(n, p_limit + 1)):
+                if pow(r, step, n) != 1 or any(
+                    pow(r, step // l, n) == 1 for l in step_primes
+                ):
                     continue
                 p = find_prime_in_class(r, n, p_limit)
                 stats.p_candidates += _progression_count(r, n, p_limit, p)
@@ -146,6 +152,8 @@ def enumerate_realizations(
             if n % p == 0:  # p divides n, not a valid ring
                 continue
             stats.p_candidates += 1
+            if pow(p, 2 * pi, n) != 1:  # pi is omega or omega/2: omega | 2*pi
+                continue
             spec = RingSpec(p, n)
             report = period_of(spec)
             if report.pi != pi:

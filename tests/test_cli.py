@@ -144,6 +144,22 @@ class TestRealize:
         assert "0 moduli" in err
         assert "0 characteristics" in err
 
+    @pytest.mark.parametrize(
+        "pi",
+        [10**40, 1000000000000037 * 1000000000000091],  # the latter: two primes near 10^15
+    )
+    def test_huge_period_exhausts_at_once(self, capsys, pi):
+        # 2*pi + 1 is already past --nlimit, so 2*pi is never factored
+        start = time.perf_counter()
+        code, out, err = run(capsys, "realize", "--pi", str(pi))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: no realization of period {pi} within n <= 10000, p <= 10000 "
+            "(0 moduli and 0 characteristics examined)\n"
+        )
+
     def test_nlimit_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("HKKIT_NLIMIT", "3")
         code, _, err = run(capsys, "realize", "--pi", "7")

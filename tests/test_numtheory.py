@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from hkkit.numtheory import (
     find_prime_in_class,
     is_prime,
     multiplicative_order,
+    prime_factors,
 )
 
 
@@ -22,6 +24,33 @@ def _trial_division_prime(m: int) -> bool:
             return False
         d += 1
     return True
+
+
+def naive_order(a: int, n: int) -> int:
+    # the order loop multiplicative_order used to run, kept as the reference
+    a %= n
+    order, power = 1, a
+    while power != 1:
+        power = power * a % n
+        order += 1
+    return order
+
+
+# (a, n) checked by the defining property of the order, most of them far past
+# any naive loop: Mersenne and 2^63 primes, a prime square, a semiprime near
+# 2^62, Carmichael numbers, and powers of 2
+LARGE_CASES = [
+    (3, 2**61 - 1),
+    (3, 2**63 - 25),
+    (3, (2**31 - 1) ** 2),
+    (5, (2**31 - 1) * 2147483659),
+    (2, 561),
+    (5, 41041),
+    (3, 8),
+    (3, 2**40),
+    (5, 2**63),
+    (3, 2**63 - 1),
+]
 
 
 class TestMultiplicativeOrder:
@@ -58,6 +87,77 @@ class TestMultiplicativeOrder:
         d = multiplicative_order(a, n)
         assert pow(a, d, n) == 1
         assert all(pow(a, k, n) != 1 for k in range(1, d))
+
+    def test_matches_naive_loop_exhaustively(self):
+        # every modulus below 2000: every unit below 300, then the units among
+        # bases 1..23, n-2 and n-1, which keeps the naive loop to seconds
+        for n in range(2, 2000):
+            bases = range(1, n) if n < 300 else [*range(1, 24), n - 2, n - 1]
+            for a in bases:
+                if math.gcd(a, n) == 1:
+                    assert multiplicative_order(a, n) == naive_order(a, n), (a, n)
+
+    @given(st.integers(min_value=2, max_value=10**5 - 1), st.integers(min_value=1))
+    def test_matches_naive_loop(self, n, a):
+        if math.gcd(a, n) != 1:
+            return
+        assert multiplicative_order(a, n) == naive_order(a, n)
+
+    @pytest.mark.parametrize("a, n", LARGE_CASES)
+    def test_order_at_large_moduli(self, a, n):
+        omega = multiplicative_order(a, n)
+        assert pow(a, omega, n) == 1
+        for l in prime_factors(omega):
+            assert pow(a, omega // l, n) != 1
+
+    def test_large_prime_modulus_is_fast(self):
+        start = time.perf_counter()
+        assert multiplicative_order(3, 2**63 - 25) == 2**63 - 26  # 3 is a primitive root
+        assert time.perf_counter() - start < 0.1
+
+    def test_error_messages(self):
+        with pytest.raises(NotAUnitError, match=r"^6 is not a unit modulo 9 \(gcd = 3\)$"):
+            multiplicative_order(15, 9)
+        with pytest.raises(ValueError, match="^modulus must be at least 2, got 1$"):
+            multiplicative_order(1, 1)
+
+
+class TestPrimeFactors:
+    @pytest.mark.parametrize(
+        "m", [1, 2, 12, 561, 41041, 2**64, 3**40, 1031**3, 1031**2 * 1033]
+        + [n for _, n in LARGE_CASES],
+    )
+    def test_multiplies_back_to_primes(self, m):
+        factors = prime_factors(m)
+        assert math.prod(q**k for q, k in factors.items()) == m
+        assert all(is_prime(q) and k >= 1 for q, k in factors.items())
+        assert list(factors) == sorted(factors)
+
+    def test_known_factorizations(self):
+        assert prime_factors(1) == {}
+        assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
+        assert prime_factors((2**31 - 1) ** 2) == {2**31 - 1: 2}
+        assert prime_factors((2**31 - 1) * 2147483659) == {2**31 - 1: 1, 2147483659: 1}
+
+    @given(st.integers(min_value=1, max_value=2**64))
+    def test_random_values(self, m):
+        factors = prime_factors(m)
+        assert math.prod(q**k for q, k in factors.items()) == m
+        assert all(is_prime(q) for q in factors)
+
+    @given(st.lists(st.integers(min_value=2, max_value=2**20), min_size=1, max_size=3))
+    def test_products_of_large_parts(self, parts):
+        # odd parts of at least 2^10 leave composites past trial division, so
+        # rho runs, and a repeated part makes a perfect square; four parts of
+        # about 2^20 keep m below 2^81, inside is_prime's certified range
+        m = math.prod(q | 1025 for q in parts + parts[:1])
+        factors = prime_factors(m)
+        assert math.prod(q**k for q, k in factors.items()) == m
+        assert all(is_prime(q) for q in factors)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            prime_factors(0)
 
 
 class TestIsPrime:

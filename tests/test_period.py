@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,6 +25,28 @@ def _brute_minimal_period(spec: RingSpec, omega: int) -> int:
         if all(profile[e + d] == profile[e] for e in range(2 * omega)):
             return d
     raise AssertionError("omega itself is always a period")
+
+
+def check_claimed_period_by_pow(
+    spec: RingSpec, pi: int, omega: int, window_multiplier: int
+) -> PeriodCheck:
+    # _check_claimed_period as it was, one pow per index, kept as the reference
+    for e in range(window_multiplier * omega + 1):
+        if phi_value(spec, e + pi) != phi_value(spec, e):
+            return PeriodCheck(ok=False, failing_distance=pi, failing_index=e)
+    witnesses: dict[int, int] = {}
+    for d in range(1, pi):
+        if pi % d != 0:
+            continue
+        for e in range(omega):
+            if phi_value(spec, e + d) != phi_value(spec, e):
+                witnesses[d] = e
+                break
+        else:
+            return PeriodCheck(
+                ok=False, failing_distance=d, divisor_witnesses=witnesses
+            )
+    return PeriodCheck(ok=True, divisor_witnesses=witnesses)
 
 
 class TestPeriodOf:
@@ -66,6 +90,14 @@ class TestPeriodOf:
                 phi_value(RingSpec(p, n), e) for e in range(report.omega)
             )
 
+    def test_large_modulus_is_fast(self):
+        start = time.perf_counter()
+        report = period_of(RingSpec(2, 1000003))
+        assert time.perf_counter() - start < 0.6
+        assert report.omega == len(report.phi_profile) == 1000002
+        assert report.phi_profile[:3] == (1000002, 2000002, 3999996)
+        assert report.phi_profile[-1] == phi_value(RingSpec(2, 1000003), 1000001)
+
     @given(VALID_SPECS)
     def test_branch_rule(self, pn):
         p, n = pn
@@ -73,6 +105,7 @@ class TestPeriodOf:
         report = period_of(spec)
         omega = multiplicative_order(p, n)
         assert report.omega == omega
+        assert report.phi_profile == tuple(phi_value(spec, e) for e in range(omega))
         halved = omega % 2 == 0 and pow(p, omega // 2, n) == n - 1
         assert report.involution_check == halved
         if halved:
@@ -132,3 +165,34 @@ class TestVerifyMinimalPeriod:
 
     def test_check_is_falsy_when_failed(self):
         assert not PeriodCheck(ok=False, failing_distance=1, failing_index=0)
+
+    @pytest.mark.parametrize(
+        "p, n, pi, omega",
+        [
+            (2, 17, 4, 8),  # the true period
+            (3, 31, 15, 30),  # the true period, many divisors
+            (2, 5, 3, 4),  # not a period: fails at an index
+            (2, 7, 2, 3),  # not a period, odd order
+            (2, 5, 4, 4),  # a period whose divisor 2 is a period too
+            (2, 31, 10, 5),  # divisor 5 is the period
+            (3, 2, 1, 1),  # trivial ring
+        ],
+    )
+    def test_matches_pow_per_index_reference(self, p, n, pi, omega):
+        spec = RingSpec(p, n)
+        for window in (2, 4):
+            assert _check_claimed_period(
+                spec, pi, omega, window
+            ) == check_claimed_period_by_pow(spec, pi, omega, window)
+
+    @given(
+        VALID_SPECS,
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=2, max_value=4),
+    )
+    def test_matches_reference_on_any_claim(self, pn, pi, omega, window):
+        spec = RingSpec(*pn)
+        assert _check_claimed_period(
+            spec, pi, omega, window
+        ) == check_claimed_period_by_pow(spec, pi, omega, window)

@@ -1,8 +1,67 @@
+import dataclasses
+import time
+
 import pytest
 
-from hkkit.numtheory import is_prime, multiplicative_order
-from hkkit.period import Branch, verify_minimal_period
-from hkkit.realize import SearchExhausted, enumerate_realizations, realize
+from hkkit.closed_form import RingSpec
+from hkkit.numtheory import find_prime_in_class, is_prime, multiplicative_order
+from hkkit.period import Branch, period_of, verify_minimal_period
+from hkkit.realize import (
+    RealizationResult,
+    SearchExhausted,
+    SearchStats,
+    _progression_count,
+    enumerate_realizations,
+    realize,
+)
+from test_numtheory import naive_order
+
+
+def realize_by_scan(pi: int, n_limit: int, p_limit: int):
+    """realize as it was: a naive order loop for every residue r in [2, n-1].
+
+    Kept as the reference; returns (spec, residue_used, stats), or the
+    stats when the search exhausts.
+    """
+    stats = SearchStats()
+    step = 2 * pi
+    n = 1 + step
+    while n <= n_limit:
+        stats.n_candidates += 1
+        if is_prime(n):
+            for r in range(2, n):
+                if naive_order(r, n) != step:
+                    continue
+                p = find_prime_in_class(r, n, p_limit)
+                stats.p_candidates += _progression_count(r, n, p_limit, p)
+                if p is None:
+                    continue
+                return RingSpec(p, n), r, stats
+        n += step
+    return stats
+
+
+def enumerate_by_sweep(pi: int, n_limit: int, p_limit: int, max_results: int):
+    """enumerate_realizations as it was: period_of on every ring in the box."""
+    primes = [p for p in range(2, p_limit + 1) if is_prime(p)]
+    stats = SearchStats()
+    results = []
+    for n in range(2, n_limit + 1):
+        stats.n_candidates += 1
+        for p in primes:
+            if n % p == 0:
+                continue
+            stats.p_candidates += 1
+            spec = RingSpec(p, n)
+            report = period_of(spec)
+            if report.pi != pi:
+                continue
+            results.append(
+                RealizationResult(pi, spec, report, None, dataclasses.replace(stats))
+            )
+            if len(results) >= max_results:
+                return results
+    return results
 
 
 class TestRealize:
@@ -55,6 +114,30 @@ class TestRealize:
         assert info.value.stats.n_candidates == 5
         assert info.value.stats.p_candidates == 0
 
+    def test_matches_naive_scan_reference(self):
+        for pi in range(1, 201):
+            result = realize(pi)
+            spec, residue, stats = realize_by_scan(pi, 10_000, 10_000)
+            assert (result.spec, result.residue_used, result.search_stats) == (
+                spec,
+                residue,
+                stats,
+            ), pi
+
+    @pytest.mark.parametrize(
+        "pi, n_limit, p_limit",
+        [(3, 31, 2), (6, 100, 12), (10, 1000, 20), (50, 2000, 50), (2, 5, 2), (12, 400, 30)],
+    )
+    def test_matches_reference_under_small_limits(self, pi, n_limit, p_limit):
+        want = realize_by_scan(pi, n_limit, p_limit)
+        if isinstance(want, SearchStats):
+            with pytest.raises(SearchExhausted) as info:
+                realize(pi, n_limit, p_limit)
+            assert info.value.stats == want
+        else:
+            result = realize(pi, n_limit, p_limit)
+            assert (result.spec, result.residue_used, result.search_stats) == want
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             realize(0)
@@ -105,3 +188,22 @@ class TestEnumerateRealizations:
             enumerate_realizations(2, 10, 1, 5)
         with pytest.raises(ValueError):
             enumerate_realizations(2, 10, 10, 0)
+
+    @pytest.mark.parametrize(
+        "pi, n_limit, p_limit",
+        [(1, 60, 60), (2, 80, 50), (3, 50, 90), (4, 100, 100), (6, 120, 70), (10, 90, 90)],
+    )
+    def test_matches_full_sweep_reference(self, pi, n_limit, p_limit):
+        full = enumerate_by_sweep(pi, n_limit, p_limit, 10**6)
+        assert enumerate_realizations(pi, n_limit, p_limit, 10**6) == full
+        for max_results in (1, 3, max(1, len(full) - 1)):
+            assert enumerate_realizations(
+                pi, n_limit, p_limit, max_results
+            ) == enumerate_by_sweep(pi, n_limit, p_limit, max_results)
+
+    def test_large_box_is_fast(self):
+        start = time.perf_counter()
+        results = enumerate_realizations(6, 300, 300, 10**6)
+        assert time.perf_counter() - start < 0.3
+        assert results
+        assert all(r.report.pi == 6 for r in results)

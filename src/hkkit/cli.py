@@ -4,7 +4,8 @@ Subcommands: table (Hilbert-Kunz values), period (period report), realize
 (search for a ring with a prescribed period), verify (closed form against the
 Groebner oracle), gb (display a reduced basis).  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
-2 invalid input, 3 search exhausted.
+2 invalid input, 3 search exhausted, 4 internal fault (a library
+self-check failed).
 
 All output is deterministic and integer-exact; JSON is rendered canonically
 (sorted keys, two-space indent) so identical invocations are byte-identical
@@ -121,12 +122,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # zero rows would report all_pass: a check that checked nothing
         raise ValueError(f"e_max must be nonnegative, got {args.emax}")
     rows = []
-    skipped: list[int] = []
+    skipped = range(0)
     q = 1
     for e in range(args.emax + 1):
         if q > args.qcap:
             # q only grows with e: every later row is past the cap too
-            skipped = list(range(e, args.emax + 1))
+            skipped = range(e, args.emax + 1)
             break
         closed = hk_value(spec, e)
         basis_ok = None
@@ -145,8 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
               f"q = p^e exceeds the oracle cap {args.qcap}", file=sys.stderr)
     all_pass = all(row[-1] for row in rows)
     keys = ["e", "q", "closed_form", "oracle", "basis_check", "pass"]
-    doc = {"p": spec.p, "n": spec.n, "q_cap": args.qcap, "skipped_e": skipped,
-           "all_pass": all_pass}
+    doc = {"p": spec.p, "n": spec.n, "q_cap": args.qcap, "all_pass": all_pass}
 
     def table():
         # the basis column by format: name, then cells for not run, held, failed
@@ -158,8 +158,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for *values, basis_ok, ok in rows:
             yield [*values, cell[basis_ok], "PASS" if ok else "FAIL"]
 
-    _emit(args.format, lambda: {**doc, "rows": [dict(zip(keys, r)) for r in rows]},
-          table)
+    # only JSON lists every skipped e; plain and csv print the range's ends
+    _emit(args.format, lambda: {**doc, "skipped_e": list(skipped),
+                                "rows": [dict(zip(keys, r)) for r in rows]}, table)
     return 0 if all_pass else 1
 
 
@@ -247,6 +248,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SearchExhausted, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SearchExhausted) else 2
+    except RuntimeError as exc:
+        # a library self-check failed: not the caller's input, nor a mismatch
+        print(f"error: internal fault: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

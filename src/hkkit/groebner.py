@@ -103,33 +103,34 @@ def capped_q(p: int, e: int, q_cap: int) -> int:
 class FpPoly:
     """Element of F_p[x, y]: a sparse map from Monomial to coefficient.
 
-    Stored coefficients are least nonnegative representatives in [1, p-1];
-    the zero polynomial is the empty map.  Instances are immutable by
-    convention: every operation returns a fresh polynomial.
+    FpPoly(p, terms) takes a mapping from exponent pairs to integer
+    coefficients, rejects a composite p and negative exponents, and reduces
+    each coefficient mod p.  Stored coefficients are least nonnegative
+    representatives in [1, p-1]; the zero polynomial is the empty map.
+    Instances are immutable by convention.  The operations are the ones the
+    oracle uses: leading_term, subtraction, mul_monomial, monic, equality and
+    str; there is no addition, product or hash.
     """
 
     __slots__ = ("p", "terms")
 
-    def __init__(self, p: int, terms: Mapping | Sequence = ()):
+    def __init__(self, p: int, terms: Mapping):
         if not is_prime(p):
             raise ValueError(f"coefficient field needs a prime characteristic, got {p}")
         clean: dict[Monomial, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
+        for mono, coeff in terms.items():
             mono = Monomial(*mono)
             if mono.i < 0 or mono.j < 0:
                 raise ValueError(f"negative exponent in {mono!r}")
-            c = (clean.get(mono, 0) + coeff) % p
+            c = coeff % p
             if c:
                 clean[mono] = c
-            else:
-                clean.pop(mono, None)
         self.p = p
         self.terms = clean
 
     @classmethod
     def _raw(cls, p: int, terms: dict[Monomial, int]) -> "FpPoly":
-        # internal fast path: terms must already be normalized
+        # internal fast path: p must be prime and terms already normalized
         poly = object.__new__(cls)
         poly.p = p
         poly.terms = terms
@@ -150,22 +151,6 @@ class FpPoly:
                 f"characteristics differ: {self.p} and {other.p}"
             )
 
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        if not isinstance(other, FpPoly):
-            return NotImplemented
-        self._check_char(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = (out.get(mono, 0) + coeff) % self.p
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
-        return FpPoly._raw(self.p, out)
-
-    def __neg__(self) -> "FpPoly":
-        return FpPoly._raw(self.p, {m: self.p - c for m, c in self.terms.items()})
-
     def __sub__(self, other: "FpPoly") -> "FpPoly":
         if not isinstance(other, FpPoly):
             return NotImplemented
@@ -177,21 +162,6 @@ class FpPoly:
                 out[mono] = c
             else:
                 out.pop(mono, None)
-        return FpPoly._raw(self.p, out)
-
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        if not isinstance(other, FpPoly):
-            return NotImplemented
-        self._check_char(other)
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1.mul(m2)
-                c = (out.get(mono, 0) + c1 * c2) % self.p
-                if c:
-                    out[mono] = c
-                else:
-                    out.pop(mono, None)
         return FpPoly._raw(self.p, out)
 
     def mul_monomial(self, mono: Monomial, coeff: int = 1) -> "FpPoly":
@@ -219,9 +189,6 @@ class FpPoly:
         if not isinstance(other, FpPoly):
             return NotImplemented
         return self.p == other.p and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.p, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -464,15 +431,24 @@ def count_under_staircase(staircase: Sequence[Monomial]) -> int | None:
     return total
 
 
+def _binomial(p: int, lead: Monomial, tail: Monomial) -> FpPoly:
+    """lead - tail over F_p, for a p already known prime and distinct monomials.
+
+    The oracle's own polynomials take p from a RingSpec or an existing
+    FpPoly, so they skip the checking constructor; -1 is stored as p - 1.
+    """
+    return FpPoly._raw(p, {lead: 1, tail: p - 1})
+
+
 def frobenius_power_generators(spec: RingSpec, e: int) -> list[FpPoly]:
     """Generators x^q, y^q, x^n - y^n with q = p^e, as polynomials over F_p."""
     if e < 0:
         raise ValueError(f"e must be nonnegative, got {e}")
-    q = spec.p**e
+    p, n, q = spec.p, spec.n, spec.p**e
     return [
-        FpPoly(spec.p, {Monomial(q, 0): 1}),
-        FpPoly(spec.p, {Monomial(0, q): 1}),
-        FpPoly(spec.p, {Monomial(spec.n, 0): 1, Monomial(0, spec.n): -1}),
+        FpPoly._raw(p, {Monomial(q, 0): 1}),
+        FpPoly._raw(p, {Monomial(0, q): 1}),
+        _binomial(p, Monomial(n, 0), Monomial(0, n)),
     ]
 
 
@@ -501,7 +477,7 @@ def _telescopes(relation: FpPoly, q: int, b: int) -> bool:
     x^(q-n) + x^(q-2n) y^n + ... + x^b y^(q-b-n); reduce walks the ladder in
     one binomial jump instead of multiplying it out.
     """
-    lhs = FpPoly(relation.p, {Monomial(q, 0): 1, Monomial(b, q - b): -1})
+    lhs = _binomial(relation.p, Monomial(q, 0), Monomial(b, q - b))
     return reduce(lhs, [relation]).is_zero()
 
 
@@ -546,21 +522,18 @@ def verify_closed_form_basis(
     p, n = spec.p, spec.n
     b = q % n
 
-    relation = FpPoly(p, {Monomial(n, 0): 1, Monomial(0, n): -1})
+    gens = frobenius_power_generators(spec, e)
+    _, y_power, relation = gens
     telescoping_ok = _telescopes(relation, q, b)
 
-    predicted = [
-        FpPoly(p, {Monomial(b, q - b): 1}),
-        FpPoly(p, {Monomial(0, q): 1}),
-        relation,
-    ]
+    predicted = [FpPoly._raw(p, {Monomial(b, q - b): 1}), y_power, relation]
     spoly_ok = all(
         reduce(s_polynomial(f, g), predicted).is_zero()
         for f, g in itertools.combinations(predicted, 2)
     )
 
     expected = (Monomial(0, q), Monomial(b, q - b), Monomial(n, 0))
-    computed = buchberger(frobenius_power_generators(spec, e)).staircase
+    computed = buchberger(gens).staircase
     staircase_ok = computed == expected
 
     return BasisCheck(

@@ -4,7 +4,9 @@ import tracemalloc
 
 import pytest
 
+import hkkit.cli
 from hkkit.cli import main
+from hkkit.groebner import PairBudgetExceededError
 
 
 @pytest.fixture(autouse=True)
@@ -237,6 +239,27 @@ class TestVerify:
         # building 2^e for every skipped e took about 0.6 s
         assert elapsed < 0.3
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_skipped_range_is_never_listed_outside_json(self, capsys, fmt):
+        # a list of every skipped e would hold 10^9 entries, about 40 GB
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run(
+                capsys, "verify", "--p", "2", "--n", "5", "--emax", "1000000000",
+                "--format", fmt,
+            )
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 10**6
+        assert len(out.splitlines()) == 11  # header and rows e = 0..9
+        assert err == ("skipped e = 10..1000000000: "
+                       "q = p^e exceeds the oracle cap 512\n")
+        assert elapsed < 1.0
+
     def test_qcap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("HKKIT_QCAP", "16")
         code, out, err = run(
@@ -374,6 +397,20 @@ class TestDriver:
             assert code == 2, command
             assert out == ""
             assert err == "error: e_max must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("fault", [
+        RuntimeError("input generator fails to reduce to zero: library bug"),
+        PairBudgetExceededError("more than 100000 S-pairs processed"),
+    ])
+    def test_internal_fault_exits_4(self, capsys, monkeypatch, fault):
+        def broken(gens):
+            raise fault
+
+        monkeypatch.setattr(hkkit.cli, "buchberger", broken)
+        code, out, err = run(capsys, "gb", "--p", "2", "--n", "3", "--e", "2")
+        assert code == 4
+        assert out == ""
+        assert err == f"error: internal fault: {fault}\n"
 
     def test_nonpositive_qcap_flag_rejected(self, capsys):
         code, _, err = run(

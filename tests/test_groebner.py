@@ -67,10 +67,6 @@ class TestFpPoly:
         assert f.terms == {Monomial(0, 0): 1}
         assert FpPoly(3, {}).is_zero()
 
-    def test_accumulates_repeated_monomials(self):
-        f = FpPoly(5, [(Monomial(1, 1), 2), (Monomial(1, 1), 4)])
-        assert f.terms == {Monomial(1, 1): 1}
-
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
             FpPoly(4, {Monomial(0, 0): 1})
@@ -83,8 +79,11 @@ class TestFpPoly:
 
     def test_char2_addition_collapses(self):
         relation = FpPoly(2, {Monomial(3, 0): 1, Monomial(0, 3): -1})  # x^3 + y^3
+        assert relation.terms == {Monomial(3, 0): 1, Monomial(0, 3): 1}
         cube = mono_poly(2, 0, 3)
-        assert relation + cube == mono_poly(2, 3, 0)
+        assert relation - cube == mono_poly(2, 3, 0)
+        assert cube - mono_poly(2, 3, 0) == relation  # minus is plus
+        assert (relation - relation).is_zero()
 
     def test_leading_term(self):
         f = FpPoly(3, {Monomial(5, 0): 1, Monomial(0, 5): -1})
@@ -105,20 +104,18 @@ class TestFpPoly:
 
     def test_mixed_characteristic_rejected(self):
         with pytest.raises(CharacteristicMismatchError):
-            mono_poly(2, 1, 0) + mono_poly(3, 1, 0)
+            mono_poly(2, 1, 0) - mono_poly(3, 1, 0)
         with pytest.raises(CharacteristicMismatchError):
-            mono_poly(2, 1, 0) * mono_poly(5, 1, 0)
+            mono_poly(5, 1, 0) - mono_poly(2, 1, 0)
 
     def test_str_rendering(self):
         assert str(FpPoly(2, {})) == "0"
         f = FpPoly(3, {Monomial(0, 0): 1, Monomial(1, 1): 2, Monomial(3, 0): 1})
         assert str(f) == "x^3 + 2*x*y + 1"
 
-    def test_hash_consistent_with_eq(self):
-        f = FpPoly(5, {Monomial(1, 2): 3})
-        g = FpPoly(5, {Monomial(1, 2): -2})
-        assert f == g
-        assert hash(f) == hash(g)
+    def test_equal_after_reduction_mod_p(self):
+        assert FpPoly(5, {Monomial(1, 2): 3}) == FpPoly(5, {Monomial(1, 2): -2})
+        assert FpPoly(5, {Monomial(1, 2): 3}) != FpPoly(7, {Monomial(1, 2): 3})
 
 
 @st.composite
@@ -133,36 +130,23 @@ def poly_pair(draw):
     return FpPoly(p, d1), FpPoly(p, d2)
 
 
+def product(f, g):
+    """f * g, multiplied out term by term; FpPoly itself has no product."""
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = m1.mul(m2)
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return FpPoly(f.p, out)
+
+
 class TestPolyAlgebra:
-    @given(poly_pair())
-    def test_add_sub_roundtrip(self, pair):
-        f, g = pair
-        assert (f + g) - g == f
-        assert f + (-f) == FpPoly(f.p, {})
-
-    @given(poly_pair())
-    def test_mul_commutes(self, pair):
-        f, g = pair
-        assert f * g == g * f
-
-    @given(poly_pair())
-    def test_leading_term_of_product(self, pair):
-        f, g = pair
-        if f.is_zero() or g.is_zero():
-            assert (f * g).is_zero()
-            return
-        lm_f, lc_f = f.leading_term()
-        lm_g, lc_g = g.leading_term()
-        lm, lc = (f * g).leading_term()
-        assert lm == lm_f.mul(lm_g)
-        assert lc == (lc_f * lc_g) % f.p
-
     @given(poly_pair())
     def test_product_reduces_to_zero_mod_factor(self, pair):
         f, g = pair
         if g.is_zero():
             return
-        assert reduce(f * g, [g]).is_zero()
+        assert reduce(product(f, g), [g]).is_zero()
 
 
 class TestSPolynomial:
@@ -602,3 +586,78 @@ class TestVerifyClosedFormBasis:
             b=3,
         )
         assert not failed
+
+
+@pytest.fixture
+def is_prime_calls(monkeypatch):
+    """Count the calls the groebner module makes to is_prime from here on."""
+    calls = []
+    honest = groebner.is_prime
+
+    def counting(m):
+        calls.append(m)
+        return honest(m)
+
+    monkeypatch.setattr(groebner, "is_prime", counting)
+    return calls
+
+
+class TestPrimalityDecidedOnce:
+    """RingSpec decides that p is prime; the oracle never asks again."""
+
+    def test_checking_constructor_still_asks(self, is_prime_calls):
+        FpPoly(5, {Monomial(1, 0): 1})
+        assert is_prime_calls == [5]
+
+    @pytest.mark.parametrize("p, n, e", [(2, 7, 5), (3, 4, 3), (10007, 3, 1)])
+    def test_oracle_makes_no_primality_calls(self, is_prime_calls, p, n, e):
+        spec = RingSpec(p, n)
+        hk_brute(spec, e, q_cap=p**e)
+        verify_closed_form_basis(spec, e, q_cap=p**e)
+        assert is_prime_calls == []
+
+    def test_gb_command_makes_no_calls_after_the_ring(self, is_prime_calls, capsys):
+        from hkkit.cli import main
+
+        assert main(["gb", "--p", "3", "--n", "5", "--e", "4", "--qcap", "81"]) == 0
+        assert "count      401" in capsys.readouterr().out
+        assert is_prime_calls == []
+
+
+class TestInternalPolynomialsAreNormalized:
+    """The unchecked polynomials equal what the checking constructor builds."""
+
+    CASES = [(2, 5, 4), (3, 4, 3), (10007, 3, 1)]
+
+    @pytest.mark.parametrize("p, n, e", CASES)
+    def test_frobenius_power_generators(self, p, n, e):
+        q = p**e
+        assert frobenius_power_generators(RingSpec(p, n), e) == [
+            FpPoly(p, {(q, 0): 1}),
+            FpPoly(p, {(0, q): 1}),
+            FpPoly(p, {(n, 0): 1, (0, n): -1}),
+        ]
+
+    @pytest.mark.parametrize("p, n, e", CASES)
+    def test_verify_closed_form_basis(self, monkeypatch, p, n, e):
+        seen = []  # (f, basis) of every reduce call
+        honest = groebner.reduce
+
+        def recording(f, basis):
+            seen.append((f, list(basis)))
+            return honest(f, basis)
+
+        monkeypatch.setattr(groebner, "reduce", recording)
+        check = verify_closed_form_basis(RingSpec(p, n), e, q_cap=p**e)
+        assert check.ok
+        polys = [g for f, basis in seen for g in (f, *basis)]
+        for g in polys:
+            assert g.p == p
+            assert all(type(m) is Monomial for m in g.terms)
+            assert g == FpPoly(p, dict(g.terms))
+        q, b = check.q, check.b
+        lhs = FpPoly(p, {(q, 0): 1, (b, q - b): -1})
+        relation = FpPoly(p, {(n, 0): 1, (0, n): -1})
+        predicted = [FpPoly(p, {(b, q - b): 1}), FpPoly(p, {(0, q): 1}), relation]
+        assert (lhs, [relation]) in seen
+        assert any(basis == predicted for _, basis in seen)

@@ -73,10 +73,10 @@ def _emit(fmt: str, doc, table, plain=None) -> None:
             print(line)
 
 
-def _emit_record(fmt: str, fields: dict, doc: dict | None = None) -> None:
-    """One record: a single CSV row, `key  value` lines in plain text."""
+def _emit_record(fmt: str, fields: dict, doc=None) -> None:
+    """One record: a CSV row, `key  value` plain lines, doc() or fields as JSON."""
     table = [list(fields), fields.values()]
-    _emit(fmt, lambda: doc or fields, lambda: table, lambda: _pairs(fields))
+    _emit(fmt, doc or (lambda: fields), lambda: table, lambda: _pairs(fields))
 
 
 def _report(r: PeriodReport) -> dict:
@@ -104,15 +104,14 @@ def cmd_period(args: argparse.Namespace) -> int:
 def cmd_realize(args: argparse.Namespace) -> int:
     result = realize(args.pi, args.nlimit, args.plimit)
     spec = {"p": result.spec.p, "n": result.spec.n}
-    report = _report(result.report)
-    counts = result.search_stats
+    r, counts = result.report, result.search_stats
     stats = {"n_candidates": counts.n_candidates, "p_candidates": counts.p_candidates}
-    doc = {"target_pi": result.target_pi, "spec": spec, "report": report,
+    doc = {"target_pi": result.target_pi, "spec": spec,
            "residue_used": result.residue_used, "search_stats": stats}
-    brief = {k: report[k] for k in ("omega", "pi", "branch")}
-    fields = {"target_pi": result.target_pi, **spec, **brief,
-              "residue_used": result.residue_used, **stats}
-    _emit_record(args.format, fields, doc)
+    fields = {"target_pi": result.target_pi, **spec, "omega": r.omega, "pi": r.pi,
+              "branch": r.branch.value, "residue_used": result.residue_used, **stats}
+    # only JSON prints the report in full, and its phi_profile costs O(omega)
+    _emit_record(args.format, fields, lambda: {**doc, "report": _report(r)})
     return 0
 
 

@@ -20,7 +20,7 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class PeriodReport:
-    """Classification of the period of phi for one ring.
+    """Classification of the period of phi for the ring spec.
 
     involution_check is True exactly when omega is even and the congruence
     p^(omega/2) == n-1 (mod n) held; for odd omega the congruence is never
@@ -28,33 +28,33 @@ class PeriodReport:
     representative n-1, never a signed -1, to dodge sign-convention bugs.
     """
 
+    spec: RingSpec
     omega: int
     pi: int
     branch: Branch
     involution_check: bool
-    phi_profile: tuple[int, ...]
+
+    @property
+    def phi_profile(self) -> tuple[int, ...]:
+        """phi(0), ..., phi(omega - 1), rebuilt on every read (no cache): O(omega)."""
+        # one cycle of pi values b(n-b), b = p^e mod n, repeated omega/pi times:
+        # phi repeats after pi, since p^pi == -1 maps b to n - b on the halved branch
+        n, p, b, cycle = self.spec.n, self.spec.p, 1, []
+        for _ in range(self.pi):
+            cycle.append(b * (n - b))
+            b = b * p % n
+        return tuple(cycle) * (self.omega // self.pi)
 
 
 def period_of(spec: RingSpec) -> PeriodReport:
-    """Compute omega, the exact period pi, and one full cycle of phi values."""
+    """Classify the period of phi: omega, the exact period pi, and the branch.
+
+    Costs one order (one factorization); phi_profile is built only when read.
+    """
     omega = multiplicative_order(spec.p, spec.n)
     involution = omega % 2 == 0 and pow(spec.p, omega // 2, spec.n) == spec.n - 1
-    if involution:
-        pi, branch = omega // 2, Branch.HALF
-    else:
-        pi, branch = omega, Branch.FULL
-    # phi repeats after pi, since p^pi == -1 maps b to n - b on the halved branch
-    n, b, profile = spec.n, 1, []
-    for _ in range(pi):
-        profile.append(b * (n - b))
-        b = b * spec.p % n
-    return PeriodReport(
-        omega=omega,
-        pi=pi,
-        branch=branch,
-        involution_check=involution,
-        phi_profile=tuple(profile) * (omega // pi),
-    )
+    pi, branch = (omega // 2, Branch.HALF) if involution else (omega, Branch.FULL)
+    return PeriodReport(spec, omega, pi, branch, involution)
 
 
 @dataclass(frozen=True)

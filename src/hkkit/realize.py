@@ -12,7 +12,7 @@ search here takes explicit limits and reports exhaustion rather than spinning.
 import dataclasses
 from dataclasses import dataclass
 
-from .closed_form import RingSpec
+from .closed_form import _N_MAX, RingSpec
 from .numtheory import find_prime_in_class, is_prime, prime_factors
 from .period import PeriodReport, period_of
 
@@ -88,7 +88,7 @@ def realize(pi: int, n_limit: int = 10_000, p_limit: int = 10_000) -> Realizatio
     step = 2 * pi
     step_primes: list[int] | None = None
     n = 1 + step
-    while n <= n_limit:
+    while n <= min(n_limit, _N_MAX):  # RingSpec refuses any larger modulus
         stats.n_candidates += 1
         if is_prime(n):
             if step_primes is None:  # step < n, inside is_prime's range

@@ -162,6 +162,35 @@ class TestRealize:
             "(0 moduli and 0 characteristics examined)\n"
         )
 
+    @pytest.mark.parametrize("pi, nlimit, plimit", [
+        # n = 2*pi + 1 fits in 64 bits, n = 4*pi + 1 does not
+        (4611686018427387889, 36893488147419103232, 1000),
+        # n = 2*pi + 1 is past the certified primality range
+        (10**25, 10**30, 10000),
+    ])
+    def test_moduli_past_word_limit_are_never_searched(self, capsys, pi, nlimit, plimit):
+        # both exited 2: the search built a RingSpec or primality-tested past 2^63 - 1
+        start = time.perf_counter()
+        code, out, err = run(capsys, "realize", "--pi", str(pi), "--nlimit", str(nlimit),
+                             "--plimit", str(plimit))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: no realization of period {pi} within n <= {nlimit}, ")
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_large_period_prints_without_profile(self, capsys, fmt):
+        # building the unprinted 10^7-entry phi_profile took about 1 s
+        start = time.perf_counter()
+        code, out, err = run(capsys, "realize", "--pi", "5000000", "--nlimit",
+                             "1000000000000", "--plimit", "1000000000000", "--format", fmt)
+        assert time.perf_counter() - start < 0.2
+        assert code == 0
+        assert err == ""
+        assert "30000001" in out
+        assert "10000000" in out
+
     def test_nlimit_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("HKKIT_NLIMIT", "3")
         code, _, err = run(capsys, "realize", "--pi", "7")

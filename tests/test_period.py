@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,10 @@ from hkkit.period import (
 VALID_SPECS = st.sampled_from(
     [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 40) if n % p != 0]
 )
+WIDER_SPECS = st.tuples(
+    st.sampled_from([p for p in range(2, 60) if all(p % k for k in range(2, p))]),
+    st.integers(min_value=2, max_value=399),
+).filter(lambda pn: pn[1] % pn[0] != 0)
 
 
 def _brute_minimal_period(spec: RingSpec, omega: int) -> int:
@@ -94,9 +99,20 @@ class TestPeriodOf:
         start = time.perf_counter()
         report = period_of(RingSpec(2, 1000003))
         assert time.perf_counter() - start < 0.6
-        assert report.omega == len(report.phi_profile) == 1000002
-        assert report.phi_profile[:3] == (1000002, 2000002, 3999996)
-        assert report.phi_profile[-1] == phi_value(RingSpec(2, 1000003), 1000001)
+        profile = report.phi_profile  # rebuilt on every read
+        assert report.omega == len(profile) == 1000002
+        assert profile[:3] == (1000002, 2000002, 3999996)
+        assert profile[-1] == phi_value(RingSpec(2, 1000003), 1000001)
+
+    def test_classifies_near_word_limit(self):
+        # the profile would hold about 4.6 * 10^18 entries; classifying needs none
+        start = time.perf_counter()
+        report = period_of(RingSpec(3, 2**63 - 25))
+        assert time.perf_counter() - start < 0.1
+        assert report.omega == 2**63 - 26
+        assert report.pi == 2**62 - 13
+        assert report.branch is Branch.HALF
+        assert report.involution_check is True
 
     @given(VALID_SPECS)
     def test_branch_rule(self, pn):
@@ -162,6 +178,25 @@ class TestVerifyMinimalPeriod:
         assert not check.ok
         assert check.failing_distance == 2  # divisor with no witness
         assert check.failing_index is None
+
+    def test_builds_no_profile(self):
+        # period_of used to build the 100002-entry profile and drop it
+        tracemalloc.start()
+        try:
+            check = verify_minimal_period(RingSpec(2, 100003), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.ok
+        assert peak < 10**6
+
+    @given(WIDER_SPECS)
+    def test_every_divisor_witness_is_zero(self, pn):
+        # x -> x(n-x) identifies x only with n-x on [1, n-1], so phi(e+d) ==
+        # phi(e) holds iff p^d == +-1 (mod n), for every e at once
+        check = verify_minimal_period(RingSpec(*pn), 2)
+        assert check.ok
+        assert set(check.divisor_witnesses.values()) <= {0}
 
     def test_check_is_falsy_when_failed(self):
         assert not PeriodCheck(ok=False, failing_distance=1, failing_index=0)

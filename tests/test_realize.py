@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 
 import pytest
 
@@ -147,6 +148,28 @@ class TestRealize:
             realize(2, n_limit=1)
         with pytest.raises(ValueError):
             realize(2, p_limit=0)
+
+    def test_large_period_builds_no_profile(self):
+        # building the 10^7-entry phi_profile took 0.89 s and a 324 MB peak
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            result = realize(5 * 10**6, 10**12, 10**12)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 10**6
+        assert result.spec == RingSpec(7, 30000001)
+        assert (result.report.omega, result.report.branch) == (10**7, Branch.HALF)
+
+    def test_period_near_word_limit_is_fast(self):
+        start = time.perf_counter()
+        result = realize(10**15, 2**63 - 1, 2**63 - 1)
+        assert time.perf_counter() - start < 0.1
+        assert result.spec == RingSpec(84000000000000047, 6000000000000001)
+        assert result.report.pi == 10**15
 
 
 class TestEnumerateRealizations:

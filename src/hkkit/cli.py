@@ -79,9 +79,9 @@ def _emit_record(fmt: str, fields: dict, doc=None) -> None:
     _emit(fmt, doc or (lambda: fields), lambda: table, lambda: _pairs(fields))
 
 
-def _report(r: PeriodReport) -> dict:
+def _report(r: PeriodReport) -> dict:  # a view that prints phi_profile adds it
     return {"omega": r.omega, "pi": r.pi, "branch": r.branch.value,
-            "involution": r.involution_check, "phi_profile": r.phi_profile}
+            "involution": r.involution_check}
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -96,22 +96,25 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_period(args: argparse.Namespace) -> int:
-    spec = RingSpec(args.p, args.n)
-    _emit_record(args.format, {"p": spec.p, "n": spec.n, **_report(period_of(spec))})
+    r = period_of(RingSpec(args.p, args.n))
+    _emit_record(args.format, {"p": r.spec.p, "n": r.spec.n, **_report(r),
+                               "phi_profile": r.phi_profile})
     return 0
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
     result = realize(args.pi, args.nlimit, args.plimit)
     spec = {"p": result.spec.p, "n": result.spec.n}
-    r, counts = result.report, result.search_stats
+    r, report, counts = result.report, _report(result.report), result.search_stats
     stats = {"n_candidates": counts.n_candidates, "p_candidates": counts.p_candidates}
     doc = {"target_pi": result.target_pi, "spec": spec,
            "residue_used": result.residue_used, "search_stats": stats}
-    fields = {"target_pi": result.target_pi, **spec, "omega": r.omega, "pi": r.pi,
-              "branch": r.branch.value, "residue_used": result.residue_used, **stats}
-    # only JSON prints the report in full, and its phi_profile costs O(omega)
-    _emit_record(args.format, fields, lambda: {**doc, "report": _report(r)})
+    brief = {k: report[k] for k in ("omega", "pi", "branch")}
+    fields = {"target_pi": result.target_pi, **spec, **brief,
+              "residue_used": result.residue_used, **stats}
+    # only JSON prints phi_profile, which costs O(omega) to build
+    _emit_record(args.format, fields,
+                 lambda: {**doc, "report": {**report, "phi_profile": r.phi_profile}})
     return 0
 
 

@@ -88,9 +88,8 @@ def verify_minimal_period(spec: RingSpec, window_multiplier: int) -> PeriodCheck
           divides every period, so testing divisors of pi suffices.
     """
     if window_multiplier < 2:
-        raise ValueError(
-            f"window_multiplier must be at least 2, got {window_multiplier}"
-        )
+        raise ValueError(f"window_multiplier must be at least 2, "
+                         f"got {window_multiplier}")
     report = period_of(spec)
     return _check_claimed_period(spec, report.pi, report.omega, window_multiplier)
 
@@ -107,9 +106,8 @@ def _check_claimed_period(
             continue
         witness = _first_mismatch(spec, d, omega)
         if witness is None:
-            return PeriodCheck(
-                ok=False, failing_distance=d, divisor_witnesses=witnesses
-            )
+            return PeriodCheck(ok=False, failing_distance=d,
+                               divisor_witnesses=witnesses)
         witnesses[d] = witness
     return PeriodCheck(ok=True, divisor_witnesses=witnesses)
 

@@ -96,10 +96,11 @@ class TestPeriodOf:
             )
 
     def test_large_modulus_is_fast(self):
+        # the bound covers the omega-long profile build, not only classifying
         start = time.perf_counter()
         report = period_of(RingSpec(2, 1000003))
-        assert time.perf_counter() - start < 0.6
         profile = report.phi_profile  # rebuilt on every read
+        assert time.perf_counter() - start < 0.6
         assert report.omega == len(profile) == 1000002
         assert profile[:3] == (1000002, 2000002, 3999996)
         assert profile[-1] == phi_value(RingSpec(2, 1000003), 1000001)

@@ -36,12 +36,28 @@ LIMITS = {
 
 
 def _cell(value, sep: str):
-    """A CSV or plain-text cell: booleans as true/false, tuples joined by sep."""
+    """A CSV or plain-text cell: booleans as true/false, a report as its
+    phi_profile joined by sep, from one cycle's text."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, tuple):
-        return sep.join(str(v) for v in value)
+    if isinstance(value, PeriodReport):
+        return sep.join([sep.join(map(str, value.cycle))] * (value.omega // value.pi))
     return value
+
+
+def _json(doc) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2) and a newline, a report as its
+    phi_profile list: spliced in at the indent of the mark the encoder left."""
+    reports = []  # the encoder hands each report here and prints "\u0000" for it
+    text = json.dumps(doc, sort_keys=True, indent=2,
+                      default=lambda r: reports.append(r) or "\0")
+    if not reports:
+        return text + "\n"
+    head, _, tail = text.partition('"\\u0000"')
+    line = head[head.rfind("\n") + 1:]
+    indent = " " * (len(line) - len(line.lstrip(" ")))
+    items = _cell(reports[0], f",\n{indent}  ")
+    return f"{head}[\n{indent}  {items}\n{indent}]{tail}\n"
 
 
 def _aligned(table) -> list[str]:
@@ -64,10 +80,20 @@ def _emit(fmt: str, doc, table, plain=None) -> None:
     CSV, and plain() the lines of plain text (by default the table, aligned).
     """
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc(), sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json(doc()))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows([_cell(c, ";") for c in row] for row in table())
+        for row in table():
+            cells = [str(_cell(c, ";")) for c in row]
+            line = ",".join(cells)
+            # one join, without csv's pass over every character; a row that may
+            # need quoting (a lone empty cell, or a comma, quote, CR or LF in a
+            # cell) keeps csv's own rules, which leave a lone CR unquoted on 3.11
+            if (line and line.count(",") == len(cells) - 1
+                    and '"' not in line and "\n" not in line and "\r" not in line):
+                sys.stdout.write(line + "\n")
+            else:
+                writer.writerow(cells)
     else:
         for line in plain() if plain else _aligned(table()):
             print(line)
@@ -79,7 +105,7 @@ def _emit_record(fmt: str, fields: dict, doc=None) -> None:
     _emit(fmt, doc or (lambda: fields), lambda: table, lambda: _pairs(fields))
 
 
-def _report(r: PeriodReport) -> dict:  # a view that prints phi_profile adds it
+def _report(r: PeriodReport) -> dict:  # a view that prints the profile adds r itself
     return {"omega": r.omega, "pi": r.pi, "branch": r.branch.value,
             "involution": r.involution_check}
 
@@ -98,7 +124,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_period(args: argparse.Namespace) -> int:
     r = period_of(RingSpec(args.p, args.n))
     _emit_record(args.format, {"p": r.spec.p, "n": r.spec.n, **_report(r),
-                               "phi_profile": r.phi_profile})
+                               "phi_profile": r})
     return 0
 
 
@@ -112,9 +138,9 @@ def cmd_realize(args: argparse.Namespace) -> int:
     brief = {k: report[k] for k in ("omega", "pi", "branch")}
     fields = {"target_pi": result.target_pi, **spec, **brief,
               "residue_used": result.residue_used, **stats}
-    # only JSON prints phi_profile, which costs O(omega) to build
+    # only the JSON view prints the profile, rendering the cycle's text once
     _emit_record(args.format, fields,
-                 lambda: {**doc, "report": {**report, "phi_profile": r.phi_profile}})
+                 lambda: {**doc, "report": {**report, "phi_profile": r}})
     return 0
 
 

@@ -26,6 +26,8 @@ class PeriodReport:
     p^(omega/2) == n-1 (mod n) held; for odd omega the congruence is never
     tested and the flag is False.  The comparison uses the canonical
     representative n-1, never a signed -1, to dodge sign-convention bugs.
+    Only the classification is stored: cycle (pi values) and phi_profile
+    (omega values, the cycle repeated) are computed from it on each read.
     """
 
     spec: RingSpec
@@ -35,15 +37,20 @@ class PeriodReport:
     involution_check: bool
 
     @property
-    def phi_profile(self) -> tuple[int, ...]:
-        """phi(0), ..., phi(omega - 1), rebuilt on every read (no cache): O(omega)."""
-        # one cycle of pi values b(n-b), b = p^e mod n, repeated omega/pi times:
-        # phi repeats after pi, since p^pi == -1 maps b to n - b on the halved branch
+    def cycle(self) -> tuple[int, ...]:
+        """phi(0), ..., phi(pi - 1), one period, rebuilt on every read (no cache): O(pi)."""
+        # values b(n-b), b = p^e mod n; phi repeats after pi, since on the
+        # halved branch p^pi == -1 maps b to n - b
         n, p, b, cycle = self.spec.n, self.spec.p, 1, []
         for _ in range(self.pi):
             cycle.append(b * (n - b))
             b = b * p % n
-        return tuple(cycle) * (self.omega // self.pi)
+        return tuple(cycle)
+
+    @property
+    def phi_profile(self) -> tuple[int, ...]:
+        """phi(0), ..., phi(omega - 1): the cycle repeated omega/pi times, O(omega)."""
+        return self.cycle * (self.omega // self.pi)
 
 
 def period_of(spec: RingSpec) -> PeriodReport:

@@ -6,13 +6,20 @@ README examples are read from README.md itself, so the documentation cannot
 drift from the program either.
 """
 
+import contextlib
+import csv
+import io
 import json
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from hkkit.cli import main
+from hkkit.cli import _emit, main
+from hkkit.closed_form import RingSpec
+from hkkit.period import period_of
+from hkkit.realize import realize
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -161,3 +168,62 @@ def test_canonical_json_layout(capsys):
         '  "pi": 1\n'
         "}\n"
     )
+
+
+def csv_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+# Whole outputs at scale, rendered here from report.phi_profile with the
+# standard library's own writers: HALF, FULL with omega 300054, and a
+# composite modulus (3 * 100003).
+@pytest.mark.parametrize("p, n", [(2, 100003), (3, 700133), (2, 300009)])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_period_at_scale(capsys, fmt, p, n):
+    r = period_of(RingSpec(p, n))
+    fields = {"p": p, "n": n, "omega": r.omega, "pi": r.pi, "branch": r.branch.value,
+              "involution": r.involution_check, "phi_profile": list(r.phi_profile)}
+    if fmt == "json":
+        expected = canonical(fields)
+    else:
+        sep = ";" if fmt == "csv" else " "
+        cells = {**fields, "involution": str(r.involution_check).lower(),
+                 "phi_profile": sep.join(map(str, r.phi_profile))}
+        expected = (csv_text([list(cells), cells.values()]) if fmt == "csv" else
+                    "".join(f"{k:<11}  {v}\n" for k, v in cells.items()))
+    assert stdout_of(capsys, f"period --p {p} --n {n} --format {fmt}") == expected
+
+
+def test_realize_json_at_scale(capsys):
+    # the profile sits one level deeper than in period's document
+    result = realize(4999, 100000, 100000)
+    r = result.report
+    expected = canonical({
+        "target_pi": 4999,
+        "spec": {"p": result.spec.p, "n": result.spec.n},
+        "report": {"omega": r.omega, "pi": r.pi, "branch": r.branch.value,
+                   "involution": r.involution_check, "phi_profile": list(r.phi_profile)},
+        "residue_used": result.residue_used,
+        "search_stats": {"n_candidates": result.search_stats.n_candidates,
+                         "p_candidates": result.search_stats.p_candidates},
+    })
+    assert r.omega == 9998
+    assert stdout_of(
+        capsys, "realize --pi 4999 --nlimit 100000 --plimit 100000 --format json"
+    ) == expected
+
+
+CSV_CELLS = st.text(st.sampled_from(',"\r\n ;a\u2028') | st.characters(), max_size=6)
+
+
+@given(st.lists(st.lists(CSV_CELLS, max_size=4), max_size=4))
+@example([[""]])
+@example([["", ""], ["a,b"], ['say "hi"'], ["\r"], ["a\rb", "c"], ["\n"], ["\r\n"]])
+@example([[]])
+def test_csv_rows_match_csv_writer(rows):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit("csv", None, lambda: rows)
+    assert out.getvalue() == csv_text(rows)

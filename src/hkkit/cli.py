@@ -36,8 +36,7 @@ LIMITS = {
 
 
 def _cell(value, sep: str):
-    """A CSV or plain-text cell: booleans as true/false, a report as its
-    phi_profile joined by sep, from one cycle's text."""
+    """A CSV or plain-text cell: booleans as true/false, a report as its profile."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, PeriodReport):
@@ -46,18 +45,22 @@ def _cell(value, sep: str):
 
 
 def _json(doc) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2) and a newline, a report as its
+    """json.dumps(doc, sort_keys=True, indent=2) and a newline, each report as its
     phi_profile list: spliced in at the indent of the mark the encoder left."""
-    reports = []  # the encoder hands each report here and prints "\u0000" for it
-    text = json.dumps(doc, sort_keys=True, indent=2,
-                      default=lambda r: reports.append(r) or "\0")
-    if not reports:
-        return text + "\n"
-    head, _, tail = text.partition('"\\u0000"')
-    line = head[head.rfind("\n") + 1:]
-    indent = " " * (len(line) - len(line.lstrip(" ")))
-    items = _cell(reports[0], f",\n{indent}  ")
-    return f"{head}[\n{indent}  {items}\n{indent}]{tail}\n"
+    reports = []
+
+    def mark(obj):  # a report is kept and printed as "\u0000"; json refuses the rest
+        if isinstance(obj, PeriodReport):
+            return reports.append(obj) or "\0"
+        return json.JSONEncoder().default(obj)
+
+    parts = json.dumps(doc, sort_keys=True, indent=2, default=mark).split('"\\u0000"')
+    text = ""
+    for head, r in zip(parts[:-1], reports, strict=True):
+        line = head[head.rfind("\n") + 1:]
+        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        text += f"{head}[{pad}  {_cell(r, ',' + pad + '  ')}{pad}]"
+    return text + parts[-1] + "\n"
 
 
 def _aligned(table) -> list[str]:
@@ -84,13 +87,12 @@ def _emit(fmt: str, doc, table, plain=None) -> None:
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         for row in table():
-            cells = [str(_cell(c, ";")) for c in row]
-            line = ",".join(cells)
-            # one join, without csv's pass over every character; a row that may
-            # need quoting (a lone empty cell, or a comma, quote, CR or LF in a
-            # cell) keeps csv's own rules, which leave a lone CR unquoted on 3.11
-            if (line and line.count(",") == len(cells) - 1
-                    and '"' not in line and "\n" not in line and "\r" not in line):
+            cells = [_cell(c, ";") for c in row]
+            line = ",".join(map(str, cells))
+            # one join, no per-character pass; csv.writer keeps any row it may quote or
+            # refuse by version: a lone empty cell, a None, a comma, quote, CR, LF or NUL
+            if (line and None not in cells and line.count(",") == len(cells) - 1
+                    and not any(c in line for c in '"\r\n\0')):
                 sys.stdout.write(line + "\n")
             else:
                 writer.writerow(cells)

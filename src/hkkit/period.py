@@ -26,8 +26,7 @@ class PeriodReport:
     p^(omega/2) == n-1 (mod n) held; for odd omega the congruence is never
     tested and the flag is False.  The comparison uses the canonical
     representative n-1, never a signed -1, to dodge sign-convention bugs.
-    Only the classification is stored: cycle (pi values) and phi_profile
-    (omega values, the cycle repeated) are computed from it on each read.
+    Only the classification is stored; cycle and phi_profile are computed on each read.
     """
 
     spec: RingSpec
@@ -38,7 +37,7 @@ class PeriodReport:
 
     @property
     def cycle(self) -> tuple[int, ...]:
-        """phi(0), ..., phi(pi - 1), one period, rebuilt on every read (no cache): O(pi)."""
+        """phi(0), ..., phi(pi - 1), one period, rebuilt on each read (no cache): O(pi)."""
         # values b(n-b), b = p^e mod n; phi repeats after pi, since on the
         # halved branch p^pi == -1 maps b to n - b
         n, p, b, cycle = self.spec.n, self.spec.p, 1, []
@@ -49,7 +48,8 @@ class PeriodReport:
 
     @property
     def phi_profile(self) -> tuple[int, ...]:
-        """phi(0), ..., phi(omega - 1): the cycle repeated omega/pi times, O(omega)."""
+        """phi(0), ..., phi(omega - 1): the cycle repeated omega/pi times, O(omega).
+        cli._cell prints this same layout from the cycle's text."""
         return self.cycle * (self.omega // self.pi)
 
 

@@ -11,12 +11,13 @@ import csv
 import io
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hkkit.cli import _emit, main
+from hkkit.cli import _emit, _json, main
 from hkkit.closed_form import RingSpec
 from hkkit.period import period_of
 from hkkit.realize import realize
@@ -222,8 +223,26 @@ CSV_CELLS = st.text(st.sampled_from(',"\r\n ;a\u2028') | st.characters(), max_si
 @example([[""]])
 @example([["", ""], ["a,b"], ['say "hi"'], ["\r"], ["a\rb", "c"], ["\n"], ["\r\n"]])
 @example([[]])
+@example([["a\0b"], ["\0"]])
+@example([["a", None, 1], [None]])
 def test_csv_rows_match_csv_writer(rows):
+    # the same bytes, or the same csv.Error (a NUL cell, before Python 3.11)
     out = io.StringIO()
+    try:
+        expected = csv_text(rows)
+    except csv.Error:
+        with contextlib.redirect_stdout(out), pytest.raises(csv.Error):
+            _emit("csv", None, lambda: rows)
+        return
     with contextlib.redirect_stdout(out):
         _emit("csv", None, lambda: rows)
-    assert out.getvalue() == csv_text(rows)
+    assert out.getvalue() == expected
+
+
+def test_json_splices_every_profile_and_refuses_other_types():
+    half, full = period_of(RingSpec(2, 5)), period_of(RingSpec(3, 7))
+    assert _json({"a": half, "b": [full, {"c": half}], "d": 1}) == canonical(
+        {"a": list(half.phi_profile), "d": 1,
+         "b": [list(full.phi_profile), {"c": list(half.phi_profile)}]})
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        _json({"a": half, "x": Fraction(1, 2)})

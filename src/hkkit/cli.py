@@ -55,12 +55,12 @@ def _json(doc) -> str:
         return json.JSONEncoder().default(obj)
 
     parts = json.dumps(doc, sort_keys=True, indent=2, default=mark).split('"\\u0000"')
-    text = ""
+    out = []
     for head, r in zip(parts[:-1], reports, strict=True):
         line = head[head.rfind("\n") + 1:]
         pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        text += f"{head}[{pad}  {_cell(r, ',' + pad + '  ')}{pad}]"
-    return text + parts[-1] + "\n"
+        out += [head, f"[{pad}  ", _cell(r, "," + pad + "  "), f"{pad}]"]
+    return "".join([*out, parts[-1], "\n"])
 
 
 def _aligned(table) -> list[str]:

@@ -14,24 +14,25 @@ and parse/re-render round-trips.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 from collections.abc import Sequence
 
-from .closed_form import RingSpec, hk_table, hk_value
+from .closed_form import HKRecord, RingSpec, hk_table, hk_value
 from .groebner import (
-    Q_CAP_DEFAULT, buchberger, capped_q, count_under_staircase,
+    Q_CAP_DEFAULT, QCapExceededError, buchberger, capped_q, count_under_staircase,
     frobenius_power_generators, hk_brute, verify_closed_form_basis,
 )
 from .period import PeriodReport, period_of
-from .realize import SearchExhausted, realize
+from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, realize
 
 # Limit options: dest -> (env variable, default, help); flag > env > default.
 LIMITS = {
     "qcap": ("HKKIT_QCAP", Q_CAP_DEFAULT, "oracle cap on q = p^e"),
-    "nlimit": ("HKKIT_NLIMIT", 10_000, "modulus search bound"),
-    "plimit": ("HKKIT_PLIMIT", 10_000, "characteristic search bound"),
+    "nlimit": ("HKKIT_NLIMIT", SEARCH_LIMIT_DEFAULT, "modulus search bound"),
+    "plimit": ("HKKIT_PLIMIT", SEARCH_LIMIT_DEFAULT, "characteristic search bound"),
 }
 
 
@@ -115,11 +116,9 @@ def _report(r: PeriodReport) -> dict:  # a view that prints the profile adds r i
 def cmd_table(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
     records = hk_table(spec, args.emax)
-    header = ["e", "q", "b", "hk", "phi"]
-    rows = ([r.e, r.q, r.b, r.hk, r.phi] for r in records)  # read by one view only
     doc = {"p": spec.p, "n": spec.n}
-    _emit(args.format, lambda: {**doc, "rows": [dict(zip(header, r)) for r in rows]},
-          lambda: [header, *rows])
+    _emit(args.format, lambda: {**doc, "rows": [r._asdict() for r in records]},
+          lambda: [HKRecord._fields, *records])
     return 0
 
 
@@ -133,8 +132,7 @@ def cmd_period(args: argparse.Namespace) -> int:
 def cmd_realize(args: argparse.Namespace) -> int:
     result = realize(args.pi, args.nlimit, args.plimit)
     spec = {"p": result.spec.p, "n": result.spec.n}
-    r, report, counts = result.report, _report(result.report), result.search_stats
-    stats = {"n_candidates": counts.n_candidates, "p_candidates": counts.p_candidates}
+    report, stats = _report(result.report), dataclasses.asdict(result.search_stats)
     doc = {"target_pi": result.target_pi, "spec": spec,
            "residue_used": result.residue_used, "search_stats": stats}
     brief = {k: report[k] for k in ("omega", "pi", "branch")}
@@ -142,7 +140,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
               "residue_used": result.residue_used, **stats}
     # only the JSON view prints the profile, rendering the cycle's text once
     _emit_record(args.format, fields,
-                 lambda: {**doc, "report": {**report, "phi_profile": r}})
+                 lambda: {**doc, "report": {**report, "phi_profile": result.report}})
     return 0
 
 
@@ -152,13 +150,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # zero rows would report all_pass: a check that checked nothing
         raise ValueError(f"e_max must be nonnegative, got {args.emax}")
     rows = []
-    skipped = range(0)
-    q = 1
     for e in range(args.emax + 1):
-        if q > args.qcap:
-            # q only grows with e: every later row is past the cap too
-            skipped = range(e, args.emax + 1)
-            break
+        try:
+            q = capped_q(spec.p, e, args.qcap)
+        except QCapExceededError:
+            break  # q only grows with e: every later row is past the cap too
         closed = hk_value(spec, e)
         basis_ok = None
         if q > spec.n:
@@ -170,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             oracle = hk_brute(spec, e, args.qcap)
         ok = closed == oracle and basis_ok is not False
         rows.append((e, q, closed, oracle, basis_ok, ok))
-        q *= spec.p
+    skipped = range(len(rows), args.emax + 1)
     if skipped:
         print(f"skipped e = {skipped[0]}..{skipped[-1]}: "
               f"q = p^e exceeds the oracle cap {args.qcap}", file=sys.stderr)
@@ -216,8 +212,8 @@ def cmd_gb(args: argparse.Namespace) -> int:
 
 
 def _resolve_limits(args: argparse.Namespace) -> None:
-    """Set every LIMITS dest on args: flag, else environment, else default."""
-    for dest, (var, value, _) in LIMITS.items():
+    """Set each LIMITS dest the command takes: flag, else environment, else default."""
+    for dest, (var, value, _) in args.limits.items():
         raw = os.environ.get(var)
         if raw is not None:
             try:
@@ -226,7 +222,7 @@ def _resolve_limits(args: argparse.Namespace) -> None:
                 raise ValueError(f"{var} must be an integer, got {raw!r}") from None
             if value < 1:
                 raise ValueError(f"{var} must be positive, got {value}")
-        flag = getattr(args, dest, None)
+        flag = getattr(args, dest)
         if flag is not None and flag < 1:
             raise ValueError(f"limits must be positive, got {flag}")
         setattr(args, dest, value if flag is None else flag)
@@ -260,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, parents=[common], help=summary)
         for dest, text in options:
             cmd.add_argument(f"--{dest}", type=int, required=True, help=text)
-        for dest in limits:
-            _, default, text = LIMITS[dest]
+        limits = {dest: LIMITS[dest] for dest in limits}  # all that main resolves for it
+        for dest, (_, default, text) in limits.items():
             cmd.add_argument(f"--{dest}", type=int, help=f"{text} (default {default})")
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=handler, limits=limits)
     return parser
 
 

@@ -10,6 +10,7 @@ phi(e) = b * (n - b).  All values are exact integers; e is uncapped.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numtheory import is_prime
 
@@ -52,8 +53,7 @@ class RingSpec:
         return self.n
 
 
-@dataclass(frozen=True)
-class HKRecord:
+class HKRecord(NamedTuple):
     """One table row: e, q = p^e, residue b, HK(e), and phi(e) = b(n-b)."""
 
     e: int

@@ -117,7 +117,7 @@ def _rho_divisor(m: int) -> int:
                 g = math.gcd(abs(x - saved), m)
         if g != m:
             return g
-    raise ValueError(f"{m} has no proper divisor")
+    raise RuntimeError(f"{m} has no proper divisor: library bug")
 
 
 def is_prime(m: int) -> bool:

@@ -16,6 +16,8 @@ from .closed_form import _N_MAX, RingSpec
 from .numtheory import find_prime_in_class, is_prime, prime_factors
 from .period import PeriodReport, period_of
 
+SEARCH_LIMIT_DEFAULT = 10_000
+
 
 @dataclass
 class SearchStats:
@@ -67,7 +69,15 @@ def _progression_count(start: int, step: int, limit: int, found: int | None) -> 
     return (limit - start) // step + 1
 
 
-def realize(pi: int, n_limit: int = 10_000, p_limit: int = 10_000) -> RealizationResult:
+def _check_search_args(pi: int, n_limit: int, p_limit: int) -> None:
+    if pi < 1:
+        raise ValueError(f"target period must be at least 1, got {pi}")
+    if n_limit < 2 or p_limit < 2:
+        raise ValueError("search limits must be at least 2")
+
+
+def realize(pi: int, n_limit: int = SEARCH_LIMIT_DEFAULT,
+            p_limit: int = SEARCH_LIMIT_DEFAULT) -> RealizationResult:
     """Smallest-first construction of a ring with period exactly pi.
 
     Scans prime moduli n == 1 (mod 2*pi) in increasing order; within each,
@@ -80,10 +90,7 @@ def realize(pi: int, n_limit: int = 10_000, p_limit: int = 10_000) -> Realizatio
     re-checked on the way out; a violation would be a bug in this library,
     not bad input, and raises RuntimeError.
     """
-    if pi < 1:
-        raise ValueError(f"target period must be at least 1, got {pi}")
-    if n_limit < 2 or p_limit < 2:
-        raise ValueError("search limits must be at least 2")
+    _check_search_args(pi, n_limit, p_limit)
     stats = SearchStats()
     step = 2 * pi
     step_primes: list[int] | None = None
@@ -137,10 +144,7 @@ def enumerate_realizations(
     Each result carries the cumulative candidate counts at the moment it was
     found.  Truncated at max_results.
     """
-    if pi < 1:
-        raise ValueError(f"target period must be at least 1, got {pi}")
-    if n_limit < 2 or p_limit < 2:
-        raise ValueError("search limits must be at least 2")
+    _check_search_args(pi, n_limit, p_limit)
     if max_results < 1:
         raise ValueError(f"max_results must be at least 1, got {max_results}")
     primes = [p for p in range(2, p_limit + 1) if is_prime(p)]

@@ -462,3 +462,35 @@ class TestDriver:
         )
         assert code == 2
         assert "positive" in err
+
+
+class TestLimitsPerCommand:
+    """Each HKKIT_* variable is read only by the commands that take its flag."""
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("var, value, argv", [
+        ("HKKIT_QCAP", "foo", ["period", "--p", "2", "--n", "5"]),
+        ("HKKIT_QCAP", "foo", ["realize", "--pi", "6"]),
+        ("HKKIT_NLIMIT", "0", ["gb", "--p", "2", "--n", "3", "--e", "2"]),
+        ("HKKIT_NLIMIT", "0", ["verify", "--p", "2", "--n", "7", "--emax", "12"]),
+    ])
+    def test_other_commands_ignore_the_variable(self, capsys, monkeypatch, fmt, var,
+                                                 value, argv):
+        unset = run(capsys, *argv, "--format", fmt)
+        assert unset[0] == 0
+        monkeypatch.setenv(var, value)
+        assert run(capsys, *argv, "--format", fmt) == unset
+
+    @pytest.mark.parametrize("argv", [
+        ["gb", "--p", "2", "--n", "3", "--e", "2"],
+        ["verify", "--p", "2", "--n", "7", "--emax", "12"],
+    ])
+    def test_bad_qcap_still_refused_where_taken(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("HKKIT_QCAP", "foo")
+        assert run(capsys, *argv) == (
+            2, "", "error: HKKIT_QCAP must be an integer, got 'foo'\n")
+
+    def test_zero_plimit_still_refused_by_realize(self, capsys, monkeypatch):
+        monkeypatch.setenv("HKKIT_PLIMIT", "0")
+        assert run(capsys, "realize", "--pi", "6") == (
+            2, "", "error: HKKIT_PLIMIT must be positive, got 0\n")

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hkkit.cli import _emit, _json, main
-from hkkit.closed_form import RingSpec
+from hkkit.closed_form import RingSpec, hk_table, hk_value
 from hkkit.period import period_of
 from hkkit.realize import realize
 
@@ -195,6 +195,54 @@ def test_period_at_scale(capsys, fmt, p, n):
         expected = (csv_text([list(cells), cells.values()]) if fmt == "csv" else
                     "".join(f"{k:<11}  {v}\n" for k, v in cells.items()))
     assert stdout_of(capsys, f"period --p {p} --n {n} --format {fmt}") == expected
+
+
+def aligned(rows) -> str:
+    """Plain text: right-aligned columns, two spaces apart."""
+    cells = [[str(c) for c in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n"
+                   for row in cells)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_table_at_scale(capsys, fmt):
+    # q = 3^300 has 144 digits; every column is right-aligned to its widest cell
+    header = ["e", "q", "b", "hk", "phi"]
+    rows = [[r.e, r.q, r.b, r.hk, r.phi] for r in hk_table(RingSpec(3, 1000003), 300)]
+    expected = {
+        "plain": lambda: aligned([header, *rows]),
+        "csv": lambda: csv_text([header, *rows]),
+        "json": lambda: canonical(
+            {"p": 3, "n": 1000003, "rows": [dict(zip(header, row)) for row in rows]}),
+    }[fmt]()
+    assert stdout_of(capsys, f"table --p 3 --n 1000003 --emax 300 --format {fmt}") == expected
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_verify_with_skipped_rows(capsys, fmt):
+    # 2^16 <= 100000 < 2^17: rows e = 0..16, the basis check from q = 8 > n on
+    spec = RingSpec(2, 7)
+    rows = [(e, 2**e, hk_value(spec, e), 2**e > 7) for e in range(17)]
+    if fmt == "json":
+        expected = canonical({
+            "p": 2, "n": 7, "q_cap": 100000, "all_pass": True,
+            "skipped_e": list(range(17, 41)),
+            "rows": [{"e": e, "q": q, "closed_form": hk, "oracle": hk,
+                      "basis_check": True if basis else None, "pass": True}
+                     for e, q, hk, basis in rows],
+        })
+    else:
+        name, cell = (("basis_check", ["na", "pass"]) if fmt == "csv" else
+                      ("basis", ["-", "ok"]))
+        table = [["e", "q", "closed_form", "oracle", name, "status"]]
+        table += ([e, q, hk, hk, cell[basis], "PASS"] for e, q, hk, basis in rows)
+        expected = csv_text(table) if fmt == "csv" else aligned(table)
+    code = main(shlex.split(f"verify --p 2 --n 7 --emax 40 --qcap 100000 --format {fmt}"))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == expected
+    assert captured.err == "skipped e = 17..40: q = p^e exceeds the oracle cap 100000\n"
 
 
 def test_realize_json_at_scale(capsys):

@@ -8,6 +8,7 @@ from hkkit.numtheory import (
     NoPrimesInClassError,
     NotAUnitError,
     _MR_CERTIFIED_BOUND,
+    _rho_divisor,
     find_prime_in_class,
     is_prime,
     multiplicative_order,
@@ -158,6 +159,12 @@ class TestPrimeFactors:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             prime_factors(0)
+
+    def test_rho_on_a_prime_is_an_internal_fault(self):
+        # prime_factors never hands rho a prime; if it did, the CLI must say
+        # "internal fault" (exit 4), not "invalid input" (exit 2)
+        with pytest.raises(RuntimeError, match="^7 has no proper divisor"):
+            _rho_divisor(7)
 
 
 class TestIsPrime:

@@ -15,6 +15,7 @@ and parse/re-render round-trips.
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -228,7 +229,9 @@ def _resolve_limits(args: argparse.Namespace) -> None:
         setattr(args, dest, value if flag is None else flag)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's shared parser, built on first use; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="hkkit",
         description=(
@@ -241,16 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default plain)")
     sub = parser.add_subparsers(dest="command", required=True)
     ring = [("p", "characteristic (prime)"), ("n", "exponent n in x^n - y^n")]
-    # (name, handler, help, required options with help, LIMITS options)
-    for name, handler, summary, options, limits in [
-        ("table", cmd_table, "tabulate e, q, b, HK(e), phi(e)",
+    # (name, help, required options with help, LIMITS options)
+    for name, summary, options, limits in [
+        ("table", "tabulate e, q, b, HK(e), phi(e)",
          [*ring, ("emax", "largest e to tabulate")], []),
-        ("period", cmd_period, "order, period, and branch report", ring, []),
-        ("realize", cmd_realize, "find a ring with a prescribed period",
+        ("period", "order, period, and branch report", ring, []),
+        ("realize", "find a ring with a prescribed period",
          [("pi", "target period")], ["nlimit", "plimit"]),
-        ("verify", cmd_verify, "closed form vs. Groebner oracle, row per e",
+        ("verify", "closed form vs. Groebner oracle, row per e",
          [*ring, ("emax", "largest e to check")], ["qcap"]),
-        ("gb", cmd_gb, "reduced Groebner basis of (x^q, y^q, x^n - y^n)",
+        ("gb", "reduced Groebner basis of (x^q, y^q, x^n - y^n)",
          [*ring, ("e", "Frobenius exponent")], ["qcap"]),
     ]:
         cmd = sub.add_parser(name, parents=[common], help=summary)
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         limits = {dest: LIMITS[dest] for dest in limits}  # all that main resolves for it
         for dest, (_, default, text) in limits.items():
             cmd.add_argument(f"--{dest}", type=int, help=f"{text} (default {default})")
-        cmd.set_defaults(handler=handler, limits=limits)
+        cmd.set_defaults(limits=limits)
     return parser
 
 
@@ -270,7 +273,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _resolve_limits(args)
-        return args.handler(args)
+        # looked up per call, not bound in the shared parser, so a rebound cmd_* runs
+        return globals()[f"cmd_{args.command}"](args)
     except (SearchExhausted, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SearchExhausted) else 2

@@ -1,12 +1,19 @@
+import argparse
 import json
+import os
+import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import hkkit.cli
 from hkkit.cli import main
 from hkkit.groebner import PairBudgetExceededError
+from test_cli_bytes import EXAMPLES
 
 
 @pytest.fixture(autouse=True)
@@ -494,3 +501,84 @@ class TestLimitsPerCommand:
         monkeypatch.setenv("HKKIT_PLIMIT", "0")
         assert run(capsys, "realize", "--pi", "6") == (
             2, "", "error: HKKIT_PLIMIT must be positive, got 0\n")
+
+
+class TestParserReuse:
+    """main() builds one parser per process and looks up each cmd_* per call."""
+
+    COMMANDS = [
+        ["table", "--p", "2", "--n", "5", "--emax", "3"],
+        ["period", "--p", "2", "--n", "5"],
+        ["realize", "--pi", "6"],
+        ["verify", "--p", "2", "--n", "7", "--emax", "5"],
+        ["gb", "--p", "2", "--n", "3", "--e", "2"],
+    ]
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        assert run(capsys, *self.COMMANDS[0])[0] == 0  # builds it, if no test has yet
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in self.COMMANDS:
+            for fmt in ("plain", "csv", "json"):
+                assert run(capsys, *argv, "--format", fmt)[0] == 0
+        assert built == []
+        assert hkkit.cli.build_parser() is hkkit.cli.build_parser()
+
+    def test_handler_is_looked_up_per_call(self, capsys, monkeypatch):
+        # bench/trace.py rebinds cmd_* between calls; a parser holding the
+        # originals would skip its wrappers
+        argv = ["period", "--p", "2", "--n", "5"]
+        first = run(capsys, *argv)
+        original, seen = hkkit.cli.cmd_period, []
+
+        def wrapper(args):
+            seen.append(args.command)
+            return original(args)
+
+        monkeypatch.setattr(hkkit.cli, "cmd_period", wrapper)
+        assert run(capsys, *argv) == first
+        assert seen == ["period"]
+
+    def test_reuse_leaves_no_state_behind(self, capsys, monkeypatch):
+        """Every call of a mixed sequence answers as a fresh `python -m hkkit.cli`."""
+        verify = ["verify", "--p", "2", "--n", "7", "--emax", "12"]
+        sequence = [
+            (None, ["table", "--p", "2", "--n", "5", "--bogus", "1"]),
+            (None, ["gb", "--help"]),
+            (None, ["--help"]),
+            ("foo", verify),
+            ("1024", verify),
+            (None, verify),
+            (None, ["realize", "--pi", "6", "--nlimit", "0"]),
+            *((None, shlex.split(command)) for command, _ in EXAMPLES),
+        ]
+        # help text wraps at the terminal width, and its layout varies by Python
+        # version, so it is pinned against the same interpreter, not literal bytes
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(hkkit.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        codes = []
+        for qcap, argv in sequence:
+            if qcap is None:
+                monkeypatch.delenv("HKKIT_QCAP", raising=False)
+            else:
+                monkeypatch.setenv("HKKIT_QCAP", qcap)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: --help, or rejected arguments
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "hkkit.cli", *argv], capture_output=True,
+                text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+            )
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), (qcap, argv)
+            codes.append(code)
+        assert codes == [2, 0, 0, 2, 0, 0, 2, *[0] * len(EXAMPLES)]

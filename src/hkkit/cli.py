@@ -13,7 +13,6 @@ and parse/re-render round-trips.
 """
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -37,13 +36,14 @@ LIMITS = {
 }
 
 
-def _cell(value, sep: str):
-    """A CSV or plain-text cell: booleans as true/false, a report as its profile."""
+def _cell(value, sep: str) -> str:
+    """The text of one printed value, the only conversion the views make: a bool
+    as true/false, a report as its phi_profile joined by sep, the rest by str."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, PeriodReport):
         return sep.join([sep.join(map(str, value.cycle))] * (value.omega // value.pi))
-    return value
+    return str(value)
 
 
 def _json(doc) -> str:
@@ -67,7 +67,7 @@ def _json(doc) -> str:
 
 def _aligned(table) -> list[str]:
     """Right-aligned columns, two spaces apart."""
-    cells = [[str(_cell(c, " ")) for c in row] for row in table]
+    cells = [[_cell(c, " ") for c in row] for row in table]
     widths = [max(len(row[k]) for row in cells) for k in range(len(cells[0]))]
     return ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
 
@@ -83,21 +83,14 @@ def _emit(fmt: str, doc, table, plain=None) -> None:
 
     doc() gives the JSON document, table() the header row and records for
     CSV, and plain() the lines of plain text (by default the table, aligned).
+    Each CSV row is its cells joined by commas, unquoted: every cell the CLI
+    prints is letters, digits, spaces and `_^*+;`, which csv.writer never quotes.
     """
     if fmt == "json":
         sys.stdout.write(_json(doc()))
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
         for row in table():
-            cells = [_cell(c, ";") for c in row]
-            line = ",".join(map(str, cells))
-            # one join, no per-character pass; csv.writer keeps any row it may quote or
-            # refuse by version: a lone empty cell, a None, a comma, quote, CR, LF or NUL
-            if (line and None not in cells and line.count(",") == len(cells) - 1
-                    and not any(c in line for c in '"\r\n\0')):
-                sys.stdout.write(line + "\n")
-            else:
-                writer.writerow(cells)
+            sys.stdout.write(",".join([_cell(c, ";") for c in row]) + "\n")
     else:
         for line in plain() if plain else _aligned(table()):
             print(line)
@@ -267,11 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # render huge integers in full; CPython limits int/str to 4300 digits
+    # print huge ints in full: lift CPython's int/str digit limit for this call only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _resolve_limits(args)
         # looked up per call, not bound in the shared parser, so a rebound cmd_* runs
         return globals()[f"cmd_{args.command}"](args)
@@ -282,6 +276,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a library self-check failed: not the caller's input, nor a mismatch
         print(f"error: internal fault: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

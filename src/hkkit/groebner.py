@@ -166,12 +166,12 @@ class FpPoly:
 
     def mul_monomial(self, mono: Monomial, coeff: int = 1) -> "FpPoly":
         """Product with the single term coeff * x^mono.i * y^mono.j."""
-        c0 = coeff % self.p
-        if c0 == 0:
-            return FpPoly._raw(self.p, {})
         mono = Monomial(*mono)
         if mono.i < 0 or mono.j < 0:
             raise ValueError(f"negative exponent in {mono!r}")
+        c0 = coeff % self.p
+        if c0 == 0:
+            return FpPoly._raw(self.p, {})
         # c * c0 stays nonzero: both are units mod a prime
         return FpPoly._raw(
             self.p, {m.mul(mono): (c * c0) % self.p for m, c in self.terms.items()}

@@ -156,6 +156,7 @@ def is_prime(m: int) -> bool:
 
 def find_prime_in_class(r: int, s: int, search_limit: int) -> int | None:
     """Least prime p == r (mod s) with p <= search_limit, scanning r, r+s, ...
+    (from r mod s when r < 0: no member below 0 is prime).
 
     Returns None when the progression holds no prime up to the limit.  For
     gcd(r, s) = 1 a prime always exists beyond *some* bound, but there is no
@@ -171,7 +172,7 @@ def find_prime_in_class(r: int, s: int, search_limit: int) -> int | None:
             f"gcd({r}, {s}) = {g} > 1: the progression cannot contain "
             "infinitely many primes"
         )
-    candidate = r
+    candidate = r if r >= 0 else r % s
     while candidate <= search_limit:
         if candidate >= 2 and is_prime(candidate):
             return candidate

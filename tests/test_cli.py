@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -20,6 +22,19 @@ from test_cli_bytes import EXAMPLES
 def clean_env(monkeypatch):
     for name in ("HKKIT_QCAP", "HKKIT_NLIMIT", "HKKIT_PLIMIT"):
         monkeypatch.delenv(name, raising=False)
+
+
+@contextlib.contextmanager
+def lifted_digit_limit():
+    """CPython's int/str digit limit lifted, as README tells JSON consumers to do."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def run(capsys, *argv):
@@ -88,10 +103,12 @@ class TestTable:
                 capsys, "table", "--p", "2", "--n", "5", "--emax", str(emax),
                 "--format", "json",
             )
-            payload = json.loads(out)
-            last = payload["rows"][-1]
-            assert last["hk"] == 5 * 2**emax - 4
-            assert str(last["hk"]) in out  # exact decimal, no float collapse
+            # main lifts the limit for its own call only; a consumer lifts it to parse
+            with lifted_digit_limit():
+                payload = json.loads(out)
+                last = payload["rows"][-1]
+                assert last["hk"] == 5 * 2**emax - 4
+                assert str(last["hk"]) in out  # exact decimal, no float collapse
 
 
 class TestPeriod:
@@ -462,6 +479,32 @@ class TestDriver:
         assert code == 4
         assert out == ""
         assert err == f"error: internal fault: {fault}\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int/str digit limit before CPython 3.10.7")
+    def test_digit_limit_is_the_callers_after_every_exit(self, capsys, monkeypatch):
+        # main lifts the limit for its own call only: a 4401-digit --qcap and
+        # q = 2^14300 (4305 digits) pass, and each way out restores 4300
+        def broken(args):
+            raise RuntimeError("library bug")
+
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            big = f"gb --p 2 --n 3 --e 14300 --qcap 1{'0' * 4400}"
+            for command, code in [(big, 0), ("period --p 4 --n 5", 2),
+                                  ("realize --pi 1000 --nlimit 10", 3)]:
+                assert main(command.split()) == code
+                assert sys.get_int_max_str_digits() == 4300, command.split()[0]
+            assert re.search(r"^q +\d{4305}$", capsys.readouterr().out, re.M)
+            with pytest.raises(SystemExit):
+                main(["gb", "--p", "2"])
+            assert sys.get_int_max_str_digits() == 4300
+            monkeypatch.setattr(hkkit.cli, "cmd_period", broken)
+            assert main(["period", "--p", "2", "--n", "5"]) == 4
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_nonpositive_qcap_flag_rejected(self, capsys):
         code, _, err = run(

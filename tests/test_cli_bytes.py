@@ -10,6 +10,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -17,8 +18,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hkkit.cli import _emit, _json, main
+from hkkit.cli import _json, main
 from hkkit.closed_form import RingSpec, hk_table, hk_value
+from hkkit.groebner import Q_CAP_DEFAULT
 from hkkit.period import period_of
 from hkkit.realize import realize
 
@@ -264,27 +266,36 @@ def test_realize_json_at_scale(capsys):
     ) == expected
 
 
-CSV_CELLS = st.text(st.sampled_from(',"\r\n ;a\u2028') | st.characters(), max_size=6)
+@st.composite
+def csv_commands(draw) -> str:
+    """A valid CLI invocation in --format csv; verify and gb stay under the q cap."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))  # p = 13 makes gb print 12*y^5
+    ring = f"--p {p} --n {draw(st.integers(2, 300).filter(lambda n: n % p))}"
+    under_cap = st.integers(0, max(e for e in range(10) if p**e <= Q_CAP_DEFAULT))
+    command = draw(st.sampled_from([
+        f"table {ring} --emax {draw(st.integers(0, 40))}",
+        f"period {ring}",
+        f"realize --pi {draw(st.integers(1, 60))}",
+        f"verify {ring} --emax {draw(under_cap)}",
+        f"gb {ring} --e {draw(under_cap)}",
+    ]))
+    return command + " --format csv"
 
 
-@given(st.lists(st.lists(CSV_CELLS, max_size=4), max_size=4))
-@example([[""]])
-@example([["", ""], ["a,b"], ['say "hi"'], ["\r"], ["a\rb", "c"], ["\n"], ["\r\n"]])
-@example([[]])
-@example([["a\0b"], ["\0"]])
-@example([["a", None, 1], [None]])
-def test_csv_rows_match_csv_writer(rows):
-    # the same bytes, or the same csv.Error (a NUL cell, before Python 3.11)
-    out = io.StringIO()
-    try:
-        expected = csv_text(rows)
-    except csv.Error:
-        with contextlib.redirect_stdout(out), pytest.raises(csv.Error):
-            _emit("csv", None, lambda: rows)
-        return
-    with contextlib.redirect_stdout(out):
-        _emit("csv", None, lambda: rows)
-    assert out.getvalue() == expected
+@given(csv_commands())
+@example("gb --p 13 --n 5 --e 2 --format csv")
+def test_csv_output_is_what_csv_writer_writes(command):
+    # no cell needs quoting: csv.writer, on any version, writes the rows it reads back
+    # byte for byte, each row has the header's width (no stray comma), and every cell
+    # is letters, digits, spaces and _^*+;
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(shlex.split(command))
+    assert (code, err.getvalue()) == (0, "")
+    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    assert csv_text(rows) == out.getvalue()
+    assert {len(row) for row in rows} == {len(rows[0])}
+    assert all(re.fullmatch(r"[A-Za-z0-9 _^*+;]+", cell) for row in rows for cell in row)
 
 
 def test_json_splices_every_profile_and_refuses_other_types():

@@ -98,6 +98,13 @@ class TestFpPoly:
         )
         assert f.mul_monomial(Monomial(0, 0), 0).is_zero()
 
+    @pytest.mark.parametrize("coeff", [0, 1])
+    def test_mul_monomial_rejects_negative_exponent_for_any_coefficient(self, coeff):
+        # the exponent is checked even where the product would be zero
+        f = FpPoly(5, {Monomial(1, 0): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            f.mul_monomial((-1, 0), coeff)
+
     def test_monic_scales_by_inverse(self):
         f = FpPoly(5, {Monomial(1, 0): 2, Monomial(0, 1): 1})
         assert f.monic() == FpPoly(5, {Monomial(1, 0): 1, Monomial(0, 1): 3})

@@ -223,6 +223,22 @@ class TestFindPrimeInClass:
         with pytest.raises(ValueError):
             find_prime_in_class(2, 5, 1)
 
+    def test_negative_residue_starts_at_least_nonnegative_member(self):
+        # about 1.7e11 members of the class lie below 0; none of them may be visited
+        start = time.perf_counter()
+        assert find_prime_in_class(-10**12 - 1, 6, 100) == 7
+        assert time.perf_counter() - start < 0.5
+        assert find_prime_in_class(-1, 6, 100) == 5
+        assert find_prime_in_class(-7, 1, 100) == 2
+        assert find_prime_in_class(-10**12 - 1, 6, 6) is None
+
+    @given(st.integers(min_value=-10**15, max_value=-1), st.integers(min_value=1, max_value=30))
+    def test_negative_residue_gives_least_prime_in_class(self, r, s):
+        if math.gcd(r, s) != 1:
+            return
+        least = next((c for c in range(2, 1001) if c % s == r % s and is_prime(c)), None)
+        assert find_prime_in_class(r, s, 1000) == least
+
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=2, max_value=30))
     def test_found_prime_is_least_in_class(self, r, s):
         if math.gcd(r, s) != 1:

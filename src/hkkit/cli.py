@@ -196,7 +196,7 @@ def cmd_gb(args: argparse.Namespace) -> int:
     table += ([g, *lead] for g, lead in zip(generators, leads))
 
     def plain():
-        summary = {**head, "count": "infinite" if count is None else count}
+        summary = {**head, "count": count}
         summary["staircase"] = "  ".join(str(m) for m in gb.staircase)
         return [*_pairs(summary), "basis:", *(f"  {g}" for g in generators)]
 

@@ -266,6 +266,7 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     or an earlier basis lead starts to.  Such a chain of T rewrites (T from a
     few integer divisions, see _chain_length) is one jump: c*(-ct/lc)^T at
     mono + T*(tail - lm) merges into the waiting terms as one rewrite would.
+    Every binomial rewrite takes the jump, a one-step chain (T = 1) included.
     Which rewrite a monomial gets depends on that monomial alone, so the
     normal form is linear in f: a waiting term the jump passes runs down the
     same chain later, and the output is term for term that of rewriting one
@@ -293,14 +294,10 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
                 if len(g.terms) == 2:
                     tail = min(g.terms)
                     di, dj = tail.i - lm.i, tail.j - lm.j
-                    if shift.i + di >= 0 and shift.j + dj >= 0:
-                        # lm divides the next monomial too: skip to the
-                        # chain's last rewrite, each step before it moving
-                        # shift by (di, dj) and scaling factor by -ct/lc
-                        earlier = [m for m, _ in leads[:idx]]
-                        skip = _chain_length(mono, lm, di, dj, earlier) - 1
-                        shift = Monomial(shift.i + skip * di, shift.j + skip * dj)
-                        factor = (factor * pow(-g.terms[tail] * inv, skip, p)) % p
+                    earlier = [m for m, _ in leads[:idx]]
+                    skip = _chain_length(mono, lm, di, dj, earlier) - 1
+                    shift = Monomial(shift.i + skip * di, shift.j + skip * dj)
+                    factor = (factor * pow(-g.terms[tail] * inv, skip, p)) % p
                 for m2, c2 in g.terms.items():
                     if m2 == lm:
                         continue
@@ -347,7 +344,7 @@ def _reduced_form(basis: list[FpPoly]) -> list[FpPoly]:
     out = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        out.append(reduce(g, others) if others else g)
+        out.append(reduce(g, others))
     return out
 
 

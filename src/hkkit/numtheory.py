@@ -174,7 +174,7 @@ def find_prime_in_class(r: int, s: int, search_limit: int) -> int | None:
         )
     candidate = r if r >= 0 else r % s
     while candidate <= search_limit:
-        if candidate >= 2 and is_prime(candidate):
+        if is_prime(candidate):
             return candidate
         candidate += s
     return None

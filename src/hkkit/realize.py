@@ -60,15 +60,6 @@ class RealizationResult:
     search_stats: SearchStats
 
 
-def _progression_count(start: int, step: int, limit: int, found: int | None) -> int:
-    # members start, start+step, ... examined, up to `found` or up to limit
-    if found is not None:
-        return (found - start) // step + 1
-    if limit < start:
-        return 0
-    return (limit - start) // step + 1
-
-
 def _check_search_args(pi: int, n_limit: int, p_limit: int) -> None:
     if pi < 1:
         raise ValueError(f"target period must be at least 1, got {pi}")
@@ -107,7 +98,8 @@ def realize(pi: int, n_limit: int = SEARCH_LIMIT_DEFAULT,
                 ):
                     continue
                 p = find_prime_in_class(r, n, p_limit)
-                stats.p_candidates += _progression_count(r, n, p_limit, p)
+                # members r, r + n, ... scanned: up to p, or all up to p_limit
+                stats.p_candidates += len(range(r, (p or p_limit) + 1, n))
                 if p is None:
                     continue
                 spec = RingSpec(p, n)

@@ -330,6 +330,9 @@ class TestBinomialChainJump:
             # a tail in the lead's column: the chain moves down in y only
             (3, [{(0, 3): 1, (0, 1): 1}], {(2, 11): 1, (2, 4): 1},
              {(2, 2): 2, (2, 1): 2}),
+            # a one-step chain: the first rewrite already leaves x^2's
+            # multiples, so the jump skips nothing
+            (5, [{(2, 0): 1, (0, 2): -1}], {(3, 0): 1}, {(1, 2): 1}),
         ],
     )
     def test_chain_edge_cases(self, p, basis, f, expected):

@@ -5,13 +5,12 @@ import tracemalloc
 import pytest
 
 from hkkit.closed_form import RingSpec
-from hkkit.numtheory import find_prime_in_class, is_prime, multiplicative_order
+from hkkit.numtheory import is_prime, multiplicative_order
 from hkkit.period import Branch, period_of, verify_minimal_period
 from hkkit.realize import (
     RealizationResult,
     SearchExhausted,
     SearchStats,
-    _progression_count,
     enumerate_realizations,
     realize,
 )
@@ -22,7 +21,8 @@ def realize_by_scan(pi: int, n_limit: int, p_limit: int):
     """realize as it was: a naive order loop for every residue r in [2, n-1].
 
     Kept as the reference; returns (spec, residue_used, stats), or the
-    stats when the search exhausts.
+    stats when the search exhausts.  Each class is walked member by member,
+    so p_candidates is counted apart from realize's own arithmetic.
     """
     stats = SearchStats()
     step = 2 * pi
@@ -33,11 +33,10 @@ def realize_by_scan(pi: int, n_limit: int, p_limit: int):
             for r in range(2, n):
                 if naive_order(r, n) != step:
                     continue
-                p = find_prime_in_class(r, n, p_limit)
-                stats.p_candidates += _progression_count(r, n, p_limit, p)
-                if p is None:
-                    continue
-                return RingSpec(p, n), r, stats
+                for cand in range(r, p_limit + 1, n):
+                    stats.p_candidates += 1
+                    if is_prime(cand):
+                        return RingSpec(cand, n), r, stats
         n += step
     return stats
 

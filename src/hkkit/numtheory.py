@@ -27,12 +27,12 @@ class NoPrimesInClassError(ValueError):
 def multiplicative_order(a: int, n: int) -> int:
     """Least omega >= 1 with a**omega == 1 (mod n).
 
-    Factors n, builds the Carmichael exponent lambda(n) with its prime
-    factors, and strips each prime from lambda(n) while a**(order/l) == 1
-    still holds (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 1.4.3).  The cost is that of factoring n, at most tens of
-    milliseconds for n below 2**64.  A cofactor past is_prime's certified
-    bound raises ValueError.
+    Factors n for the Carmichael exponent lambda(n) and its prime factors
+    (_carmichael), then strips each prime from lambda(n) while
+    a**(order/l) == 1 still holds (_order_dividing; Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.4.3).  The cost is that of
+    factoring n, at most tens of milliseconds for n below 2**64.  A cofactor
+    past is_prime's certified bound raises ValueError.
     """
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
@@ -40,7 +40,12 @@ def multiplicative_order(a: int, n: int) -> int:
     g = math.gcd(a, n)
     if g != 1:
         raise NotAUnitError(f"{a} is not a unit modulo {n} (gcd = {g})")
-    lam, primes = 1, set()  # lambda(n) and a set holding its prime factors
+    return _order_dividing(a, n, *_carmichael(n))
+
+
+def _carmichael(n: int) -> tuple[int, set[int]]:
+    """lambda(n), the exponent of the units mod n, and a set holding its primes."""
+    lam, primes = 1, set()
     for q, k in prime_factors(n).items():
         part = (q - 1) * q ** (k - 1)
         if q == 2 and k >= 3:
@@ -48,11 +53,15 @@ def multiplicative_order(a: int, n: int) -> int:
         lam = math.lcm(lam, part)
         primes.add(q)
         primes.update(prime_factors(q - 1))
-    order = lam
+    return lam, primes
+
+
+def _order_dividing(a: int, n: int, m: int, primes: set[int]) -> int:
+    """Order of the unit a mod n, from a multiple m whose primes all lie in primes."""
     for l in primes:
-        while order % l == 0 and pow(a, order // l, n) == 1:
-            order //= l
-    return order
+        while m % l == 0 and pow(a, m // l, n) == 1:
+            m //= l
+    return m
 
 
 # Trial division covers the primes below this bound; Pollard-Brent rho splits

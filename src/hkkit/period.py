@@ -59,9 +59,14 @@ def period_of(spec: RingSpec) -> PeriodReport:
     Costs one order (one factorization); phi_profile is built only when read.
     """
     omega = multiplicative_order(spec.p, spec.n)
-    involution = omega % 2 == 0 and pow(spec.p, omega // 2, spec.n) == spec.n - 1
+    return PeriodReport(spec, omega, *_classify(spec.p, spec.n, omega))
+
+
+def _classify(p: int, n: int, omega: int) -> tuple[int, Branch, bool]:
+    """(pi, branch, involution_check) for p of order omega mod n: the halving rule."""
+    involution = omega % 2 == 0 and pow(p, omega // 2, n) == n - 1
     pi, branch = (omega // 2, Branch.HALF) if involution else (omega, Branch.FULL)
-    return PeriodReport(spec, omega, pi, branch, involution)
+    return pi, branch, involution
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,13 @@ search here takes explicit limits and reports exhaustion rather than spinning.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .closed_form import _N_MAX, RingSpec
-from .numtheory import find_prime_in_class, is_prime, prime_factors
-from .period import PeriodReport, period_of
+from .numtheory import (_carmichael, _order_dividing, find_prime_in_class,
+                        is_prime, prime_factors)
+from .period import PeriodReport, _classify, period_of
 
 SEARCH_LIMIT_DEFAULT = 10_000
 
@@ -135,6 +137,9 @@ def enumerate_realizations(
     construction cannot, for instance full-branch rings with composite n.
     Each result carries the cumulative candidate counts at the moment it was
     found.  Truncated at max_results.
+
+    Factors each n once, for lambda(n), and strips each order down from
+    gcd(2*pi, lambda(n)); only the rings returned are built as RingSpecs.
     """
     _check_search_args(pi, n_limit, p_limit)
     if max_results < 1:
@@ -144,21 +149,25 @@ def enumerate_realizations(
     results: list[RealizationResult] = []
     for n in range(2, n_limit + 1):
         stats.n_candidates += 1
+        lam, lam_primes = _carmichael(n)
+        g = math.gcd(2 * pi, lam)
         for p in primes:
             if n % p == 0:  # p divides n, not a valid ring
                 continue
             stats.p_candidates += 1
-            if pow(p, 2 * pi, n) != 1:  # pi is omega or omega/2: omega | 2*pi
+            # pi is omega or omega/2, so omega | 2*pi; omega | lam, so omega | g
+            if pow(p, g, n) != 1:
+                continue
+            omega = _order_dividing(p, n, g, lam_primes)
+            classified = _classify(p, n, omega)
+            if classified[0] != pi:
                 continue
             spec = RingSpec(p, n)
-            report = period_of(spec)
-            if report.pi != pi:
-                continue
             results.append(
                 RealizationResult(
                     target_pi=pi,
                     spec=spec,
-                    report=report,
+                    report=PeriodReport(spec, omega, *classified),
                     residue_used=None,
                     search_stats=dataclasses.replace(stats),
                 )

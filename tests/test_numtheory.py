@@ -8,6 +8,8 @@ from hkkit.numtheory import (
     NoPrimesInClassError,
     NotAUnitError,
     _MR_CERTIFIED_BOUND,
+    _carmichael,
+    _order_dividing,
     _rho_divisor,
     find_prime_in_class,
     is_prime,
@@ -121,6 +123,32 @@ class TestMultiplicativeOrder:
             multiplicative_order(15, 9)
         with pytest.raises(ValueError, match="^modulus must be at least 2, got 1$"):
             multiplicative_order(1, 1)
+
+
+class TestOrderHelpers:
+    """The two halves of multiplicative_order, which enumerate_realizations
+    calls on their own: lambda(n) once per modulus, then each order from a
+    known multiple of it."""
+
+    @given(
+        st.integers(min_value=2, max_value=10**5 - 1),
+        st.integers(min_value=1),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_order_from_any_multiple(self, n, a, k):
+        if math.gcd(a, n) != 1:
+            return
+        m = k * naive_order(a, n)
+        assert _order_dividing(a, n, m, set(prime_factors(m))) == naive_order(a, n)
+
+    def test_carmichael_is_the_least_universal_exponent(self):
+        for n in range(2, 300):
+            units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+            least = next(m for m in range(1, n + 1)
+                         if all(pow(a, m, n) == 1 for a in units))
+            lam, primes = _carmichael(n)
+            assert lam == least, n
+            assert set(prime_factors(lam)) <= primes, n
 
 
 class TestPrimeFactors:

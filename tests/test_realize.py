@@ -1,8 +1,10 @@
 import dataclasses
+import importlib
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hkkit.closed_form import RingSpec
 from hkkit.numtheory import is_prime, multiplicative_order
@@ -229,3 +231,43 @@ class TestEnumerateRealizations:
         assert time.perf_counter() - start < 0.3
         assert results
         assert all(r.report.pi == 6 for r in results)
+
+    @given(
+        st.integers(min_value=1, max_value=48),
+        st.integers(min_value=2, max_value=80),
+        st.integers(min_value=2, max_value=80),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    @example(2**89 - 1, 80, 80, 10**6)  # 2*pi past is_prime's certified range
+    @example(10**30, 80, 80, 10**6)  # 2*pi with a large composite cofactor
+    @settings(max_examples=50, deadline=None)
+    def test_matches_sweep_reference_anywhere(self, pi, n_limit, p_limit, max_results):
+        # orders come from gcd(2*pi, lambda(n)), so pi is never factored
+        assert enumerate_realizations(pi, n_limit, p_limit, max_results) == (
+            enumerate_by_sweep(pi, n_limit, p_limit, max_results)
+        )
+
+    def test_box_classifies_without_period_of(self, monkeypatch):
+        # each n is factored once for lambda(n): no per-ring order or period
+        # call, and a RingSpec (one Miller-Rabin on p) only for each result
+        def refuse(*args):
+            raise AssertionError("called per ring")
+
+        # hkkit.realize names the function, so the modules come from importlib
+        modules = {m: importlib.import_module(f"hkkit.{m}")
+                   for m in ("numtheory", "period", "realize")}
+        for m in ("realize", "period"):
+            monkeypatch.setattr(modules[m], "period_of", refuse)
+        for m in ("period", "numtheory"):
+            monkeypatch.setattr(modules[m], "multiplicative_order", refuse)
+        built = []
+        post_init = RingSpec.__post_init__
+
+        def counted(spec):
+            built.append(spec)
+            post_init(spec)
+
+        monkeypatch.setattr(RingSpec, "__post_init__", counted)
+        results = enumerate_realizations(6, 300, 300, 10**6)
+        assert len(results) == len(built) == 1017
+        assert [r.spec for r in results] == built

@@ -9,11 +9,15 @@ Orders come from the factored Carmichael function, so an order modulo any
 
 import math
 
-# Largest input for which the fixed witness set below is a *proven*
-# deterministic primality test (first 12 primes; certified bound from
-# Sorenson-Webster).  Comfortably past 2**64.
-_MR_CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Rows (psi_k, k) of OEIS A014233 where psi_k grows: Miller-Rabin on the first
+# k primes proves every m < psi_k (Jaeschke 1993; Sorenson-Webster 2017).  The
+# last psi is the certified bound, comfortably past 2**64.
+_MR_TIERS = ((2047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+             (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+             (3_825_123_056_546_413_051, 9), (318_665_857_834_031_151_167_461, 12),
+             (3_317_044_064_679_887_385_961_981, 13))
+_MR_CERTIFIED_BOUND = _MR_TIERS[-1][0]
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class NotAUnitError(ValueError):
@@ -40,13 +44,13 @@ def multiplicative_order(a: int, n: int) -> int:
     g = math.gcd(a, n)
     if g != 1:
         raise NotAUnitError(f"{a} is not a unit modulo {n} (gcd = {g})")
-    return _order_dividing(a, n, *_carmichael(n))
+    return _order_dividing(a, n, *_carmichael(prime_factors(n)))
 
 
-def _carmichael(n: int) -> tuple[int, set[int]]:
-    """lambda(n), the exponent of the units mod n, and a set holding its primes."""
+def _carmichael(factors: dict[int, int]) -> tuple[int, set[int]]:
+    """From n's factors: lambda(n), the units' exponent, and a set holding its primes."""
     lam, primes = 1, set()
-    for q, k in prime_factors(n).items():
+    for q, k in factors.items():
         part = (q - 1) * q ** (k - 1)
         if q == 2 and k >= 3:
             part //= 2  # lambda(2^k) = 2^(k-2) for k >= 3
@@ -132,10 +136,11 @@ def _rho_divisor(m: int) -> int:
 def is_prime(m: int) -> bool:
     """Deterministic primality test.
 
-    Fixed-witness Miller-Rabin, exact for every m below ~3.3e24 (so in
-    particular for the full 64-bit range).  m < 2 is not prime.  Inputs past
-    the certified bound raise rather than silently degrade to a probabilistic
-    answer.
+    Trial division by the primes through 41, then Miller-Rabin on the first
+    k primes, the least k that A014233 proves exact for m: one base below
+    2047, four below 3.2e9, all 13 below ~3.3e24 (well past 2**64).  m < 2
+    is not prime.  Inputs past the certified bound raise rather than
+    silently degrade to a probabilistic answer.
     """
     if m >= _MR_CERTIFIED_BOUND:
         raise ValueError(
@@ -146,11 +151,14 @@ def is_prime(m: int) -> bool:
     for w in _MR_WITNESSES:
         if m % w == 0:
             return m == w
+    if m < 41 * 41:  # no prime factor up to 41, so none at all
+        return True
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w in _MR_WITNESSES:
+    k = next(k for psi, k in _MR_TIERS if m < psi)
+    for w in _MR_WITNESSES[:k]:
         x = pow(w, d, m)
         if x == 1 or x == m - 1:
             continue

@@ -9,7 +9,6 @@ pi.  Dirichlet guarantees the primes exist but gives no bound, so every
 search here takes explicit limits and reports exhaustion rather than spinning.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -139,7 +138,8 @@ def enumerate_realizations(
     found.  Truncated at max_results.
 
     Factors each n once, for lambda(n), and strips each order down from
-    gcd(2*pi, lambda(n)); only the rings returned are built as RingSpecs.
+    gcd(2*pi, lambda(n)), skipping (but counting) every p at an n where pi
+    does not divide that gcd.  Only the rings returned are built as RingSpecs.
     """
     _check_search_args(pi, n_limit, p_limit)
     if max_results < 1:
@@ -149,8 +149,12 @@ def enumerate_realizations(
     results: list[RealizationResult] = []
     for n in range(2, n_limit + 1):
         stats.n_candidates += 1
-        lam, lam_primes = _carmichael(n)
+        factors = prime_factors(n)
+        lam, lam_primes = _carmichael(factors)
         g = math.gcd(2 * pi, lam)
+        if g % pi != 0:  # pi | omega | g for any p of period pi
+            stats.p_candidates += len(primes) - sum(q <= p_limit for q in factors)
+            continue
         for p in primes:
             if n % p == 0:  # p divides n, not a valid ring
                 continue
@@ -169,7 +173,7 @@ def enumerate_realizations(
                     spec=spec,
                     report=PeriodReport(spec, omega, *classified),
                     residue_used=None,
-                    search_stats=dataclasses.replace(stats),
+                    search_stats=SearchStats(stats.n_candidates, stats.p_candidates),
                 )
             )
             if len(results) >= max_results:

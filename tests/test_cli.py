@@ -147,6 +147,14 @@ class TestPeriod:
         assert lines[0] == "p,n,omega,pi,branch,involution,phi_profile"
         assert lines[1] == "2,5,4,2,HALF,true,4;6;4;6"
 
+    def test_strong_pseudoprime_characteristic_is_invalid_input(self, capsys):
+        # 399165290221 * 798330580441 passes Miller-Rabin to the first 12 prime
+        # bases (A014233); it must be refused, not treated as prime
+        code, out, err = run(capsys, "period", "--p", "318665857834031151167461", "--n", "7")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_large_profile_prints_in_bounded_memory(self, capsys, fmt):
         # omega = 1,000,002 values, 13-18 MB of text; rendered value by value,

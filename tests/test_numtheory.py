@@ -8,6 +8,7 @@ from hkkit.numtheory import (
     NoPrimesInClassError,
     NotAUnitError,
     _MR_CERTIFIED_BOUND,
+    _MR_TIERS,
     _carmichael,
     _order_dividing,
     _rho_divisor,
@@ -26,6 +27,59 @@ def _trial_division_prime(m: int) -> bool:
         if m % d == 0:
             return False
         d += 1
+    return True
+
+
+# OEIS A014233 below the certified bound, each with a proper divisor: psi_k is
+# the least odd composite that is a strong pseudoprime to the first k prime
+# bases, so a witness tier that ends one row too late answers True on it
+PSEUDOPRIMES = [
+    (2047, 23),
+    (1373653, 829),
+    (25326001, 2251),
+    (3215031751, 151 * 751),
+    (2152302898747, 6763 * 10627),
+    (3474749660383, 1303 * 16927),
+    (341550071728321, 10670053),
+    (3825123056546413051, 149491 * 747451),
+    (318665857834031151167461, 399165290221),
+]
+
+WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _sieve(limit: int) -> bytearray:
+    """flags[m] == 1 exactly when m < limit is prime (Eratosthenes)."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for d in range(2, math.isqrt(limit - 1) + 1):
+        if flags[d]:
+            flags[d * d::d] = bytes(len(range(d * d, limit, d)))
+    return flags
+
+
+def _thirteen_witness_prime(m: int) -> bool:
+    """Miller-Rabin on all 13 primes through 41: exact below 3.317e24 (A014233)."""
+    if m < 2:
+        return False
+    if m in WITNESS_PRIMES:
+        return True
+    if m % 2 == 0:
+        return False
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for w in WITNESS_PRIMES:
+        x = pow(w, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -146,7 +200,7 @@ class TestOrderHelpers:
             units = [a for a in range(1, n) if math.gcd(a, n) == 1]
             least = next(m for m in range(1, n + 1)
                          if all(pow(a, m, n) == 1 for a in units))
-            lam, primes = _carmichael(n)
+            lam, primes = _carmichael(prime_factors(n))
             assert lam == least, n
             assert set(prime_factors(lam)) <= primes, n
 
@@ -211,8 +265,37 @@ class TestIsPrime:
         assert not is_prime(18446744073709551556)
 
     def test_witnesses_themselves(self):
-        for w in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        for w in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
             assert is_prime(w)
+
+    @pytest.mark.parametrize("psi, divisor", PSEUDOPRIMES)
+    def test_strong_pseudoprimes_rejected(self, psi, divisor):
+        assert 1 < divisor < psi and divisor * (psi // divisor) == psi
+        assert not is_prime(psi)
+
+    def test_tiers_are_a014233(self):
+        # every psi_k below the bound is listed above, so each tier edge is tested
+        assert [psi for psi, _ in _MR_TIERS[:-1]] == [psi for psi, _ in PSEUDOPRIMES]
+        assert _MR_TIERS[-1] == (_MR_CERTIFIED_BOUND, 13)
+
+    def test_agrees_with_sieve_through_two_witness_tiers(self):
+        # every m below psi_2 = 1373653: trial division, then one or two bases
+        limit = PSEUDOPRIMES[1][0]
+        got, flags = bytes(is_prime(m) for m in range(limit)), _sieve(limit)
+        assert got == flags, next(m for m in range(limit) if got[m] != flags[m])
+
+    @given(st.integers(min_value=0, max_value=len(PSEUDOPRIMES)).flatmap(
+        lambda k: st.integers(
+            min_value=PSEUDOPRIMES[k - 1][0] if k else 0,
+            max_value=(PSEUDOPRIMES[k][0] if k < len(PSEUDOPRIMES)
+                       else _MR_CERTIFIED_BOUND) - 65,
+        )
+    ))
+    def test_agrees_with_thirteen_witnesses_in_every_tier(self, start):
+        # 64 consecutive m from a point in one band [psi_(k-1), psi_k), so
+        # primes come up at every size, not only composites
+        for m in range(start, start + 64):
+            assert is_prime(m) == _thirteen_witness_prime(m), m
 
     def test_refuses_beyond_certified_range(self):
         with pytest.raises(ValueError):

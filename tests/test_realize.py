@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import math
 import time
 import tracemalloc
 
@@ -271,3 +272,23 @@ class TestEnumerateRealizations:
         results = enumerate_realizations(6, 300, 300, 10**6)
         assert len(results) == len(built) == 1017
         assert [r.spec for r in results] == built
+
+    def test_moduli_without_pi_in_gcd_are_skipped(self, monkeypatch):
+        # pi | omega | gcd(2*pi, lambda(n)) for any ring of period pi, so an n
+        # where pi does not divide that gcd never needs an order
+        realize_module = importlib.import_module("hkkit.realize")
+        honest, reached = realize_module._order_dividing, set()
+
+        def counted(a, n, m, primes):
+            reached.add(n)
+            return honest(a, n, m, primes)
+
+        monkeypatch.setattr(realize_module, "_order_dividing", counted)
+        pi, box = 24, 300
+        results = enumerate_realizations(pi, box, box, 10**6)
+        lam = {n: math.lcm(*(multiplicative_order(a, n) for a in range(1, n)
+                             if math.gcd(a, n) == 1))
+               for n in range(2, box + 1)}
+        skipped = {n for n in lam if math.gcd(2 * pi, lam[n]) % pi != 0}
+        assert reached and skipped and not reached & skipped
+        assert {r.spec.n for r in results} <= reached

@@ -19,6 +19,8 @@ import json
 import os
 import sys
 from collections.abc import Sequence
+from itertools import chain
+from operator import attrgetter
 
 from .closed_form import HKRecord, RingSpec, hk_table, hk_value
 from .groebner import (
@@ -37,39 +39,49 @@ LIMITS = {
 
 
 def _cell(value, sep: str) -> str:
-    """The text of one printed value, the only conversion the views make: a bool
-    as true/false, a report as its phi_profile joined by sep, the rest by str."""
+    """The text of one record value: a bool as true/false, a report as its
+    phi_profile joined by sep (one cycle rendered by one % call, then repeated),
+    the rest by str.  Tables of ints are rendered whole by _emit and _json."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, PeriodReport):
-        return sep.join([sep.join(map(str, value.cycle))] * (value.omega // value.pi))
+        cycle = sep.join(["%d"] * value.pi) % value.cycle
+        return sep.join([cycle] * (value.omega // value.pi))
     return str(value)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Rows:
+    """NamedTuples of ints that _json prints as a list of sorted-key objects."""
+
+    records: Sequence[tuple]
 
 
 def _json(doc) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) and a newline, each report as its
-    phi_profile list: spliced in at the indent of the mark the encoder left."""
-    reports = []
+    phi_profile list and each _Rows as its list of objects: rendered by one %
+    call and spliced in at the indent of the mark the encoder left."""
+    marks = []
 
-    def mark(obj):  # a report is kept and printed as "\u0000"; json refuses the rest
-        if isinstance(obj, PeriodReport):
-            return reports.append(obj) or "\0"
+    def mark(obj):  # a mark is kept and printed as "\u0000"; json refuses the rest
+        if isinstance(obj, (PeriodReport, _Rows)):
+            return marks.append(obj) or "\0"
         return json.JSONEncoder().default(obj)
 
     parts = json.dumps(doc, sort_keys=True, indent=2, default=mark).split('"\\u0000"')
     out = []
-    for head, r in zip(parts[:-1], reports, strict=True):
+    for head, obj in zip(parts[:-1], marks, strict=True):
         line = head[head.rfind("\n") + 1:]
         pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        out += [head, f"[{pad}  ", _cell(r, "," + pad + "  "), f"{pad}]"]
+        if isinstance(obj, PeriodReport):
+            text = _cell(obj, "," + pad + "  ")
+        else:
+            keys = sorted(obj.records[0]._fields)
+            row = "{" + ",".join([f'{pad}    "{k}": %d' for k in keys]) + pad + "  }"
+            values = chain.from_iterable(map(attrgetter(*keys), obj.records))
+            text = f",{pad}  ".join([row] * len(obj.records)) % tuple(values)
+        out += [head, f"[{pad}  ", text, f"{pad}]"]
     return "".join([*out, parts[-1], "\n"])
-
-
-def _aligned(table) -> list[str]:
-    """Right-aligned columns, two spaces apart."""
-    cells = [[_cell(c, " ") for c in row] for row in table]
-    widths = [max(len(row[k]) for row in cells) for k in range(len(cells[0]))]
-    return ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
 
 
 def _pairs(fields: dict) -> list[str]:
@@ -81,25 +93,34 @@ def _pairs(fields: dict) -> list[str]:
 def _emit(fmt: str, doc, table, plain=None) -> None:
     """Write one result to stdout as fmt, building only that format's view.
 
-    doc() gives the JSON document, table() the header row and records for
-    CSV, and plain() the lines of plain text (by default the table, aligned).
+    doc() gives the JSON document, table() the header row and rows for CSV,
+    and plain() the lines of plain text (by default the table in right-aligned
+    columns, two spaces apart).  Table cells are ints and str, never bool: each
+    view fills one row template, repeated over all rows, with one % call.
     Each CSV row is its cells joined by commas, unquoted: every cell the CLI
     prints is letters, digits, spaces and `_^*+;`, which csv.writer never quotes.
     """
     if fmt == "json":
         sys.stdout.write(_json(doc()))
-    elif fmt == "csv":
-        for row in table():
-            sys.stdout.write(",".join([_cell(c, ";") for c in row]) + "\n")
-    else:
-        for line in plain() if plain else _aligned(table()):
+    elif fmt == "plain" and plain:
+        for line in plain():
             print(line)
+    else:
+        rows = list(table())
+        width, cells = len(rows[0]), tuple(chain.from_iterable(rows))
+        if fmt == "csv":
+            line = ",".join(["%s"] * width)
+        else:  # each column right-aligned to its widest cell
+            cells = tuple(map(str, cells))
+            line = "  ".join([f"%{max(map(len, cells[k::width]))}s" for k in range(width)])
+        sys.stdout.write((line + "\n") * len(rows) % cells)
 
 
 def _emit_record(fmt: str, fields: dict, doc=None) -> None:
     """One record: a CSV row, `key  value` plain lines, doc() or fields as JSON."""
-    table = [list(fields), fields.values()]
-    _emit(fmt, doc or (lambda: fields), lambda: table, lambda: _pairs(fields))
+    _emit(fmt, doc or (lambda: fields),
+          lambda: [list(fields), [_cell(v, ";") for v in fields.values()]],
+          lambda: _pairs(fields))
 
 
 def _report(r: PeriodReport) -> dict:  # a view that prints the profile adds r itself
@@ -111,7 +132,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
     records = hk_table(spec, args.emax)
     doc = {"p": spec.p, "n": spec.n}
-    _emit(args.format, lambda: {**doc, "rows": [r._asdict() for r in records]},
+    _emit(args.format, lambda: {**doc, "rows": _Rows(records)},
           lambda: [HKRecord._fields, *records])
     return 0
 

@@ -93,6 +93,6 @@ def hk_table(spec: RingSpec, e_max: int) -> list[HKRecord]:
     for e in range(e_max + 1):
         b = q % spec.n
         phi = b * (spec.n - b)
-        rows.append(HKRecord(e=e, q=q, b=b, hk=spec.n * q - phi, phi=phi))
+        rows.append(HKRecord(e, q, b, spec.n * q - phi, phi))
         q *= spec.p
     return rows

@@ -158,8 +158,9 @@ class TestPeriod:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_large_profile_prints_in_bounded_memory(self, capsys, fmt):
         # omega = 1,000,002 values, 13-18 MB of text; rendered value by value,
-        # the traced peak was 117 MB (json) and 126 MB (csv), and is 55 MB from
-        # one rendered cycle
+        # the traced peak was 117 MB (json) and 126 MB (csv), 55 MB from one
+        # rendered cycle, and is 53 MB (json) and 51 MB (csv) with the cycle
+        # rendered by one % call
         tracemalloc.start()
         try:
             code = main(["period", "--p", "2", "--n", "1000003", "--format", fmt])

@@ -16,9 +16,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hkkit.cli import _json, main
+from hkkit.cli import _json, _Rows, main
 from hkkit.closed_form import RingSpec, hk_table, hk_value
 from hkkit.groebner import Q_CAP_DEFAULT
 from hkkit.period import period_of
@@ -305,3 +305,85 @@ def test_json_splices_every_profile_and_refuses_other_types():
          "b": [list(full.phi_profile), {"c": list(half.phi_profile)}]})
     with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
         _json({"a": half, "x": Fraction(1, 2)})
+
+
+def stdlib_rendering(command: str) -> str:
+    """The stdout of a table, verify or period command, rendered from plain
+    arithmetic and the library's values by aligned, csv_text and canonical."""
+    kind, *options = shlex.split(command)
+    opts = dict(zip(options[::2], options[1::2]))
+    p, n, fmt = int(opts["--p"]), int(opts["--n"]), opts["--format"]
+    spec = RingSpec(p, n)
+    if kind == "period":
+        r = period_of(spec)
+        fields = {"p": p, "n": n, "omega": r.omega, "pi": r.pi, "branch": r.branch.value,
+                  "involution": r.involution_check, "phi_profile": list(r.phi_profile)}
+        if fmt == "json":
+            return canonical(fields)
+        sep = ";" if fmt == "csv" else " "
+        cells = {**fields, "involution": str(r.involution_check).lower(),
+                 "phi_profile": sep.join(map(str, r.phi_profile))}
+        if fmt == "csv":
+            return csv_text([list(cells), cells.values()])
+        return "".join(f"{k:<11}  {v}\n" for k, v in cells.items())
+    emax = int(opts["--emax"])
+    if kind == "table":
+        header = ["e", "q", "b", "hk", "phi"]
+        rows = [[e, p**e, b, n * p**e - b * (n - b), b * (n - b)]
+                for e, b in ((e, pow(p, e, n)) for e in range(emax + 1))]
+        if fmt == "json":
+            return canonical({"p": p, "n": n, "rows": [dict(zip(header, r)) for r in rows]})
+        return (csv_text if fmt == "csv" else aligned)([header, *rows])
+    # verify under the default cap: every row passes, the basis is checked once q > n
+    rows = [(e, p**e, hk_value(spec, e), p**e > n)
+            for e in range(emax + 1) if p**e <= Q_CAP_DEFAULT]
+    if fmt == "json":
+        return canonical({
+            "p": p, "n": n, "q_cap": Q_CAP_DEFAULT, "all_pass": True,
+            "skipped_e": list(range(len(rows), emax + 1)),
+            "rows": [{"e": e, "q": q, "closed_form": hk, "oracle": hk,
+                      "basis_check": True if basis else None, "pass": True}
+                     for e, q, hk, basis in rows],
+        })
+    name, cell = ("basis_check", ["na", "pass"]) if fmt == "csv" else ("basis", ["-", "ok"])
+    table = [["e", "q", "closed_form", "oracle", name, "status"]]
+    table += ([e, q, hk, hk, cell[basis], "PASS"] for e, q, hk, basis in rows)
+    return csv_text(table) if fmt == "csv" else aligned(table)
+
+
+@st.composite
+def rendered_commands(draw) -> str:
+    """A table, verify or period invocation with p <= 13, n < 10^6, emax <= 60."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.one_of(st.integers(2, 999), st.integers(1000, 10**6 - 1)).filter(
+        lambda n: n % p))
+    kind = draw(st.sampled_from(["table", "verify", "period"]))
+    emax = "" if kind == "period" else f" --emax {draw(st.integers(0, 60))}"
+    fmt = draw(st.sampled_from(["plain", "csv", "json"]))
+    return f"{kind} --p {p} --n {n}{emax} --format {fmt}"
+
+
+@given(rendered_commands())
+@settings(deadline=None)
+@example("table --p 2 --n 7 --emax 0 --format plain")  # one row, the header wider than every value
+@example("period --p 3 --n 2 --format plain")  # omega = 1
+@example("period --p 3 --n 2 --format csv")
+# b and phi have 3 and 6 digits from e = 5 to 9 (b = 243, phi = 183951 at e = 5),
+# but 2 and 5 in the last row (b = 49, phi = 46599)
+@example("table --p 3 --n 1000 --emax 10 --format plain")
+def test_stdout_is_the_stdlib_rendering(command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(shlex.split(command))
+    assert code == 0, err.getvalue()
+    assert out.getvalue() == stdlib_rendering(command)
+
+
+def test_json_splices_table_rows_and_profiles_alike():
+    # both marks, at two depths, rendered by the one splice loop
+    report, records = period_of(RingSpec(3, 7)), hk_table(RingSpec(3, 1000), 10)
+    doc = {"rows": _Rows(records), "z": [{"profile": report, "rows": _Rows(records[:1])}]}
+    assert _json(doc) == canonical({
+        "rows": [r._asdict() for r in records],
+        "z": [{"profile": list(report.phi_profile), "rows": [records[0]._asdict()]}],
+    })

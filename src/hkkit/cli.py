@@ -5,7 +5,7 @@ Subcommands: table (Hilbert-Kunz values), period (period report), realize
 Groebner oracle), gb (display a reduced basis).  Data goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
 2 invalid input, 3 search exhausted, 4 internal fault (a library
-self-check failed).
+self-check failed, or memory ran out).
 
 All output is deterministic and integer-exact; JSON is rendered canonically
 (sorted keys, two-space indent) so identical invocations are byte-identical
@@ -296,6 +296,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RuntimeError as exc:
         # a library self-check failed: not the caller's input, nor a mismatch
         print(f"error: internal fault: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:  # README reserves exit 1 for a verification failure
+        print("error: internal fault: out of memory", file=sys.stderr)
         return 4
     finally:
         if limit:

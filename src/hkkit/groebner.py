@@ -84,19 +84,17 @@ class QCapExceededError(ValueError):
 def capped_q(p: int, e: int, q_cap: int) -> int:
     """q = p^e; ValueError if e < 0 or q_cap < 1, QCapExceededError if q > q_cap.
 
-    Multiplies one factor of p at a time and stops at the first power past
-    the cap, so the check costs O(log q_cap) whatever e is and never builds
-    a power larger than p * q_cap.
+    For p >= 2, p^e >= 2^(e * (bits(p) - 1)), so an e at which that bound
+    has more bits than q_cap is refused from bit lengths alone, in O(1)
+    whatever e is.  Otherwise e * bits(p) < 2 * bits(q_cap) - 1, and the one
+    power built, p^e, stays below q_cap^2.
     """
     if e < 0:
         raise ValueError(f"e must be nonnegative, got {e}")
     if q_cap < 1:
         raise ValueError(f"q_cap must be positive, got {q_cap}")
-    q = 1
-    for _ in range(e):
-        q *= p
-        if q > q_cap:
-            raise QCapExceededError(p, e, q_cap)
+    if e * (p.bit_length() - 1) >= q_cap.bit_length() or (q := p**e) > q_cap:
+        raise QCapExceededError(p, e, q_cap)
     return q
 
 

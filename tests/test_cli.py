@@ -489,6 +489,29 @@ class TestDriver:
         assert out == ""
         assert err == f"error: internal fault: {fault}\n"
 
+    def test_out_of_memory_exits_4(self, capsys):
+        # pi = 4.6 * 10^18: CPython refuses a list of pi cycle templates on its
+        # size check, before anything is allocated; exit 1 would claim a mismatch
+        code, out, err = run(capsys, "period", "--p", "3", "--n", "9223372036854775783")
+        assert (code, out, err) == (4, "", "error: internal fault: out of memory\n")
+
+    def test_failed_allocation_exits_4(self):
+        # JSON lists every skipped e, and list(range(...)) at emax 10^12 asks
+        # malloc for about 8 TB; the child limits its own address space to
+        # 1 GiB, so the request fails there whatever this machine's memory
+        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                 "from hkkit.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(hkkit.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = "verify --p 2 --n 5 --emax 1000000000000 --format json".split()
+        done = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr.splitlines() == [
+            "skipped e = 10..1000000000000: q = p^e exceeds the oracle cap 512",
+            "error: internal fault: out of memory",
+        ]
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no int/str digit limit before CPython 3.10.7")
     def test_digit_limit_is_the_callers_after_every_exit(self, capsys, monkeypatch):

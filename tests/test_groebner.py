@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from hkkit.groebner import (
     PairBudgetExceededError,
     QCapExceededError,
     buchberger,
+    capped_q,
     count_under_staircase,
     frobenius_power_generators,
     hk_brute,
@@ -20,6 +23,7 @@ from hkkit.groebner import (
     s_polynomial,
     verify_closed_form_basis,
 )
+from hkkit.numtheory import _MR_CERTIFIED_BOUND, is_prime
 
 X = Monomial(1, 0)
 Y = Monomial(0, 1)
@@ -524,6 +528,59 @@ class TestHKBrute:
             hk_brute(RingSpec(2, 5), 1, q_cap=0)
 
 
+def capped_q_by_steps(p, e, q_cap):
+    """The cap rule one factor of p at a time: the reference capped_q must match."""
+    if e < 0:
+        raise ValueError(f"e must be nonnegative, got {e}")
+    if q_cap < 1:
+        raise ValueError(f"q_cap must be positive, got {q_cap}")
+    q = 1
+    for _ in range(e):
+        q *= p
+        if q > q_cap:
+            raise QCapExceededError(p, e, q_cap)
+    return q
+
+
+def cap_outcome(check, p, e, q_cap):
+    """q, or the type, text and attributes of the error check raises."""
+    try:
+        return check(p, e, q_cap)
+    except ValueError as exc:  # QCapExceededError included
+        return type(exc), str(exc), vars(exc)
+
+
+# small primes, one of 14 bits, a Mersenne prime, and the primes just below
+# the certified primality bound, which is about 2^81.5
+CAP_PRIMES = [2, 3, 5, 7, 13, 10007, 2**61 - 1,
+              *(m for m in range(_MR_CERTIFIED_BOUND - 300, _MR_CERTIFIED_BOUND) if is_prime(m))]
+
+
+class TestCappedQ:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_stepwise_reference(self, data):
+        p = data.draw(st.sampled_from(CAP_PRIMES), label="p")
+        k = data.draw(st.integers(0, 64), label="k")
+        q_cap = p**k + data.draw(st.integers(-1, 1), label="offset")  # 0 once, at k = 0
+        # e from the whole range, near k, and where the bit-length bound of
+        # p^e first passes the cap's bit length
+        edge = -(-q_cap.bit_length() // (p.bit_length() - 1))
+        e = data.draw(st.one_of(st.integers(0, 64), st.integers(k - 1, k + 1),
+                                st.integers(edge - 1, edge)), label="e")
+        assert cap_outcome(capped_q, p, e, q_cap) == cap_outcome(capped_q_by_steps, p, e, q_cap)
+
+    def test_cost_does_not_grow_with_e(self):
+        # multiplying in one factor of p per step takes about 1.7 s here; a
+        # bit-length test and one power take tens of ms
+        spec, e = RingSpec(2, 7), 2**18
+        expected = hk_value(spec, e)
+        start = time.perf_counter()
+        got = hk_brute(spec, e, q_cap=2**e)
+        assert time.perf_counter() - start < 0.5
+        assert got == expected
+
+
 class TestVerifyClosedFormBasis:
     def test_passes_on_known_instances(self):
         check = verify_closed_form_basis(RingSpec(2, 5), 3)
@@ -671,3 +728,35 @@ class TestInternalPolynomialsAreNormalized:
         predicted = [FpPoly(p, {(b, q - b): 1}), FpPoly(p, {(0, q): 1}), relation]
         assert (lhs, [relation]) in seen
         assert any(basis == predicted for _, basis in seen)
+
+
+FORMULA_NAMES = {"hk_value", "phi_value", "residue_b", "hk_table", "period_of",
+                 "multiplicative_order"}
+
+
+class TestOracleIndependence:
+    """The oracle's agreement with the formula is evidence only if it never calls it."""
+
+    def test_namespace_holds_no_formula_name(self):
+        assert not FORMULA_NAMES & set(vars(groebner))
+
+    def test_answers_with_the_formula_disabled(self, monkeypatch):
+        # ring, e, colength n*q - b*(n - b), q and b; rings built before patching
+        cases = [(RingSpec(2, 7), 5, 212, 32, 4), (RingSpec(3, 5), 4, 401, 81, 1)]
+
+        def refuse(*args):
+            raise AssertionError("the oracle consulted the formula")
+
+        patched = set()
+        for name in ("closed_form", "period", "numtheory"):
+            module = importlib.import_module(f"hkkit.{name}")
+            for attr in FORMULA_NAMES & set(vars(module)):
+                monkeypatch.setattr(module, attr, refuse)
+                patched.add(attr)
+        assert patched == FORMULA_NAMES
+        for spec, e, colength, q, b in cases:
+            assert hk_brute(spec, e) == colength
+            check = verify_closed_form_basis(spec, e)
+            assert (check.ok, check.q, check.b) == (True, q, b)
+            assert check.computed_staircase == (
+                Monomial(0, q), Monomial(b, q - b), Monomial(spec.n, 0))

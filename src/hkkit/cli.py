@@ -24,8 +24,8 @@ from operator import attrgetter
 
 from .closed_form import HKRecord, RingSpec, hk_table, hk_value
 from .groebner import (
-    Q_CAP_DEFAULT, QCapExceededError, buchberger, capped_q, count_under_staircase,
-    frobenius_power_generators, hk_brute, verify_closed_form_basis,
+    Q_CAP_DEFAULT, QCapExceededError, _power_generators, buchberger, capped_q,
+    count_under_staircase, hk_brute, verify_closed_form_basis,
 )
 from .period import PeriodReport, period_of
 from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, realize
@@ -208,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gb(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
     q = capped_q(spec.p, args.e, args.qcap)
-    gb = buchberger(frobenius_power_generators(spec, args.e))
+    gb = buchberger(_power_generators(spec, q))
     count = count_under_staircase(gb.staircase)
     head = {"p": spec.p, "n": spec.n, "e": args.e, "q": q}
     generators = [str(g) for g in gb.generators]

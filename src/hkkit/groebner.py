@@ -9,6 +9,11 @@ is only evidence because the routes share no code.
 
 Monomial order is lex with x > y throughout, which for exponent pairs (i, j)
 is plain tuple comparison.
+
+Every normal form runs one loop, _normal_form, over a table of rewrite rules
+built once per divisor polynomial (_rule): buchberger adds a rule as each
+basis element joins, and every other pass over a fixed list builds its table
+once for all the polynomials it reduces.
 """
 
 import heapq
@@ -105,12 +110,13 @@ class FpPoly:
     coefficients, rejects a composite p and negative exponents, and reduces
     each coefficient mod p.  Stored coefficients are least nonnegative
     representatives in [1, p-1]; the zero polynomial is the empty map.
-    Instances are immutable by convention.  The operations are the ones the
-    oracle uses: leading_term, subtraction, mul_monomial, monic, equality and
-    str; there is no addition, product or hash.
+    Instances are immutable by convention, so the leading term is found on
+    its first read and kept.  The operations are the ones the oracle uses:
+    leading_term, subtraction, mul_monomial, monic, equality and str; there
+    is no addition, product or hash.
     """
 
-    __slots__ = ("p", "terms")
+    __slots__ = ("p", "terms", "_lead")
 
     def __init__(self, p: int, terms: Mapping):
         if not is_prime(p):
@@ -125,6 +131,7 @@ class FpPoly:
                 clean[mono] = c
         self.p = p
         self.terms = clean
+        self._lead = None
 
     @classmethod
     def _raw(cls, p: int, terms: dict[Monomial, int]) -> "FpPoly":
@@ -132,16 +139,20 @@ class FpPoly:
         poly = object.__new__(cls)
         poly.p = p
         poly.terms = terms
+        poly._lead = None
         return poly
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def leading_term(self) -> tuple[Monomial, int]:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        mono = max(self.terms)
-        return mono, self.terms[mono]
+        lead = self._lead
+        if lead is None:
+            if not self.terms:
+                raise ValueError("the zero polynomial has no leading term")
+            mono = max(self.terms)
+            lead = self._lead = (mono, self.terms[mono])
+        return lead
 
     def _check_char(self, other: "FpPoly") -> None:
         if self.p != other.p:
@@ -249,6 +260,56 @@ def _chain_length(
     return steps
 
 
+def _rule(g: FpPoly, earlier: Sequence[Monomial]) -> tuple:
+    """g's rewrite rule (lm, chain, rest), with earlier the leads listed before g.
+
+    A term c*m with lm | m is removed, and c*c2 is added at m2 + (m - lm) for
+    each (m2, c2) in rest: the other terms of -g/lc, lc the leading
+    coefficient.  A binomial's chain is (di, dj, earlier), its tail minus lm
+    and the leads that can cut its chain of rewrites (see reduce).
+    """
+    lm, lc = g.leading_term()
+    p, inv = g.p, pow(lc, -1, g.p)
+    rest = [(m, -c * inv % p) for m, c in g.terms.items() if m != lm]
+    if len(rest) != 1:
+        return lm, None, rest
+    tail = rest[0][0]
+    return lm, (tail.i - lm.i, tail.j - lm.j, tuple(earlier)), rest
+
+
+def _rules(basis: Sequence[FpPoly]) -> list[tuple]:
+    leads = [g.leading_term()[0] for g in basis]
+    return [_rule(g, leads[:idx]) for idx, g in enumerate(basis)]
+
+
+def _normal_form(p: int, work: dict[Monomial, int], rules: Sequence[tuple]) -> dict:
+    """Terms of the normal form of the polynomial in work, which it consumes."""
+    out: dict[Monomial, int] = {}
+    while work:
+        mono = max(work)
+        coeff = work.pop(mono)
+        for lm, chain, rest in rules:
+            if lm.i <= mono.i and lm.j <= mono.j:
+                si, sj = mono.i - lm.i, mono.j - lm.j
+                if chain:
+                    # skip the first T - 1 rewrites of the chain in one jump
+                    di, dj, earlier = chain
+                    skip = _chain_length(mono, lm, di, dj, earlier) - 1
+                    si, sj = si + skip * di, sj + skip * dj
+                    coeff = coeff * pow(rest[0][1], skip, p)
+                for m, c in rest:
+                    key = Monomial(m.i + si, m.j + sj)
+                    c = (work.get(key, 0) + coeff * c) % p
+                    if c:
+                        work[key] = c
+                    else:
+                        work.pop(key, None)
+                break
+        else:
+            out[mono] = coeff
+    return out
+
+
 def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     """Full normal form of f modulo a list of nonzero polynomials.
 
@@ -257,7 +318,8 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     is deterministic for a fixed list.  No monomial of the output is
     divisible by any basis leading monomial.  Rewriting only ever introduces
     monomials strictly below the one removed, and lex on nonnegative
-    exponents is a well-order, so this terminates.
+    exponents is a well-order, so this terminates.  Each basis element's
+    rewrite rule (_rule) is built once per call and read by every rewrite.
 
     A binomial g = lc*lm + ct*tail rewrites c*mono into -(ct/lc)*c times
     mono + (tail - lm), and so on until lm stops dividing the moving monomial
@@ -272,43 +334,11 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     oracle's ideals, whose reducers are all monomials or binomials, the jump
     turns the O(q/n) rewrites of a chain by x^n - y^n into one.
     """
-    leads = []
     for g in basis:
         if g.is_zero():
             raise ValueError("basis elements must be nonzero")
         f._check_char(g)
-        leads.append(g.leading_term())
-    p = f.p
-    work = dict(f.terms)
-    out: dict[Monomial, int] = {}
-    while work:
-        mono = max(work)
-        coeff = work.pop(mono)
-        for idx, (g, (lm, lc)) in enumerate(zip(basis, leads)):
-            if lm.divides(mono):
-                inv = pow(lc, -1, p)
-                factor = (coeff * inv) % p
-                shift = mono.div(lm)
-                if len(g.terms) == 2:
-                    tail = min(g.terms)
-                    di, dj = tail.i - lm.i, tail.j - lm.j
-                    earlier = [m for m, _ in leads[:idx]]
-                    skip = _chain_length(mono, lm, di, dj, earlier) - 1
-                    shift = Monomial(shift.i + skip * di, shift.j + skip * dj)
-                    factor = (factor * pow(-g.terms[tail] * inv, skip, p)) % p
-                for m2, c2 in g.terms.items():
-                    if m2 == lm:
-                        continue
-                    key = m2.mul(shift)
-                    c = (work.get(key, 0) - factor * c2) % p
-                    if c:
-                        work[key] = c
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            out[mono] = coeff
-    return FpPoly._raw(p, out)
+    return FpPoly._raw(f.p, _normal_form(f.p, dict(f.terms), _rules(basis)))
 
 
 @dataclass(frozen=True)
@@ -338,12 +368,11 @@ def _reduced_form(basis: list[FpPoly]) -> list[FpPoly]:
         minimal.append(g)
         kept.append(lm)
     # tail-reduce each survivor against the others; leading monomials are
-    # pairwise indivisible so one pass lands on the unique reduced form
-    out = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        out.append(reduce(g, others))
-    return out
+    # pairwise indivisible so one pass lands on the unique reduced form (a
+    # later rule's chain may also stop at g's own lead: that splits one jump)
+    rules = _rules(minimal)
+    return [FpPoly._raw(g.p, _normal_form(g.p, dict(g.terms), rules[:idx] + rules[idx + 1 :]))
+            for idx, g in enumerate(minimal)]
 
 
 def buchberger(gens: Sequence[FpPoly], pair_budget: int = 100_000) -> GroebnerBasis:
@@ -357,49 +386,65 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = 100_000) -> GroebnerBa
 
     pair_budget caps how many pairs may be processed; exhausting it raises
     PairBudgetExceededError rather than returning anything partial.
+
+    Each element's rewrite rule is built once, as it joins the basis, and
+    each S-polynomial is written straight into the dict _normal_form reduces.
     """
     if not gens:
         raise ValueError("need at least one generator")
     p = gens[0].p
-    basis = []
+    basis: list[FpPoly] = []
+    leads: list[Monomial] = []
+    rules: list[tuple] = []
+    heap: list[tuple[Monomial, int, int]] = []
+
+    def add(g: FpPoly) -> None:
+        lm = g.leading_term()[0]
+        for k, lm_k in enumerate(leads):
+            if min(lm_k.i, lm.i) == 0 and min(lm_k.j, lm.j) == 0:
+                continue  # coprime leading monomials: S-poly reduces to zero
+            heapq.heappush(heap, (lm_k.lcm(lm), k, len(basis)))
+        rules.append(_rule(g, leads))
+        basis.append(g)
+        leads.append(lm)
+
     for g in gens:
         g._check_char(gens[0])
         if g.is_zero():
             raise ValueError("generators must be nonzero")
-        basis.append(g.monic())
-
-    heap: list[tuple[Monomial, int, int]] = []
-
-    def push_pairs(new: int) -> None:
-        lm_new = basis[new].leading_term()[0]
-        for k in range(new):
-            lm_k = basis[k].leading_term()[0]
-            if min(lm_k.i, lm_new.i) == 0 and min(lm_k.j, lm_new.j) == 0:
-                continue  # coprime leading monomials: S-poly reduces to zero
-            heapq.heappush(heap, (lm_k.lcm(lm_new), k, new))
-
-    for idx in range(len(basis)):
-        push_pairs(idx)
+        add(g.monic())
 
     processed = 0
     while heap:
-        _, a, b = heapq.heappop(heap)
+        big, a, b = heapq.heappop(heap)
         processed += 1
         if processed > pair_budget:
             raise PairBudgetExceededError(
                 f"more than {pair_budget} S-pairs processed"
             )
-        remainder = reduce(s_polynomial(basis[a], basis[b]), basis)
-        if remainder.is_zero():
-            continue
-        basis.append(remainder.monic())
-        push_pairs(len(basis) - 1)
+        # (big/lm_a)*a - (big/lm_b)*b: both are monic, so their leads cancel
+        work: dict[Monomial, int] = {}
+        for k, sign in ((a, 1), (b, p - 1)):
+            lm = leads[k]
+            si, sj = big.i - lm.i, big.j - lm.j
+            for m, c in basis[k].terms.items():
+                if m != lm:
+                    key = Monomial(m.i + si, m.j + sj)
+                    c = (work.get(key, 0) + sign * c) % p
+                    if c:
+                        work[key] = c
+                    else:
+                        work.pop(key)
+        remainder = _normal_form(p, work, rules)
+        if remainder:
+            add(FpPoly._raw(p, remainder).monic())
 
     final = _reduced_form(basis)
     # membership sanity check: each input was used to build the basis, and
     # must in turn vanish modulo it
+    rules = _rules(final)
     for g in gens:
-        if not reduce(g, final).is_zero():
+        if _normal_form(p, dict(g.terms), rules):
             raise RuntimeError(
                 "input generator fails to reduce to zero modulo the computed "
                 "basis: library bug"
@@ -439,7 +484,12 @@ def frobenius_power_generators(spec: RingSpec, e: int) -> list[FpPoly]:
     """Generators x^q, y^q, x^n - y^n with q = p^e, as polynomials over F_p."""
     if e < 0:
         raise ValueError(f"e must be nonnegative, got {e}")
-    p, n, q = spec.p, spec.n, spec.p**e
+    return _power_generators(spec, spec.p**e)
+
+
+def _power_generators(spec: RingSpec, q: int) -> list[FpPoly]:
+    """x^q, y^q, x^n - y^n for a q = p^e already built, as by capped_q."""
+    p, n = spec.p, spec.n
     return [
         FpPoly._raw(p, {Monomial(q, 0): 1}),
         FpPoly._raw(p, {Monomial(0, q): 1}),
@@ -455,8 +505,7 @@ def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
     with hk_value meaningful.  q above q_cap raises QCapExceededError to
     tell the caller to fall back to the formula.
     """
-    capped_q(spec.p, e, q_cap)
-    gb = buchberger(frobenius_power_generators(spec, e))
+    gb = buchberger(_power_generators(spec, capped_q(spec.p, e, q_cap)))
     count = count_under_staircase(gb.staircase)
     if count is None:
         # x^q and y^q are in the ideal, so both axes are always blocked
@@ -517,13 +566,14 @@ def verify_closed_form_basis(
     p, n = spec.p, spec.n
     b = q % n
 
-    gens = frobenius_power_generators(spec, e)
+    gens = _power_generators(spec, q)
     _, y_power, relation = gens
     telescoping_ok = _telescopes(relation, q, b)
 
     predicted = [FpPoly._raw(p, {Monomial(b, q - b): 1}), y_power, relation]
-    spoly_ok = all(
-        reduce(s_polynomial(f, g), predicted).is_zero()
+    rules = _rules(predicted)
+    spoly_ok = not any(
+        _normal_form(p, dict(s_polynomial(f, g).terms), rules)
         for f, g in itertools.combinations(predicted, 2)
     )
 

@@ -1,5 +1,7 @@
+import heapq
 import importlib
 import itertools
+import json
 import time
 
 import pytest
@@ -11,6 +13,7 @@ from hkkit.groebner import (
     BasisCheck,
     CharacteristicMismatchError,
     FpPoly,
+    GroebnerBasis,
     Monomial,
     PairBudgetExceededError,
     QCapExceededError,
@@ -160,6 +163,36 @@ class TestPolyAlgebra:
         assert reduce(product(f, g), [g]).is_zero()
 
 
+class TestLeadingTermCache:
+    """leading_term is read once and kept; it must stay the largest term's."""
+
+    @given(poly_pair())
+    def test_cached_lead_is_the_largest_term(self, pair):
+        f, g = pair
+        for operand in (f, g):  # an operand's kept lead must not leak into results
+            if not operand.is_zero():
+                operand.leading_term()
+        results = [f - g, g - f, f.mul_monomial(Monomial(1, 2), 3),
+                   f.mul_monomial(Monomial(0, 0), 0), FpPoly._raw(f.p, dict(f.terms)),
+                   FpPoly(f.p, f.terms)]
+        if not f.is_zero():
+            results.append(f.monic())
+        if not g.is_zero():
+            results.append(reduce(f, [g]))
+        for h in results:
+            if h.is_zero():
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="zero polynomial"):
+                        h.leading_term()
+                continue
+            unread = FpPoly(h.p, h.terms)
+            top = max(h.terms)
+            for _ in range(2):
+                assert h.leading_term() == (top, h.terms[top])
+            assert h == unread and unread == h
+            assert unread.leading_term() == h.leading_term()
+
+
 class TestSPolynomial:
     def test_predicted_basis_pair_cancels_exactly(self):
         # b = 2, q = 8, p = 3: the mixed generator against the pure y power
@@ -234,13 +267,19 @@ class TestReduce:
             assert not any(lm.divides(mono) for lm in lead)
 
 
+def lead_of(g):
+    """g's leading term by max(), never through leading_term's kept value."""
+    mono = max(g.terms)
+    return mono, g.terms[mono]
+
+
 def reduce_stepwise(f, basis):
     """Reference normal form that reduce must match term for term.
 
     One rewrite per loop, no jumps: the largest monomial, by the first basis
     element (in list order) whose leading monomial divides it.
     """
-    leads = [g.leading_term() for g in basis]
+    leads = [lead_of(g) for g in basis]
     p = f.p
     work = dict(f.terms)
     out = {}
@@ -353,6 +392,79 @@ class TestBinomialChainJump:
         # an earlier lead y^(q-14) cuts the chain one step before its end
         cut = [mono_poly(2, 0, q - 14), relation(2, 7)]
         assert reduce(mono_poly(2, q, 0), cut).is_zero()
+
+
+def buchberger_reference(gens):
+    """Textbook Buchberger that buchberger must match, and the pairs it processed.
+
+    The same pair queue (smallest lcm of leads first, then the index pair,
+    coprime leads skipped) and the same final pass, but every S-polynomial
+    comes from s_polynomial, every remainder from reduce_stepwise and every
+    lead it reads itself from max(): no rewrite rules and no kept leads.
+    """
+    p = gens[0].p
+
+    def monic(g):
+        inv = pow(lead_of(g)[1], -1, p)
+        return FpPoly(p, {m: c * inv for m, c in g.terms.items()})
+
+    basis, heap = [], []
+
+    def push_pairs(new):
+        lm_new = lead_of(basis[new])[0]
+        for k in range(new):
+            lm_k = lead_of(basis[k])[0]
+            if min(lm_k.i, lm_new.i) or min(lm_k.j, lm_new.j):
+                heapq.heappush(heap, (lm_k.lcm(lm_new), k, new))
+
+    for g in gens:
+        basis.append(monic(g))
+        push_pairs(len(basis) - 1)
+    processed = 0
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        processed += 1
+        remainder = reduce_stepwise(s_polynomial(basis[a], basis[b]), basis)
+        if not remainder.is_zero():
+            basis.append(monic(remainder))
+            push_pairs(len(basis) - 1)
+    minimal = []
+    for g in sorted(basis, key=lambda g: lead_of(g)[0]):
+        if not any(lead_of(k)[0].divides(lead_of(g)[0]) for k in minimal):
+            minimal.append(g)
+    final = [reduce_stepwise(g, minimal[:idx] + minimal[idx + 1:])
+             for idx, g in enumerate(minimal)]
+    return GroebnerBasis(tuple(final), tuple(lead_of(g)[0] for g in final)), processed
+
+
+def assert_matches_reference(gens):
+    expected, processed = buchberger_reference(gens)
+    assert buchberger(gens, pair_budget=processed) == expected
+    if processed:
+        with pytest.raises(PairBudgetExceededError):
+            buchberger(gens, pair_budget=processed - 1)
+
+
+class TestBuchbergerMatchesReference:
+    # p = 2 always runs: there -1 == 1, so the subtracted half of an
+    # S-polynomial cannot be told apart by its sign
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_small_ideals(self, p, data):
+        # monomials, binomials and trinomials, so both kinds of rule and
+        # chains cut by earlier leads all occur
+        assert_matches_reference(data.draw(st.lists(small_polys(p, 5, 3), min_size=1,
+                                                    max_size=4), label="gens"))
+
+    # the benchmark's oracle box: p <= 13, n <= 40, q <= 2^17
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_frobenius_power_generators(self, p, data):
+        n = data.draw(st.integers(2, 40).filter(lambda n: n % p), label="n")
+        e = data.draw(st.sampled_from([e for e in range(18) if p**e <= 2**17]), label="e")
+        assert_matches_reference(frobenius_power_generators(RingSpec(p, n), e))
 
 
 class TestBuchberger:
@@ -581,6 +693,33 @@ class TestCappedQ:
         assert got == expected
 
 
+class TestPowerBuiltOnce:
+    """The generators take q from capped_q, which has already built p^e."""
+
+    # capped_q patched to answer 2^5 for p = 2, e = 3: generators that built
+    # p^e again would give the colength at q = 8, 7*8 - 1*6 = 50, not 212
+    SPEC, E, Q, COLENGTH = RingSpec(2, 7), 3, 32, 7 * 32 - 4 * 3
+
+    def stand_in(self, p, e, q_cap):
+        assert (p, e) == (self.SPEC.p, self.E)
+        return self.Q
+
+    def test_library_oracle(self, monkeypatch):
+        monkeypatch.setattr(groebner, "capped_q", self.stand_in)
+        assert hk_brute(self.SPEC, self.E) == self.COLENGTH
+        check = verify_closed_form_basis(self.SPEC, self.E)
+        assert (check.ok, check.q, check.b) == (True, self.Q, self.Q % self.SPEC.n)
+
+    def test_gb_command(self, monkeypatch, capsys):
+        from hkkit import cli
+
+        monkeypatch.setattr(cli, "capped_q", self.stand_in)
+        assert cli.main(["gb", "--p", "2", "--n", "7", "--e", "3", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["q"], doc["count"]) == (self.Q, self.COLENGTH)
+        assert doc["staircase"] == [[0, self.Q], [4, self.Q - 4], [7, 0]]
+
+
 class TestVerifyClosedFormBasis:
     def test_passes_on_known_instances(self):
         check = verify_closed_form_basis(RingSpec(2, 5), 3)
@@ -707,14 +846,23 @@ class TestInternalPolynomialsAreNormalized:
 
     @pytest.mark.parametrize("p, n, e", CASES)
     def test_verify_closed_form_basis(self, monkeypatch, p, n, e):
-        seen = []  # (f, basis) of every reduce call
-        honest = groebner.reduce
+        # every normal form runs through _normal_form, against rules that
+        # _rule builds one polynomial at a time: record both
+        made = {}  # id of each rule -> (rule, the polynomial it was built from)
+        seen = []  # (f, basis) of every normal form
+        honest_rule, honest_normal_form = groebner._rule, groebner._normal_form
 
-        def recording(f, basis):
-            seen.append((f, list(basis)))
-            return honest(f, basis)
+        def recording_rule(g, earlier):
+            rule = honest_rule(g, earlier)
+            made[id(rule)] = rule, g  # the rule is kept, so its id stays unique
+            return rule
 
-        monkeypatch.setattr(groebner, "reduce", recording)
+        def recording_normal_form(p, work, rules):
+            seen.append((FpPoly._raw(p, dict(work)), [made[id(r)][1] for r in rules]))
+            return honest_normal_form(p, work, rules)
+
+        monkeypatch.setattr(groebner, "_rule", recording_rule)
+        monkeypatch.setattr(groebner, "_normal_form", recording_normal_form)
         check = verify_closed_form_basis(RingSpec(p, n), e, q_cap=p**e)
         assert check.ok
         polys = [g for f, basis in seen for g in (f, *basis)]

@@ -14,6 +14,7 @@ and parse/re-render round-trips.
 
 import argparse
 import dataclasses
+import decimal
 import functools
 import json
 import os
@@ -22,7 +23,7 @@ from collections.abc import Sequence
 from itertools import chain
 from operator import attrgetter
 
-from .closed_form import HKRecord, RingSpec, hk_table, hk_value
+from .closed_form import HKRecord, RingSpec, _rows, hk_value
 from .groebner import (
     Q_CAP_DEFAULT, QCapExceededError, _power_generators, buchberger, capped_q,
     count_under_staircase, hk_brute, verify_closed_form_basis,
@@ -37,11 +38,17 @@ LIMITS = {
     "plimit": ("HKKIT_PLIMIT", SEARCH_LIMIT_DEFAULT, "characteristic search bound"),
 }
 
+# table walks q and HK(e) as Decimals in this context, where every integer is
+# exact (any rounding would raise Inexact): a row costs one multiplication by
+# p, and its text is linear in its digits, where int-to-str is quadratic
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact])
+
 
 def _cell(value, sep: str) -> str:
     """The text of one record value: a bool as true/false, a report as its
     phi_profile joined by sep (one cycle rendered by one % call, then repeated),
-    the rest by str.  Tables of ints are rendered whole by _emit and _json."""
+    the rest by str.  Tables are rendered whole by _emit and _json."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, PeriodReport):
@@ -52,7 +59,8 @@ def _cell(value, sep: str) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class _Rows:
-    """NamedTuples of ints that _json prints as a list of sorted-key objects."""
+    """NamedTuples of ints and integral Decimals that _json prints as a list of
+    sorted-key objects."""
 
     records: Sequence[tuple]
 
@@ -77,7 +85,7 @@ def _json(doc) -> str:
             text = _cell(obj, "," + pad + "  ")
         else:
             keys = sorted(obj.records[0]._fields)
-            row = "{" + ",".join([f'{pad}    "{k}": %d' for k in keys]) + pad + "  }"
+            row = "{" + ",".join([f'{pad}    "{k}": %s' for k in keys]) + pad + "  }"
             values = chain.from_iterable(map(attrgetter(*keys), obj.records))
             text = f",{pad}  ".join([row] * len(obj.records)) % tuple(values)
         out += [head, f"[{pad}  ", text, f"{pad}]"]
@@ -95,8 +103,9 @@ def _emit(fmt: str, doc, table, plain=None) -> None:
 
     doc() gives the JSON document, table() the header row and rows for CSV,
     and plain() the lines of plain text (by default the table in right-aligned
-    columns, two spaces apart).  Table cells are ints and str, never bool: each
-    view fills one row template, repeated over all rows, with one % call.
+    columns, two spaces apart).  Table cells are ints, integral Decimals and
+    str, never bool: each view fills one row template, repeated over all rows,
+    with one % call.
     Each CSV row is its cells joined by commas, unquoted: every cell the CLI
     prints is letters, digits, spaces and `_^*+;`, which csv.writer never quotes.
     """
@@ -130,7 +139,8 @@ def _report(r: PeriodReport) -> dict:  # a view that prints the profile adds r i
 
 def cmd_table(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
-    records = hk_table(spec, args.emax)
+    with decimal.localcontext(_EXACT):
+        records = _rows(spec, args.emax, decimal.Decimal(1))
     doc = {"p": spec.p, "n": spec.n}
     _emit(args.format, lambda: {**doc, "rows": _Rows(records)},
           lambda: [HKRecord._fields, *records])

@@ -10,6 +10,8 @@ phi(e) = b * (n - b).  All values are exact integers; e is uncapped.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate, cycle, repeat
+from operator import mul, sub
 from typing import NamedTuple
 
 from .numtheory import is_prime
@@ -84,15 +86,32 @@ def hk_value(spec: RingSpec, e: int) -> int:
     return spec.n * spec.p**e - phi_value(spec, e)
 
 
-def hk_table(spec: RingSpec, e_max: int) -> list[HKRecord]:
-    """Rows for e = 0..e_max, in order, with q built incrementally."""
+def _rows(spec: RingSpec, e_max: int, q) -> list[HKRecord]:
+    """Rows for e = 0..e_max.  q and HK(e) = n*q - phi take the number type of
+    the given q = p^0 (hk_table passes the int 1, the CLI an exact Decimal),
+    each q one multiplication by p from the last; e, b and phi are ints.
+
+    b = p^e mod n walks as an int, b = b * p mod n, until it returns to 1
+    after the order of p mod n; that one cycle of b and phi serves every row,
+    and phi is turned into q's type once per cycle value, not once per row.
+    The columns are built by C-level loops and zipped into records with no
+    Python call per row."""
     if e_max < 0:
         raise ValueError(f"e_max must be nonnegative, got {e_max}")
-    rows = []
-    q = 1
-    for e in range(e_max + 1):
-        b = q % spec.n
-        phi = b * (spec.n - b)
-        rows.append(HKRecord(e, q, b, spec.n * q - phi, phi))
-        q *= spec.p
-    return rows
+    p, n, number = spec.p, spec.n, type(q)
+    bs, b = [], 1
+    for _ in range(e_max + 1):
+        bs.append(b)
+        b = b * p % n
+        if b == 1:
+            break
+    phis = [b * (n - b) for b in bs]
+    qs = list(accumulate(repeat(number(p), e_max), mul, initial=q))
+    hks = map(sub, map(mul, repeat(number(n)), qs), cycle(map(number, phis)))
+    return list(map(tuple.__new__, repeat(HKRecord),
+                    zip(range(e_max + 1), qs, cycle(bs), hks, cycle(phis))))
+
+
+def hk_table(spec: RingSpec, e_max: int) -> list[HKRecord]:
+    """Rows for e = 0..e_max, in order, with q built incrementally."""
+    return _rows(spec, e_max, 1)

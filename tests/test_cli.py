@@ -1,5 +1,5 @@
 import argparse
-import contextlib
+import decimal
 import json
 import os
 import re
@@ -15,26 +15,13 @@ import pytest
 import hkkit.cli
 from hkkit.cli import main
 from hkkit.groebner import PairBudgetExceededError
-from test_cli_bytes import EXAMPLES
+from test_cli_bytes import EXAMPLES, lifted_digit_limit
 
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     for name in ("HKKIT_QCAP", "HKKIT_NLIMIT", "HKKIT_PLIMIT"):
         monkeypatch.delenv(name, raising=False)
-
-
-@contextlib.contextmanager
-def lifted_digit_limit():
-    """CPython's int/str digit limit lifted, as README tells JSON consumers to do."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def run(capsys, *argv):
@@ -537,6 +524,40 @@ class TestDriver:
             assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(before)
+
+    def test_decimal_context_is_the_callers_after_every_exit(self, capsys, monkeypatch):
+        # table computes in an exact context of its own: the caller's context, of
+        # 5 digits with Inexact untrapped and Rounded raised, rounds nothing main
+        # prints, and after each way out it is current again, settings and flags as they were
+        def broken(spec, e_max, q):
+            q * 3  # decimal arithmetic under main's context, then a library fault
+            raise RuntimeError("library bug")
+
+        def unchanged():
+            return decimal.getcontext() is caller and (
+                caller.prec, caller.Emax, dict(caller.traps), dict(caller.flags)) == settings
+
+        caller = decimal.Context(prec=5, Emax=999, traps=[decimal.DivisionByZero],
+                                 flags=[decimal.Rounded])
+        settings = (5, 999, dict(caller.traps), dict(caller.flags))
+        before = decimal.getcontext()
+        decimal.setcontext(caller)
+        try:
+            b = pow(2, 200, 7)
+            assert main("table --p 2 --n 7 --emax 200 --format csv".split()) == 0
+            assert unchanged()
+            assert capsys.readouterr().out.endswith(
+                f"\n200,{2**200},{b},{7 * 2**200 - b * (7 - b)},{b * (7 - b)}\n")
+            assert main("table --p 2 --n 7 --emax -1".split()) == 2
+            assert unchanged()
+            with pytest.raises(SystemExit):
+                main(["table", "--p", "2"])
+            assert unchanged()
+            monkeypatch.setattr(hkkit.cli, "_rows", broken)
+            assert main("table --p 2 --n 7 --emax 3".split()) == 4
+            assert unchanged()
+        finally:
+            decimal.setcontext(before)
 
     def test_nonpositive_qcap_flag_rejected(self, capsys):
         code, _, err = run(

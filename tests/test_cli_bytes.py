@@ -12,6 +12,7 @@ import io
 import json
 import re
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,19 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def clean_env(monkeypatch):
     for name in ("HKKIT_QCAP", "HKKIT_NLIMIT", "HKKIT_PLIMIT"):
         monkeypatch.delenv(name, raising=False)
+
+
+@contextlib.contextmanager
+def lifted_digit_limit():
+    """CPython's int/str digit limit lifted, as README tells JSON consumers to do."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def readme_examples() -> list[tuple[str, str]]:
@@ -219,6 +233,24 @@ def test_table_at_scale(capsys, fmt):
             {"p": 3, "n": 1000003, "rows": [dict(zip(header, row)) for row in rows]}),
     }[fmt]()
     assert stdout_of(capsys, f"table --p 3 --n 1000003 --emax 300 --format {fmt}") == expected
+
+
+# The largest tables: q = 10007^1150 has 4601 digits, past CPython's 4300-digit
+# int/str limit, and p = 2 takes 4001 rows to reach 1205 digits.  The expected
+# text is rendered here from hk_table's ints with the limit lifted.
+@pytest.mark.parametrize("p, emax", [(10007, 1150), (2, 4000)])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_table_past_the_digit_limit(capsys, fmt, p, emax):
+    header = ["e", "q", "b", "hk", "phi"]
+    rows = [list(r) for r in hk_table(RingSpec(p, 7), emax)]
+    with lifted_digit_limit():
+        expected = {
+            "plain": lambda: aligned([header, *rows]),
+            "csv": lambda: csv_text([header, *rows]),
+            "json": lambda: canonical(
+                {"p": p, "n": 7, "rows": [dict(zip(header, row)) for row in rows]}),
+        }[fmt]()
+    assert stdout_of(capsys, f"table --p {p} --n 7 --emax {emax} --format {fmt}") == expected
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])

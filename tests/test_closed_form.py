@@ -153,6 +153,24 @@ class TestHKTable:
                 phi=phi_value(spec, e),
             )
 
+    # b = p^e mod n cycles: with period 1 at n = 2, and not within 40 rows at
+    # n = 1000003; the case above wraps its period of 6
+    @pytest.mark.parametrize("p, n, e_max", [(5, 2, 4), (2, 1000003, 40)])
+    def test_rows_match_pointwise_functions_at_any_period(self, p, n, e_max):
+        spec = RingSpec(p, n)
+        assert hk_table(spec, e_max) == [
+            HKRecord(e, p**e, residue_b(spec, e), hk_value(spec, e), phi_value(spec, e))
+            for e in range(e_max + 1)
+        ]
+
+    def test_every_field_is_an_int(self):
+        # the CLI builds its rows with the same walk in exact decimal; the
+        # library's stay ints, past Decimal's default 28 digits too
+        records = hk_table(RingSpec(2, 7), 200)
+        assert len(str(records[-1].hk)) > 28
+        assert {type(rec) for rec in records} == {HKRecord}
+        assert {type(x) for rec in records for x in rec} == {int}
+
     def test_zero_emax(self):
         records = hk_table(RingSpec(2, 9), 0)
         assert len(records) == 1

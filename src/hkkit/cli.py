@@ -25,8 +25,8 @@ from operator import attrgetter
 
 from .closed_form import HKRecord, RingSpec, _rows, hk_value
 from .groebner import (
-    Q_CAP_DEFAULT, QCapExceededError, _power_generators, buchberger, capped_q,
-    count_under_staircase, hk_brute, verify_closed_form_basis,
+    Q_CAP_DEFAULT, QCapExceededError, _check_basis, _colength, _power_generators,
+    buchberger, capped_q, count_under_staircase,
 )
 from .period import PeriodReport, period_of
 from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, realize
@@ -184,11 +184,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         basis_ok = None
         if q > spec.n:
             # one Buchberger run serves both the basis check and the oracle count
-            check = verify_closed_form_basis(spec, e, args.qcap)
+            check = _check_basis(spec, q)
             basis_ok = check.ok
             oracle = count_under_staircase(check.computed_staircase)
         else:
-            oracle = hk_brute(spec, e, args.qcap)
+            oracle = _colength(spec, q)
         ok = closed == oracle and basis_ok is not False
         rows.append((e, q, closed, oracle, basis_ok, ok))
     skipped = range(len(rows), args.emax + 1)
@@ -296,7 +296,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        argv = sys.argv[1:] if argv is None else argv
+        # an argv led by a command goes straight to that command's parser, which
+        # the top-level one would hand the rest of argv anyway: one parse, not two
+        command = parser._subparsers._group_actions[0].choices.get(argv[0] if argv else None)
+        if command is None:  # help, or a missing or unknown command
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                parser.error("unrecognized arguments: %s" % " ".join(extras))
         _resolve_limits(args)
         # looked up per call, not bound in the shared parser, so a rebound cmd_* runs
         return globals()[f"cmd_{args.command}"](args)

@@ -230,6 +230,28 @@ def s_polynomial(f: FpPoly, g: FpPoly) -> FpPoly:
     return left - right
 
 
+def _s_pair(p: int, lcm: Monomial, f: FpPoly, g: FpPoly) -> dict[Monomial, int]:
+    """Terms of (lcm/lm f)*f - (lcm/lm g)*g, for monic f and g whose leads divide lcm.
+
+    The leads cancel, so they are never written: the result is the dict that
+    _normal_form consumes, equal to s_polynomial(f, g).terms.
+    """
+    lm = f.leading_term()[0]
+    si, sj = lcm.i - lm.i, lcm.j - lm.j
+    work = {Monomial(m.i + si, m.j + sj): c for m, c in f.terms.items() if m != lm}
+    lm = g.leading_term()[0]
+    si, sj = lcm.i - lm.i, lcm.j - lm.j
+    for m, c in g.terms.items():
+        if m != lm:
+            key = Monomial(m.i + si, m.j + sj)
+            c = (work.get(key, 0) - c) % p
+            if c:
+                work[key] = c
+            else:
+                work.pop(key)
+    return work
+
+
 def _first_divisible(mono: Monomial, di: int, dj: int, lead: Monomial, limit: int) -> int:
     """Smallest k in [1, limit) with lead dividing mono + k*(di, dj), else limit."""
     lo, hi = 1, limit - 1
@@ -388,7 +410,7 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = 100_000) -> GroebnerBa
     PairBudgetExceededError rather than returning anything partial.
 
     Each element's rewrite rule is built once, as it joins the basis, and
-    each S-polynomial is written straight into the dict _normal_form reduces.
+    _s_pair writes each S-polynomial straight into the dict _normal_form reduces.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -422,20 +444,7 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = 100_000) -> GroebnerBa
             raise PairBudgetExceededError(
                 f"more than {pair_budget} S-pairs processed"
             )
-        # (big/lm_a)*a - (big/lm_b)*b: both are monic, so their leads cancel
-        work: dict[Monomial, int] = {}
-        for k, sign in ((a, 1), (b, p - 1)):
-            lm = leads[k]
-            si, sj = big.i - lm.i, big.j - lm.j
-            for m, c in basis[k].terms.items():
-                if m != lm:
-                    key = Monomial(m.i + si, m.j + sj)
-                    c = (work.get(key, 0) + sign * c) % p
-                    if c:
-                        work[key] = c
-                    else:
-                        work.pop(key)
-        remainder = _normal_form(p, work, rules)
+        remainder = _normal_form(p, _s_pair(p, big, basis[a], basis[b]), rules)
         if remainder:
             add(FpPoly._raw(p, remainder).monic())
 
@@ -505,7 +514,12 @@ def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
     with hk_value meaningful.  q above q_cap raises QCapExceededError to
     tell the caller to fall back to the formula.
     """
-    gb = buchberger(_power_generators(spec, capped_q(spec.p, e, q_cap)))
+    return _colength(spec, capped_q(spec.p, e, q_cap))
+
+
+def _colength(spec: RingSpec, q: int) -> int:
+    """hk_brute for a q = p^e already built, as by capped_q."""
+    gb = buchberger(_power_generators(spec, q))
     count = count_under_staircase(gb.staircase)
     if count is None:
         # x^q and y^q are in the ideal, so both axes are always blocked
@@ -560,7 +574,11 @@ def verify_closed_form_basis(
         (y^q, x^b y^(q-b), x^n): pairwise indivisible because q > n > b >= 1,
         and listed in ascending lex order, as GroebnerBasis keeps it.
     """
-    q = capped_q(spec.p, e, q_cap)
+    return _check_basis(spec, capped_q(spec.p, e, q_cap))
+
+
+def _check_basis(spec: RingSpec, q: int) -> BasisCheck:
+    """verify_closed_form_basis for a q = p^e already built, as by capped_q."""
     if q <= spec.n:
         raise ValueError(f"need q > n, got q = {q} and n = {spec.n}")
     p, n = spec.p, spec.n
@@ -573,7 +591,7 @@ def verify_closed_form_basis(
     predicted = [FpPoly._raw(p, {Monomial(b, q - b): 1}), y_power, relation]
     rules = _rules(predicted)
     spoly_ok = not any(
-        _normal_form(p, dict(s_polynomial(f, g).terms), rules)
+        _normal_form(p, _s_pair(p, f.leading_term()[0].lcm(g.leading_term()[0]), f, g), rules)
         for f, g in itertools.combinations(predicted, 2)
     )
 

@@ -678,3 +678,71 @@ class TestParserReuse:
                 fresh.returncode, fresh.stdout, fresh.stderr), (qcap, argv)
             codes.append(code)
         assert codes == [2, 0, 0, 2, 0, 0, 2, *[0] * len(EXAMPLES)]
+
+
+class TestParseOnce:
+    """An argv led by a command is parsed once, by that command's parser."""
+
+    ARGVS = [
+        [],
+        ["--help"],
+        ["bogus"],
+        ["--format", "json", "gb", "--p", "2", "--n", "3", "--e", "1"],
+        ["gb", "--p", "2", "--n", "3", "-h"],
+        ["gb", "--p", "2", "--n", "3", "--e", "1", "--form", "json"],
+        ["realize", "--pi", "6", "--nl", "50"],
+        ["gb", "--p=2", "--n", "3", "--e", "1"],
+        ["gb", "--p", "2", "--p", "3", "--n", "5", "--e", "1"],
+        ["gb", "--p", "2", "--n", "3", "--e", "1", "extra"],
+        ["gb", "--p", "2", "--n", "3", "--e", "1", "--bogus"],
+        ["gb", "--p", "two", "--n", "3", "--e", "1"],
+        ["gb", "--p", "2", "--n", "3", "--e", "1", "--format", "yaml"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, call, argv):
+        try:
+            code = call(argv)
+        except SystemExit as exc:  # argparse: help, or rejected arguments
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def parsed_twice(argv):
+        """main's work through the top-level parser, which hands argv[1:] on."""
+        args = hkkit.cli.build_parser().parse_args(argv)
+        hkkit.cli._resolve_limits(args)
+        return getattr(hkkit.cli, f"cmd_{args.command}")(args)
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_bytes_as_parsing_twice(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+        once = self.outcome(capsys, main, argv)
+        assert once == self.outcome(capsys, self.parsed_twice, argv)
+        assert once[0] in (0, 2)
+
+    def test_error_cases_read_as_argparse_writes_them(self, capsys):
+        code, out, err = self.outcome(capsys, main, self.ARGVS[3])
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'json'" in err
+        code, out, err = self.outcome(capsys, main, self.ARGVS[9])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "usage: hkkit [-h] {table,period,realize,verify,gb} ...",
+            "hkkit: error: unrecognized arguments: extra",
+        ]
+
+    def test_top_level_parser_reads_only_argvs_without_a_command(self, capsys, monkeypatch):
+        parser, seen = hkkit.cli.build_parser(), []
+        parse_known_args = parser.parse_known_args
+
+        def recording(*args, **kwargs):
+            seen.append(args[0])
+            return parse_known_args(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", recording)
+        for argv in self.ARGVS:
+            self.outcome(capsys, main, argv)
+        commands = set(parser._subparsers._group_actions[0].choices)
+        assert seen == [argv for argv in self.ARGVS if not argv or argv[0] not in commands]

@@ -227,6 +227,32 @@ class TestSPolynomial:
             s_polynomial(mono_poly(2, 1, 0), mono_poly(3, 0, 1))
 
 
+def monic_polys(p, n_terms, max_exp=6):
+    monos = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
+    return st.dictionaries(monos, st.integers(1, p - 1), min_size=n_terms,
+                           max_size=n_terms).map(lambda d: FpPoly(p, d).monic())
+
+
+class TestSPair:
+    """_s_pair, the S-pair writer of buchberger and of check (b), against the
+    reference s_polynomial, which shares no code with it."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_s_polynomial(self, data):
+        p = data.draw(st.sampled_from((2, 3, 5, 7)), label="p")
+        # monomials, binomials, and polynomials of three or more terms
+        f, g = (data.draw(monic_polys(p, data.draw(st.sampled_from((1, 2, 3, 5)))))
+                for _ in range(2))
+        f_terms, g_terms = dict(f.terms), dict(g.terms)
+        lcm = f.leading_term()[0].lcm(g.leading_term()[0])
+        work = groebner._s_pair(p, lcm, f, g)
+        assert work == s_polynomial(f, g).terms
+        assert all(0 < c < p for c in work.values())
+        work.clear()  # _normal_form consumes it: f and g must not share it
+        assert (f.terms, g.terms) == (f_terms, g_terms)
+
+
 class TestReduce:
     def test_pure_power_swallows_spolynomials(self):
         basis = [
@@ -718,6 +744,22 @@ class TestPowerBuiltOnce:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["q"], doc["count"]) == (self.Q, self.COLENGTH)
         assert doc["staircase"] == [[0, self.Q], [4, self.Q - 4], [7, 0]]
+
+    def test_verify_command(self, monkeypatch, capsys):
+        # each row's q, from the cli's own capped_q, serves both of its oracle
+        # paths: the count below n and the basis check above it
+        from hkkit import cli
+
+        def refuse(p, e, q_cap):
+            raise AssertionError(f"a verify row built {p}^{e} again")
+
+        monkeypatch.setattr(groebner, "capped_q", refuse)
+        argv = ["verify", "--p", "2", "--n", "7", "--emax", "5", "--format", "json"]
+        assert cli.main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(r["q"], r["basis_check"], r["pass"]) for r in rows] == [
+            (1, None, True), (2, None, True), (4, None, True),
+            (8, True, True), (16, True, True), (32, True, True)]
 
 
 class TestVerifyClosedFormBasis:

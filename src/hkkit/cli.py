@@ -24,10 +24,7 @@ from itertools import chain
 from operator import attrgetter
 
 from .closed_form import HKRecord, RingSpec, _rows, hk_value
-from .groebner import (
-    Q_CAP_DEFAULT, QCapExceededError, _check_basis, _colength, _power_generators,
-    buchberger, capped_q, count_under_staircase,
-)
+from .groebner import Q_CAP_DEFAULT, QCapExceededError, _check_basis, _colength, capped_q
 from .period import PeriodReport, period_of
 from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, realize
 
@@ -181,14 +178,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except QCapExceededError:
             break  # q only grows with e: every later row is past the cap too
         closed = hk_value(spec, e)
-        basis_ok = None
-        if q > spec.n:
-            # one Buchberger run serves both the basis check and the oracle count
-            check = _check_basis(spec, q)
-            basis_ok = check.ok
-            oracle = count_under_staircase(check.computed_staircase)
-        else:
-            oracle = _colength(spec, q)
+        # one Buchberger run serves both the oracle count and the basis check
+        gb, oracle = _colength(spec, q)
+        basis_ok = _check_basis(spec, q, gb).ok if q > spec.n else None
         ok = closed == oracle and basis_ok is not False
         rows.append((e, q, closed, oracle, basis_ok, ok))
     skipped = range(len(rows), args.emax + 1)
@@ -218,8 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gb(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
     q = capped_q(spec.p, args.e, args.qcap)
-    gb = buchberger(_power_generators(spec, q))
-    count = count_under_staircase(gb.staircase)
+    gb, count = _colength(spec, q)
     head = {"p": spec.p, "n": spec.n, "e": args.e, "q": q}
     generators = [str(g) for g in gb.generators]
     leads = [[m.i, m.j] for m in gb.staircase]
@@ -263,9 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
             "period analysis, period realization, and a Groebner-basis oracle."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["plain", "csv", "json"], default="plain",
-                        help="output format (default plain)")
     sub = parser.add_subparsers(dest="command", required=True)
     ring = [("p", "characteristic (prime)"), ("n", "exponent n in x^n - y^n")]
     # (name, help, required options with help, LIMITS options)
@@ -280,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("gb", "reduced Groebner basis of (x^q, y^q, x^n - y^n)",
          [*ring, ("e", "Frobenius exponent")], ["qcap"]),
     ]:
-        cmd = sub.add_parser(name, parents=[common], help=summary)
+        cmd = sub.add_parser(name, help=summary)
+        cmd.add_argument("--format", choices=["plain", "csv", "json"], default="plain",
+                         help="output format (default plain)")
         for dest, text in options:
             cmd.add_argument(f"--{dest}", type=int, required=True, help=text)
         limits = {dest: LIMITS[dest] for dest in limits}  # all that main resolves for it

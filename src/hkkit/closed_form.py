@@ -37,6 +37,8 @@ class RingSpec:
     n: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.p, int) and isinstance(self.n, int)):
+            raise InvalidRingError(f"p and n must be ints, got p={self.p!r}, n={self.n!r}")
         if self.n < 2:
             raise InvalidRingError(f"n must be at least 2, got n={self.n}")
         if self.n > _N_MAX:

@@ -514,17 +514,19 @@ def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
     with hk_value meaningful.  q above q_cap raises QCapExceededError to
     tell the caller to fall back to the formula.
     """
-    return _colength(spec, capped_q(spec.p, e, q_cap))
+    return _colength(spec, capped_q(spec.p, e, q_cap))[1]
 
 
-def _colength(spec: RingSpec, q: int) -> int:
-    """hk_brute for a q = p^e already built, as by capped_q."""
+def _colength(spec: RingSpec, q: int) -> tuple[GroebnerBasis, int]:
+    """Reduced basis of (x^q, y^q, x^n - y^n), q = p^e already built as by
+    capped_q, and its staircase count: the only buchberger run on these
+    generators, which every oracle caller and the CLI share."""
     gb = buchberger(_power_generators(spec, q))
     count = count_under_staircase(gb.staircase)
     if count is None:
         # x^q and y^q are in the ideal, so both axes are always blocked
         raise RuntimeError("staircase misses a pure power: library bug")
-    return count
+    return gb, count
 
 
 def _telescopes(relation: FpPoly, q: int, b: int) -> bool:
@@ -574,18 +576,19 @@ def verify_closed_form_basis(
         (y^q, x^b y^(q-b), x^n): pairwise indivisible because q > n > b >= 1,
         and listed in ascending lex order, as GroebnerBasis keeps it.
     """
-    return _check_basis(spec, capped_q(spec.p, e, q_cap))
-
-
-def _check_basis(spec: RingSpec, q: int) -> BasisCheck:
-    """verify_closed_form_basis for a q = p^e already built, as by capped_q."""
+    q = capped_q(spec.p, e, q_cap)
     if q <= spec.n:
         raise ValueError(f"need q > n, got q = {q} and n = {spec.n}")
+    return _check_basis(spec, q, _colength(spec, q)[0])
+
+
+def _check_basis(spec: RingSpec, q: int, basis: GroebnerBasis) -> BasisCheck:
+    """verify_closed_form_basis for a q = p^e > n already built, as by
+    capped_q, and the basis _colength computed for it."""
     p, n = spec.p, spec.n
     b = q % n
 
-    gens = _power_generators(spec, q)
-    _, y_power, relation = gens
+    _, y_power, relation = _power_generators(spec, q)
     telescoping_ok = _telescopes(relation, q, b)
 
     predicted = [FpPoly._raw(p, {Monomial(b, q - b): 1}), y_power, relation]
@@ -596,7 +599,7 @@ def _check_basis(spec: RingSpec, q: int) -> BasisCheck:
     )
 
     expected = (Monomial(0, q), Monomial(b, q - b), Monomial(n, 0))
-    computed = buchberger(gens).staircase
+    computed = basis.staircase
     staircase_ok = computed == expected
 
     return BasisCheck(

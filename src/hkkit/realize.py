@@ -85,18 +85,15 @@ def realize(pi: int, n_limit: int = SEARCH_LIMIT_DEFAULT,
     _check_search_args(pi, n_limit, p_limit)
     stats = SearchStats()
     step = 2 * pi
-    step_primes: list[int] | None = None
-    n = 1 + step
-    while n <= min(n_limit, _N_MAX):  # RingSpec refuses any larger modulus
+    step_primes: set[int] | None = None
+    for n in range(1 + step, min(n_limit, _N_MAX) + 1, step):  # RingSpec refuses larger n
         stats.n_candidates += 1
         if is_prime(n):
             if step_primes is None:  # step < n, inside is_prime's range
-                step_primes = list(prime_factors(step))
+                step_primes = set(prime_factors(step))
             # a class r > p_limit holds no p <= p_limit, since p >= r
             for r in range(2, min(n, p_limit + 1)):
-                if pow(r, step, n) != 1 or any(
-                    pow(r, step // l, n) == 1 for l in step_primes
-                ):
+                if pow(r, step, n) != 1 or _order_dividing(r, n, step, step_primes) != step:
                     continue
                 p = find_prime_in_class(r, n, p_limit)
                 # members r, r + n, ... scanned: up to p, or all up to p_limit
@@ -122,7 +119,6 @@ def realize(pi: int, n_limit: int = SEARCH_LIMIT_DEFAULT,
                     residue_used=r,
                     search_stats=stats,
                 )
-        n += step
     raise SearchExhausted(pi, n_limit, p_limit, stats)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hkkit.cli
+import hkkit.groebner
 from hkkit.cli import main
 from hkkit.groebner import PairBudgetExceededError
 from test_cli_bytes import EXAMPLES, lifted_digit_limit
@@ -270,6 +271,34 @@ class TestVerify:
         checks = {row["e"]: row["basis_check"] for row in payload["rows"]}
         assert checks == {0: None, 1: None, 2: None, 3: True, 4: True, 5: True}
 
+    def test_failed_basis_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(hkkit.groebner, "_telescopes", lambda relation, q, b: False)
+        argv = ["verify", "--p", "2", "--n", "7", "--emax", "5"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        # rows e = 0..2 have q <= n and run no basis check
+        cells = [row.split()[-2:] for row in out.splitlines()[1:]]
+        assert cells == [["-", "PASS"]] * 3 + [["FAIL", "FAIL"]] * 3
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 1
+        cells = [row.split(",")[-2:] for row in out.splitlines()[1:]]
+        assert cells == [["na", "PASS"]] * 3 + [["fail", "FAIL"]] * 3
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["all_pass"] is False
+        assert [(r["basis_check"], r["pass"]) for r in payload["rows"]] == (
+            [(None, True)] * 3 + [(False, False)] * 3)
+
+    def test_closed_form_mismatch_exits_1(self, capsys, monkeypatch):
+        honest = hkkit.cli.hk_value
+        monkeypatch.setattr(hkkit.cli, "hk_value", lambda spec, e: honest(spec, e) + 1)
+        code, out, err = run(capsys, "verify", "--p", "2", "--n", "7", "--emax", "5")
+        assert (code, err) == (1, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 6
+        assert all(row.endswith("FAIL") for row in rows)
+
     def test_small_grid_instance(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--p", "5", "--n", "3", "--emax", "1", "--format", "json"
@@ -470,11 +499,21 @@ class TestDriver:
         def broken(gens):
             raise fault
 
-        monkeypatch.setattr(hkkit.cli, "buchberger", broken)
+        monkeypatch.setattr(hkkit.groebner, "buchberger", broken)
         code, out, err = run(capsys, "gb", "--p", "2", "--n", "3", "--e", "2")
         assert code == 4
         assert out == ""
         assert err == f"error: internal fault: {fault}\n"
+
+    @pytest.mark.parametrize("argv", [
+        "gb --p 2 --n 3 --e 2", "verify --p 2 --n 3 --emax 2",
+    ])
+    def test_staircase_self_check_reaches_every_command(self, capsys, monkeypatch, argv):
+        # gb and verify count through the oracle's own path, self-check included
+        monkeypatch.setattr(hkkit.groebner, "count_under_staircase", lambda staircase: None)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (4, "")
+        assert err == "error: internal fault: staircase misses a pure power: library bug\n"
 
     def test_out_of_memory_exits_4(self, capsys):
         # pi = 4.6 * 10^18: CPython refuses a list of pi cycle templates on its

@@ -1,4 +1,6 @@
 import dataclasses
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +51,13 @@ class TestRingSpec:
             RingSpec(3, 9)
         with pytest.raises(InvalidRingError):
             RingSpec(5, 10)
+
+    @pytest.mark.parametrize("kind", [float, Decimal, Fraction, str])
+    def test_rejects_non_int_types(self, kind):
+        # a Decimal p once passed and rounded HK(e) to 28 digits
+        for p, n in [(kind(2), 5), (2, kind(5))]:
+            with pytest.raises(InvalidRingError, match="must be ints"):
+                RingSpec(p, n)
 
     def test_word_sized_n_boundary(self):
         big = 2**63 - 1

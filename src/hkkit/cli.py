@@ -7,20 +7,20 @@ diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
 2 invalid input, 3 search exhausted, 4 internal fault (a library
 self-check failed, or memory ran out).
 
-All output is deterministic and integer-exact; JSON is rendered canonically
-(sorted keys, two-space indent) so identical invocations are byte-identical
-and parse/re-render round-trips.
+All output is deterministic and integer-exact; JSON is written canonically,
+by one walk, as json.dumps(doc, sort_keys=True, indent=2) writes it, so
+identical invocations are byte-identical and parse/re-render round-trips.
 """
 
 import argparse
 import dataclasses
 import decimal
 import functools
-import json
 import os
 import sys
 from collections.abc import Sequence
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
 from .closed_form import HKRecord, RingSpec, _rows, hk_value
@@ -45,7 +45,8 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 def _cell(value, sep: str) -> str:
     """The text of one record value: a bool as true/false, a report as its
     phi_profile joined by sep (one cycle rendered by one % call, then repeated),
-    the rest by str.  Tables are rendered whole by _emit and _json."""
+    the rest by str.  _json writes a report's list through it, sep being a comma
+    and the list's indent."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, PeriodReport):
@@ -56,37 +57,66 @@ def _cell(value, sep: str) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class _Rows:
-    """NamedTuples of ints and integral Decimals that _json prints as a list of
-    sorted-key objects."""
+    """One or more NamedTuples of ints and integral Decimals that _json writes as
+    a list of sorted-key objects: one row template, filled over all rows by one
+    % call."""
 
     records: Sequence[tuple]
 
 
 def _json(doc) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) and a newline, each report as its
-    phi_profile list and each _Rows as its list of objects: rendered by one %
-    call and spliced in at the indent of the mark the encoder left."""
-    marks = []
-
-    def mark(obj):  # a mark is kept and printed as "\u0000"; json refuses the rest
-        if isinstance(obj, (PeriodReport, _Rows)):
-            return marks.append(obj) or "\0"
-        return json.JSONEncoder().default(obj)
-
-    parts = json.dumps(doc, sort_keys=True, indent=2, default=mark).split('"\\u0000"')
+    phi_profile list, each _Rows as its list of objects and each range as its
+    list, written by one walk into one list of pieces that is joined once.
+    Keys are str and values str, int, bool, None, dict, list, range,
+    PeriodReport or _Rows; any other type raises json's TypeError."""
     out = []
-    for head, obj in zip(parts[:-1], marks, strict=True):
-        line = head[head.rfind("\n") + 1:]
-        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        if isinstance(obj, PeriodReport):
-            text = _cell(obj, "," + pad + "  ")
-        else:
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, pad: str, out: list) -> None:
+    """Append obj's canonical text to out; pad is a newline and the indent of
+    the line obj starts on, and its items go on lines two spaces further in."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, int):
+        out.append(_cell(obj, "") if isinstance(obj, bool) else int.__repr__(obj))
+    elif isinstance(obj, dict):
+        inner = pad + "  "
+        out.append("{")
+        for key in sorted(obj):
+            out += (inner, _quote(key), ": ")
+            _write(obj[key], inner, out)
+            out.append(",")
+        out[-1] = pad + "}" if obj else "{}"  # the last comma, or the opening brace
+    elif isinstance(obj, list):
+        inner = pad + "  "
+        out.append("[")
+        for item in obj:
+            out.append(inner)
+            _write(item, inner, out)
+            out.append(",")
+        out[-1] = pad + "]" if obj else "[]"
+    else:  # a list of ints or of flat objects, rendered whole
+        inner = pad + "  "
+        if isinstance(obj, range):
+            # the template's size is checked before anything is built: a range
+            # too long to list fails at once, with no memory taken
+            text = ("," + inner).join(["%d"] * len(obj)) % tuple(obj)
+        elif isinstance(obj, PeriodReport):
+            text = _cell(obj, "," + inner)
+        elif isinstance(obj, _Rows):
             keys = sorted(obj.records[0]._fields)
-            row = "{" + ",".join([f'{pad}    "{k}": %s' for k in keys]) + pad + "  }"
+            row = "{" + ",".join([f"{inner}  {_quote(k)}: %s" for k in keys]) + inner + "}"
             values = chain.from_iterable(map(attrgetter(*keys), obj.records))
-            text = f",{pad}  ".join([row] * len(obj.records)) % tuple(values)
-        out += [head, f"[{pad}  ", text, f"{pad}]"]
-    return "".join([*out, parts[-1], "\n"])
+            text = ("," + inner).join([row] * len(obj.records)) % tuple(values)
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        out += ("[", inner, text, pad, "]") if text else ("[]",)
 
 
 def _pairs(fields: dict) -> list[str]:
@@ -154,7 +184,9 @@ def cmd_period(args: argparse.Namespace) -> int:
 def cmd_realize(args: argparse.Namespace) -> int:
     result = realize(args.pi, args.nlimit, args.plimit)
     spec = {"p": result.spec.p, "n": result.spec.n}
-    report, stats = _report(result.report), dataclasses.asdict(result.search_stats)
+    report = _report(result.report)
+    stats = {"n_candidates": result.search_stats.n_candidates,
+             "p_candidates": result.search_stats.p_candidates}
     doc = {"target_pi": result.target_pi, "spec": spec,
            "residue_used": result.residue_used, "search_stats": stats}
     brief = {k: report[k] for k in ("omega", "pi", "branch")}
@@ -202,7 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             yield [*values, cell[basis_ok], "PASS" if ok else "FAIL"]
 
     # only JSON lists every skipped e; plain and csv print the range's ends
-    _emit(args.format, lambda: {**doc, "skipped_e": list(skipped),
+    _emit(args.format, lambda: {**doc, "skipped_e": skipped,
                                 "rows": [dict(zip(keys, r)) for r in rows]}, table)
     return 0 if all_pass else 1
 
@@ -280,6 +312,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _option_table(command: argparse.ArgumentParser) -> tuple[dict, dict, set]:
+    """What command's parser knows, read once from its actions: each store
+    option that takes an int, or a str from its choices, by option string, as
+    (dest, choices or None for an int); the defaults argparse puts in a fresh
+    namespace; and the dests of the required options."""
+    options, defaults = {}, {}
+    for action in command._actions:
+        if argparse.SUPPRESS not in (action.dest, action.default):
+            defaults[action.dest] = action.default
+        kind = (action.type, bool(action.choices))  # an int, or a str from choices
+        if (isinstance(action, argparse._StoreAction) and action.nargs is None
+                and kind in ((int, False), (None, True))):
+            options.update(dict.fromkeys(action.option_strings, (action.dest, action.choices)))
+    for dest, value in command._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, defaults, {action.dest for action in command._actions if action.required}
+
+
+def _parse_table(command: argparse.ArgumentParser, argv: Sequence[str]):
+    """The namespace command's parser would build from argv[1:], read off its
+    option table, when argv[1:] is (OPTION VALUE) pairs in their canonical form:
+    exact option strings, ints written as ASCII -?[0-9]+, listed choices, and
+    every required option given (a repeated one keeps its last value).  Else
+    None, and argparse reads argv."""
+    if len(argv) % 2 == 0:
+        return None
+    options, defaults, required = _option_table(command)
+    values = {}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        dest, choices = options.get(option, (None, ()))
+        if choices is None:
+            digits = text[1:] if text[:1] == "-" else text
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            values[dest] = int(text)
+        elif text in choices:
+            values[dest] = text
+        else:  # not an option in the table, or not one of its choices
+            return None
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(command=argv[0], **{**defaults, **values})
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     # print huge ints in full: lift CPython's int/str digit limit for this call only
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
@@ -293,7 +370,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         command = parser._subparsers._group_actions[0].choices.get(argv[0] if argv else None)
         if command is None:  # help, or a missing or unknown command
             args = parser.parse_args(argv)
-        else:
+        elif (args := _parse_table(command, argv)) is None:
+            # argparse reads every other argv, and writes its messages and exits
             args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
             if extras:
                 parser.error("unrecognized arguments: %s" % " ".join(extras))

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import decimal
+import io
 import json
 import os
 import re
@@ -11,6 +13,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hkkit.cli
 import hkkit.groebner
@@ -522,7 +525,7 @@ class TestDriver:
         assert (code, out, err) == (4, "", "error: internal fault: out of memory\n")
 
     def test_failed_allocation_exits_4(self):
-        # JSON lists every skipped e, and list(range(...)) at emax 10^12 asks
+        # JSON lists every skipped e, and a template of 10^12 "%d"s asks
         # malloc for about 8 TB; the child limits its own address space to
         # 1 GiB, so the request fails there whatever this machine's memory
         child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
@@ -785,3 +788,76 @@ class TestParseOnce:
             self.outcome(capsys, main, argv)
         commands = set(parser._subparsers._group_actions[0].choices)
         assert seen == [argv for argv in self.ARGVS if not argv or argv[0] not in commands]
+
+
+COMMAND_PARSERS = hkkit.cli.build_parser()._subparsers._group_actions[0].choices
+# ints argparse takes and the table refuses (+5, space, underscore, a non-ASCII
+# digit), ints both take, and words, a choice among them
+ARGV_VALUES = ["2", "-5", "+5", " 7", "1_000", "\u0665", "-1e3", "two", "json", "yaml",
+               "0", "007", "-0", "csv", "plain"]
+
+
+@st.composite
+def command_argvs(draw) -> list[str]:
+    """A command and its options (each once, in any order, often all of them)
+    with values, then up to two repeated options, then up to two stray tokens:
+    option strings and their prefixes, `--opt=value` forms, -h or bare values,
+    which make the length odd."""
+    name = draw(st.sampled_from(sorted(COMMAND_PARSERS)))
+    actions = {s: a for a in COMMAND_PARSERS[name]._actions for s in a.option_strings}
+    prefixes = sorted({s[:k] for s in actions for k in range(2, len(s))} - set(actions))
+    options, values = st.sampled_from(sorted(actions) + prefixes), st.sampled_from(ARGV_VALUES)
+    stores = draw(st.permutations([s for s in sorted(actions) if s not in ("-h", "--help")]))
+    first = stores[:draw(st.integers(0, len(stores)) | st.just(len(stores)))]
+    argv = [name]
+    for option in first + draw(st.lists(st.sampled_from(stores), max_size=2)):
+        # half the time a value of the option's kind: one of its choices, or an int
+        fitting = st.sampled_from(actions[option].choices or ["2", "-5", "0", "007", "-0"])
+        argv += [option, draw(fitting | values)]
+    return argv + draw(st.lists(options | values | st.builds("{}={}".format, options, values),
+                                max_size=2))
+
+
+class TestOptionTable:
+    """A canonical argv is read off its command's option table, into the
+    namespace argparse builds; argparse reads every other argv."""
+
+    @given(command_argvs())
+    @settings(max_examples=500)  # parsing only: about one in eight takes the table
+    def test_table_namespace_is_argparses(self, argv):
+        command = COMMAND_PARSERS[argv[0]]
+        table = hkkit.cli._parse_table(command, argv)
+        if table is None:
+            return
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                args, extras = command.parse_known_args(argv[1:],
+                                                        argparse.Namespace(command=argv[0]))
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}, which the table reads")
+        assert (extras, vars(table)) == ([], vars(args))
+
+    # one argv of each shape bench/workloads.py sends: gb and verify with and
+    # without --qcap, period, table, realize with both limits, and a realize
+    # that exhausts (exit 3)
+    BENCHMARK_ARGVS = [
+        "gb --p 3 --n 7 --e 4 --qcap 131072 --format json",
+        "verify --p 2 --n 9 --emax 6 --qcap 131072 --format csv",
+        "verify --p 5 --n 7 --emax 30 --format plain",
+        "period --p 2 --n 101 --format json",
+        "table --p 3 --n 10 --emax 40 --format csv",
+        "realize --pi 12 --nlimit 100000 --plimit 100000 --format json",
+        "realize --pi 1000 --nlimit 10 --format plain",
+    ]
+
+    def test_readme_and_benchmark_argvs_skip_argparse(self, capsys, monkeypatch):
+        # a Python whose argparse internals moved would lose the table path
+        # silently: every answer stays the same, only slower
+        def refuse(argv, *args, **kwargs):
+            raise AssertionError(f"argparse reads {argv}")
+
+        for parser in [hkkit.cli.build_parser(), *COMMAND_PARSERS.values()]:
+            monkeypatch.setattr(parser, "parse_known_args", refuse)
+        for command in [*(command for command, _ in EXAMPLES), *self.BENCHMARK_ARGVS]:
+            assert main(shlex.split(command)) == (3 if "--nlimit 10 " in command else 0)
+        capsys.readouterr()

@@ -339,6 +339,39 @@ def test_json_splices_every_profile_and_refuses_other_types():
         _json({"a": half, "x": Fraction(1, 2)})
 
 
+def plain_json(doc):
+    """doc with each range as its list, the form json.dumps takes."""
+    if isinstance(doc, dict):
+        return {key: plain_json(value) for key, value in doc.items()}
+    if isinstance(doc, (list, range)):
+        return [plain_json(item) for item in doc]
+    return doc
+
+
+# non-ASCII, control characters, quotes, backslashes and a lone surrogate, which
+# json escapes as \uXXXX, next to Hypothesis's own text
+json_strings = st.text() | st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€\u2028\U0001f600\ud800'))
+json_ints = st.integers() | st.builds(  # past CPython's 4300-digit int/str limit
+    lambda digits, sign: sign * (10**digits + 12345), st.integers(4300, 4600),
+    st.sampled_from([1, -1]))
+json_ranges = st.builds(range, st.integers(-20, 20), st.integers(-20, 20),
+                        st.integers(1, 4) | st.integers(-4, -1))
+json_documents = st.recursive(
+    st.none() | st.booleans() | json_ints | json_strings | json_ranges,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(json_strings, children,
+                                                                      max_size=5),
+    max_leaves=30)
+
+
+@given(json_documents)
+@example({})
+@example({"a": [], "b": {}, "c": range(0), "d": [[], {}]})
+def test_json_is_what_json_dumps_writes(doc):
+    with lifted_digit_limit():
+        assert _json(doc) == json.dumps(plain_json(doc), sort_keys=True, indent=2) + "\n"
+
+
 def stdlib_rendering(command: str) -> str:
     """The stdout of a table, verify or period command, rendered from plain
     arithmetic and the library's values by aligned, csv_text and canonical."""

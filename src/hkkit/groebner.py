@@ -10,16 +10,25 @@ is only evidence because the routes share no code.
 Monomial order is lex with x > y throughout, which for exponent pairs (i, j)
 is plain tuple comparison.
 
-Every normal form runs one loop, _normal_form, over a table of rewrite rules
-built once per divisor polynomial (_rule): buchberger adds a rule as each
-basis element joins, and every other pass over a fixed list builds its table
-once for all the polynomials it reduces.
+Polynomials live in one of two representations, picked from buchberger's
+input.  The oracle's generators are monomials and a binomial, and so is every
+S-polynomial and remainder they lead to, since a rewrite by a monomial or a
+binomial maps one term to at most one.  On this binomial path buchberger and
+the basis check keep each polynomial as a monic triple (lead, tail, c) and
+reduce one term at a time, by one walk down first-divisor rewrites
+(_reduce_term); FpPolys are built only for the basis returned.  Generators of
+three or more terms, which the public API accepts, take the dict path: one
+loop, _normal_form, reduces a dict of terms against rewrite rules built once
+per divisor polynomial (_rule).  The public reduce always takes the dict
+path.  Both paths share the pair queue and the minimalization, which read
+leading monomials only, and return the same reduced basis.
 """
 
 import heapq
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .closed_form import RingSpec
@@ -38,7 +47,9 @@ class Monomial(NamedTuple):
         return self.i <= other.i and self.j <= other.j
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(self.i, other.i), max(self.j, other.j))
+        # conditional expressions, not max(): Buchberger takes an lcm per pair
+        return Monomial(self.i if self.i > other.i else other.i,
+                        self.j if self.j > other.j else other.j)
 
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(self.i + other.i, self.j + other.j)
@@ -234,7 +245,8 @@ def _s_pair(p: int, lcm: Monomial, f: FpPoly, g: FpPoly) -> dict[Monomial, int]:
     """Terms of (lcm/lm f)*f - (lcm/lm g)*g, for monic f and g whose leads divide lcm.
 
     The leads cancel, so they are never written: the result is the dict that
-    _normal_form consumes, equal to s_polynomial(f, g).terms.
+    _normal_form consumes, equal to s_polynomial(f, g).terms.  The dict path
+    of buchberger is its only caller.
     """
     lm = f.leading_term()[0]
     si, sj = lcm.i - lm.i, lcm.j - lm.j
@@ -255,12 +267,15 @@ def _s_pair(p: int, lcm: Monomial, f: FpPoly, g: FpPoly) -> dict[Monomial, int]:
 def _first_divisible(mono: Monomial, di: int, dj: int, lead: Monomial, limit: int) -> int:
     """Smallest k in [1, limit) with lead dividing mono + k*(di, dj), else limit."""
     lo, hi = 1, limit - 1
-    for m, d, bound in ((mono.i, di, lead.i), (mono.j, dj, lead.j)):
+    # lead divides the monomial at step k when k*d >= gap on both axes
+    for gap, d in ((lead.i - mono.i, di), (lead.j - mono.j, dj)):
         if d > 0:
-            lo = max(lo, -((m - bound) // d))  # ceil((bound - m) / d)
+            if (k := -(-gap // d)) > lo:
+                lo = k
         elif d < 0:
-            hi = min(hi, (m - bound) // -d)
-        elif m < bound:
+            if (k := gap // d) < hi:
+                hi = k
+        elif gap > 0:
             return limit
     return lo if lo <= hi else limit
 
@@ -274,9 +289,14 @@ def _chain_length(
     mono + k*(di, dj).  The chain ends at the first k >= 1 where lm no longer
     divides that monomial or an earlier lead does.
     """
-    # the tail is below lm in lex, so di < 0 or dj < 0: this bound is finite
-    steps = 1 + min((m - bound) // -d for m, bound, d in
-                    ((mono.i, lm.i, di), (mono.j, lm.j, dj)) if d < 0)
+    # the tail is below lm in lex, so di < 0, or di == 0 and dj < 0
+    if di == 0:
+        steps = (mono.j - lm.j) // -dj
+    elif dj < 0:
+        steps = min((mono.i - lm.i) // -di, (mono.j - lm.j) // -dj)
+    else:
+        steps = (mono.i - lm.i) // -di
+    steps += 1
     for lead in earlier:
         steps = _first_divisible(mono, di, dj, lead, steps)
     return steps
@@ -340,8 +360,14 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     is deterministic for a fixed list.  No monomial of the output is
     divisible by any basis leading monomial.  Rewriting only ever introduces
     monomials strictly below the one removed, and lex on nonnegative
-    exponents is a well-order, so this terminates.  Each basis element's
-    rewrite rule (_rule) is built once per call and read by every rewrite.
+    exponents is a well-order, so this terminates.
+
+    reduce works on dicts of terms, whatever the inputs: each basis
+    element's rewrite rule (_rule) is built once per call, and _normal_form
+    merges every rewrite into the dict of waiting terms.  It is the dict
+    path that buchberger takes for generators of three or more terms.
+    Monomial and binomial generators take the binomial path instead, which
+    reduces one term at a time (_reduce_term) and keeps no dict of terms.
 
     A binomial g = lc*lm + ct*tail rewrites c*mono into -(ct/lc)*c times
     mono + (tail - lm), and so on until lm stops dividing the moving monomial
@@ -363,6 +389,105 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     return FpPoly._raw(f.p, _normal_form(f.p, dict(f.terms), _rules(basis)))
 
 
+# The binomial path.  An element is a monic triple (lead, tail, c) that stands
+# for lead - c*tail, with c in [1, p-1], tail < lead, and tail None (c = 0)
+# for the monomial lead.  Every S-polynomial and every remainder of such
+# elements has at most two terms again, because a rewrite by a monomial or a
+# binomial maps one term to one term or to none.
+
+
+def _triple(g: FpPoly) -> tuple:
+    """g, of one or two terms, as a monic triple."""
+    lm, lc = g.leading_term()
+    if len(g.terms) == 1:
+        return lm, None, 0
+    tail, ct = min(g.terms.items())
+    return lm, tail, -ct * pow(lc, -1, g.p) % g.p
+
+
+def _poly(p: int, g: tuple) -> FpPoly:
+    """The FpPoly a triple stands for."""
+    lead, tail, c = g
+    return FpPoly._raw(p, {lead: 1} if tail is None else {lead: 1, tail: -c % p})
+
+
+def _binomial_rule(g: tuple, earlier: Sequence[Monomial]) -> tuple:
+    """A triple's rewrite rule (lm, chain, c), with earlier the leads listed
+    before it: chain is (di, dj, earlier) as in _rule, or None for a monomial."""
+    lm, tail, c = g
+    if tail is None:
+        return lm, None, c
+    return lm, (tail.i - lm.i, tail.j - lm.j, tuple(earlier)), c
+
+
+def _binomial_rules(basis: Sequence[tuple]) -> list[tuple]:
+    leads = [g[0] for g in basis]
+    return [_binomial_rule(g, leads[:idx]) for idx, g in enumerate(basis)]
+
+
+def _reduce_term(p: int, coeff: int, mono: Monomial, rules: Sequence[tuple]) -> tuple | None:
+    """The normal form (m, k) of the term coeff*mono modulo binomial rules,
+    k*m with k in [1, p-1], or None for zero.
+
+    One walk down first-divisor rewrites: a monomial rule ends it at zero, and
+    a binomial rule moves mono down its whole chain (_chain_length) in one
+    jump, multiplying the coefficient by c once per rewrite, before the rules
+    are scanned again from the first.
+    """
+    while True:
+        for lm, chain, c in rules:
+            if lm.i <= mono.i and lm.j <= mono.j:
+                break
+        else:
+            coeff %= p
+            return (mono, coeff) if coeff else None
+        if chain is None:
+            return None
+        di, dj, earlier = chain
+        steps = _chain_length(mono, lm, di, dj, earlier)
+        mono = Monomial(mono.i + steps * di, mono.j + steps * dj)
+        if c != 1:
+            coeff = coeff * pow(c, steps, p)
+
+
+def _binomial_nf(p: int, terms: Sequence[tuple[int, Monomial]],
+                 rules: Sequence[tuple]) -> tuple | None:
+    """Normal form of the sum of at most two terms (coeff, mono) modulo
+    binomial rules, as a monic triple, or None for zero.
+
+    The normal form is linear and each term reduces on its own
+    (_reduce_term), so it is the sum of the terms' normal forms: two that
+    land on one monomial merge, and may cancel.
+    """
+    out = []
+    for a, mono in terms:
+        if reduced := _reduce_term(p, a, mono, rules):
+            out.append(reduced)
+    if len(out) == 2:
+        (lead, a), (tail, b) = max(out), min(out)
+        if lead != tail:
+            return lead, tail, -b * pow(a, -1, p) % p
+        out = [(lead, a + b)] if (a + b) % p else []
+    return (out[0][0], None, 0) if out else None
+
+
+def _terms(g: tuple) -> list[tuple[int, Monomial]]:
+    """A triple's terms (coeff, mono)."""
+    lead, tail, c = g
+    return [(1, lead)] if tail is None else [(1, lead), (-c, tail)]
+
+
+def _binomial_s_pair(lcm: Monomial, f: tuple, g: tuple) -> list[tuple[int, Monomial]]:
+    """Terms (coeff, mono) of (lcm/lm f)*f - (lcm/lm g)*g, for triples f and g
+    whose leads divide lcm.  The leads cancel, so only the shifted tails are
+    written: -c_f at tail_f + (lcm - lm_f) and c_g at tail_g + (lcm - lm_g)."""
+    out = []
+    for (lm, tail, c), sign in ((f, -1), (g, 1)):
+        if tail is not None:
+            out.append((sign * c, Monomial(tail.i + lcm.i - lm.i, tail.j + lcm.j - lm.j)))
+    return out
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced lex Groebner basis and its leading-term staircase.
@@ -377,24 +502,116 @@ class GroebnerBasis:
     staircase: tuple[Monomial, ...]
 
 
-def _reduced_form(basis: list[FpPoly]) -> list[FpPoly]:
-    # minimalize: scan by ascending leading monomial so a survivor is seen
-    # before any of its multiples, then drop the multiples
-    by_lm = sorted(basis, key=lambda g: g.leading_term()[0])
-    minimal: list[FpPoly] = []
-    kept: list[Monomial] = []
-    for g in by_lm:
-        lm = g.leading_term()[0]
-        if any(k.divides(lm) for k in kept):
-            continue
-        minimal.append(g)
-        kept.append(lm)
+# Buchberger's loop and minimalization read leads only, so both paths share them.
+
+
+def _pair_loop(gens: Sequence, lead: Callable, rule: Callable, remainder: Callable,
+               pair_budget: int) -> tuple[list, list[Monomial]]:
+    """Every element Buchberger's pair loop appends to the monic gens, with
+    their leads, for either representation.
+
+    lead(g) is g's leading monomial, rule(g, leads) its rewrite rule against
+    the leads listed before it, and remainder(lcm, f, g, rules) the monic
+    normal form of the S-polynomial of f and g, or None when it is zero.
+    """
+    basis: list = []
+    leads: list[Monomial] = []
+    rules: list[tuple] = []
+    heap: list[tuple[Monomial, int, int]] = []
+
+    def add(g) -> None:
+        lm = lead(g)
+        for k, lm_k in enumerate(leads):
+            if (lm_k.i == 0 or lm.i == 0) and (lm_k.j == 0 or lm.j == 0):
+                continue  # coprime leading monomials: S-poly reduces to zero
+            heapq.heappush(heap, (lm_k.lcm(lm), k, len(basis)))
+        rules.append(rule(g, leads))
+        basis.append(g)
+        leads.append(lm)
+
+    for g in gens:
+        add(g)
+    processed = 0
+    while heap:
+        big, a, b = heapq.heappop(heap)
+        processed += 1
+        if processed > pair_budget:
+            raise PairBudgetExceededError(
+                f"more than {pair_budget} S-pairs processed"
+            )
+        new = remainder(big, basis[a], basis[b], rules)
+        if new is not None:
+            add(new)
+    return basis, leads
+
+
+def _minimal(basis: Sequence, leads: Sequence[Monomial]) -> list:
+    """The elements no other lead divides, by ascending lead: scanned in that
+    order, a survivor is seen before any of its multiples, and of equal leads
+    the first listed stays."""
+    minimal, kept = [], []
+    for idx in sorted(range(len(basis)), key=leads.__getitem__):
+        lm = leads[idx]
+        for k in kept:
+            if k.i <= lm.i and k.j <= lm.j:
+                break
+        else:
+            minimal.append(basis[idx])
+            kept.append(lm)
+    return minimal
+
+
+def _check_members(remainders: Iterable) -> None:
+    """Each input was used to build the basis, and must in turn vanish modulo it."""
+    if any(remainders):
+        raise RuntimeError(
+            "input generator fails to reduce to zero modulo the computed "
+            "basis: library bug"
+        )
+
+
+def _reduced_form(minimal: list[FpPoly]) -> list[FpPoly]:
     # tail-reduce each survivor against the others; leading monomials are
     # pairwise indivisible so one pass lands on the unique reduced form (a
     # later rule's chain may also stop at g's own lead: that splits one jump)
     rules = _rules(minimal)
     return [FpPoly._raw(g.p, _normal_form(g.p, dict(g.terms), rules[:idx] + rules[idx + 1 :]))
             for idx, g in enumerate(minimal)]
+
+
+def _dict_buchberger(gens: Sequence[FpPoly], pair_budget: int) -> GroebnerBasis:
+    """buchberger on dicts of terms, for checked generators of any length."""
+    p = gens[0].p
+
+    def remainder(lcm, f, g, rules):
+        work = _normal_form(p, _s_pair(p, lcm, f, g), rules)
+        return FpPoly._raw(p, work).monic() if work else None
+
+    basis, leads = _pair_loop([g.monic() for g in gens], lambda g: g.leading_term()[0],
+                              _rule, remainder, pair_budget)
+    final = _reduced_form(_minimal(basis, leads))
+    rules = _rules(final)
+    _check_members(_normal_form(p, dict(g.terms), rules) for g in gens)
+    return GroebnerBasis(tuple(final), tuple(g.leading_term()[0] for g in final))
+
+
+def _binomial_buchberger(p: int, gens: Sequence[tuple], pair_budget: int) -> GroebnerBasis:
+    """buchberger on monic triples over F_p, p already known prime."""
+
+    def remainder(lcm, f, g, rules):
+        terms = _binomial_s_pair(lcm, f, g)
+        return _binomial_nf(p, terms, rules) if terms else None  # two monomials: zero
+
+    basis, leads = _pair_loop(gens, itemgetter(0), _binomial_rule, remainder, pair_budget)
+    minimal = _minimal(basis, leads)
+    # tail-reduce as _reduced_form does; a monomial is already reduced
+    rules = _binomial_rules(minimal)
+    final = [g if g[1] is None else _binomial_nf(p, _terms(g), rules[:idx] + rules[idx + 1 :])
+             for idx, g in enumerate(minimal)]
+    if final != minimal:
+        rules = _binomial_rules(final)
+    _check_members(_binomial_nf(p, _terms(g), rules) for g in gens)
+    return GroebnerBasis(tuple([_poly(p, g) for g in final]), tuple([g[0] for g in final]))
 
 
 def buchberger(gens: Sequence[FpPoly], pair_budget: int = 100_000) -> GroebnerBasis:
@@ -404,62 +621,31 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = 100_000) -> GroebnerBa
     monomials (normal strategy, smallest first), pairs with coprime leading
     monomials skipped, every nonzero S-polynomial remainder appended.  A final
     pass minimalizes and tail-reduces, so the output is the unique reduced
-    basis no matter how the generators were ordered.
+    basis no matter how the generators were ordered, and checks that every
+    generator reduces to zero modulo it.
 
     pair_budget caps how many pairs may be processed; exhausting it raises
     PairBudgetExceededError rather than returning anything partial.
 
-    Each element's rewrite rule is built once, as it joins the basis, and
-    _s_pair writes each S-polynomial straight into the dict _normal_form reduces.
+    The input picks one of two representations, with the same pair queue,
+    budget, minimalization and result.  When every generator has one or two
+    terms, so has every element the run makes, and the binomial path keeps
+    each as a monic triple (lead, tail, c): a remainder is the sum of the
+    normal forms of its two terms, each one walk of first-divisor rewrites
+    (_reduce_term).  FpPolys are built once, for the result.  Otherwise the
+    dict path keeps each element as an FpPoly: _s_pair writes each
+    S-polynomial into the dict _normal_form reduces, against rewrite rules
+    built once as each element joins the basis.
     """
     if not gens:
         raise ValueError("need at least one generator")
-    p = gens[0].p
-    basis: list[FpPoly] = []
-    leads: list[Monomial] = []
-    rules: list[tuple] = []
-    heap: list[tuple[Monomial, int, int]] = []
-
-    def add(g: FpPoly) -> None:
-        lm = g.leading_term()[0]
-        for k, lm_k in enumerate(leads):
-            if min(lm_k.i, lm.i) == 0 and min(lm_k.j, lm.j) == 0:
-                continue  # coprime leading monomials: S-poly reduces to zero
-            heapq.heappush(heap, (lm_k.lcm(lm), k, len(basis)))
-        rules.append(_rule(g, leads))
-        basis.append(g)
-        leads.append(lm)
-
     for g in gens:
         g._check_char(gens[0])
         if g.is_zero():
             raise ValueError("generators must be nonzero")
-        add(g.monic())
-
-    processed = 0
-    while heap:
-        big, a, b = heapq.heappop(heap)
-        processed += 1
-        if processed > pair_budget:
-            raise PairBudgetExceededError(
-                f"more than {pair_budget} S-pairs processed"
-            )
-        remainder = _normal_form(p, _s_pair(p, big, basis[a], basis[b]), rules)
-        if remainder:
-            add(FpPoly._raw(p, remainder).monic())
-
-    final = _reduced_form(basis)
-    # membership sanity check: each input was used to build the basis, and
-    # must in turn vanish modulo it
-    rules = _rules(final)
-    for g in gens:
-        if _normal_form(p, dict(g.terms), rules):
-            raise RuntimeError(
-                "input generator fails to reduce to zero modulo the computed "
-                "basis: library bug"
-            )
-    staircase = tuple(g.leading_term()[0] for g in final)
-    return GroebnerBasis(generators=tuple(final), staircase=staircase)
+    if all(len(g.terms) <= 2 for g in gens):
+        return _binomial_buchberger(gens[0].p, [_triple(g) for g in gens], pair_budget)
+    return _dict_buchberger(gens, pair_budget)
 
 
 def count_under_staircase(staircase: Sequence[Monomial]) -> int | None:
@@ -480,15 +666,6 @@ def count_under_staircase(staircase: Sequence[Monomial]) -> int | None:
     return total
 
 
-def _binomial(p: int, lead: Monomial, tail: Monomial) -> FpPoly:
-    """lead - tail over F_p, for a p already known prime and distinct monomials.
-
-    The oracle's own polynomials take p from a RingSpec or an existing
-    FpPoly, so they skip the checking constructor; -1 is stored as p - 1.
-    """
-    return FpPoly._raw(p, {lead: 1, tail: p - 1})
-
-
 def frobenius_power_generators(spec: RingSpec, e: int) -> list[FpPoly]:
     """Generators x^q, y^q, x^n - y^n with q = p^e, as polynomials over F_p."""
     if e < 0:
@@ -497,12 +674,16 @@ def frobenius_power_generators(spec: RingSpec, e: int) -> list[FpPoly]:
 
 
 def _power_generators(spec: RingSpec, q: int) -> list[FpPoly]:
-    """x^q, y^q, x^n - y^n for a q = p^e already built, as by capped_q."""
+    """x^q, y^q, x^n - y^n for a q = p^e already built, as by capped_q.
+
+    The oracle's own polynomials take p from a RingSpec, which has checked
+    it, so they skip the checking constructor; -1 is stored as p - 1.
+    """
     p, n = spec.p, spec.n
     return [
         FpPoly._raw(p, {Monomial(q, 0): 1}),
         FpPoly._raw(p, {Monomial(0, q): 1}),
-        _binomial(p, Monomial(n, 0), Monomial(0, n)),
+        FpPoly._raw(p, {Monomial(n, 0): 1, Monomial(0, n): p - 1}),
     ]
 
 
@@ -510,7 +691,9 @@ def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
     """Colength of (x^q, y^q, x^n - y^n) in F_p[x, y], the slow honest way.
 
     Runs buchberger on the raw generators and counts standard monomials.
-    The closed formula is never consulted, which is what makes agreement
+    The generators are two monomials and a binomial, so the run takes the
+    binomial path: monic triples, each term reduced by one walk of rewrites,
+    and no dict of terms.  The closed formula is never consulted, which is what makes agreement
     with hk_value meaningful.  q above q_cap raises QCapExceededError to
     tell the caller to fall back to the formula.
     """
@@ -534,11 +717,12 @@ def _telescopes(relation: FpPoly, q: int, b: int) -> bool:
 
     Division by a single polynomial leaves a zero remainder exactly when it
     divides, and the quotient is then the ladder
-    x^(q-n) + x^(q-2n) y^n + ... + x^b y^(q-b-n); reduce walks the ladder in
-    one binomial jump instead of multiplying it out.
+    x^(q-n) + x^(q-2n) y^n + ... + x^b y^(q-b-n); the term reducer walks the
+    ladder in one binomial jump instead of multiplying it out.
     """
-    lhs = _binomial(relation.p, Monomial(q, 0), Monomial(b, q - b))
-    return reduce(lhs, [relation]).is_zero()
+    rules = [_binomial_rule(_triple(relation), ())]
+    return _binomial_nf(relation.p, [(1, Monomial(q, 0)), (-1, Monomial(b, q - b))],
+                        rules) is None
 
 
 @dataclass(frozen=True)
@@ -588,13 +772,13 @@ def _check_basis(spec: RingSpec, q: int, basis: GroebnerBasis) -> BasisCheck:
     p, n = spec.p, spec.n
     b = q % n
 
-    _, y_power, relation = _power_generators(spec, q)
-    telescoping_ok = _telescopes(relation, q, b)
+    relation = (Monomial(n, 0), Monomial(0, n), 1)  # x^n - 1*y^n
+    telescoping_ok = _telescopes(_poly(p, relation), q, b)
 
-    predicted = [FpPoly._raw(p, {Monomial(b, q - b): 1}), y_power, relation]
-    rules = _rules(predicted)
+    predicted = [(Monomial(b, q - b), None, 0), (Monomial(0, q), None, 0), relation]
+    rules = _binomial_rules(predicted)
     spoly_ok = not any(
-        _normal_form(p, _s_pair(p, f.leading_term()[0].lcm(g.leading_term()[0]), f, g), rules)
+        _binomial_nf(p, _binomial_s_pair(f[0].lcm(g[0]), f, g), rules)
         for f, g in itertools.combinations(predicted, 2)
     )
 

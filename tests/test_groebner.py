@@ -234,7 +234,7 @@ def monic_polys(p, n_terms, max_exp=6):
 
 
 class TestSPair:
-    """_s_pair, the S-pair writer of buchberger and of check (b), against the
+    """_s_pair, the S-pair writer of buchberger's dict path, against the
     reference s_polynomial, which shares no code with it."""
 
     @given(st.data())
@@ -331,13 +331,13 @@ def reduce_stepwise(f, basis):
     return FpPoly(p, out)
 
 
-def small_polys(p, max_exp, max_terms):
+def small_polys(p, max_exp, max_terms, min_terms=1):
     monos = st.tuples(
         st.integers(min_value=0, max_value=max_exp),
         st.integers(min_value=0, max_value=max_exp),
     )
     coeffs = st.integers(min_value=1, max_value=p - 1)
-    return st.dictionaries(monos, coeffs, min_size=1, max_size=max_terms).map(
+    return st.dictionaries(monos, coeffs, min_size=min_terms, max_size=max_terms).map(
         lambda d: FpPoly(p, d)
     )
 
@@ -410,6 +410,22 @@ class TestBinomialChainJump:
         assert out == reduce_stepwise(FpPoly(p, f), basis)
         assert out == FpPoly(p, expected)
 
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_term_reducer_matches_stepwise_reference(self, data):
+        # the binomial path's normal form: monomial and binomial reducers,
+        # several per basis, and a sum of two terms that may merge or cancel
+        p = data.draw(st.sampled_from((2, 3, 5, 7)))
+        basis = data.draw(st.lists(small_polys(p, 8, 2), min_size=1, max_size=4))
+        f = data.draw(small_polys(p, 16, 2))
+        rules = groebner._binomial_rules([groebner._triple(g) for g in basis])
+        got = groebner._binomial_nf(p, [(c, m) for m, c in f.terms.items()], rules)
+        expected = reduce_stepwise(f, basis)
+        if expected.is_zero():
+            assert got is None
+        else:
+            assert groebner._poly(p, got) == expected.monic()
+
     def test_chain_of_2_pow_60_steps_is_one_jump(self):
         # far too long to walk step by step: about q/7 rewrites of x^q
         q = 2**60
@@ -478,9 +494,21 @@ class TestBuchbergerMatchesReference:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_small_ideals(self, p, data):
-        # monomials, binomials and trinomials, so both kinds of rule and
-        # chains cut by earlier leads all occur
-        assert_matches_reference(data.draw(st.lists(small_polys(p, 5, 3), min_size=1,
+        # the dict path: one trinomial among up to two monomials, binomials
+        # and trinomials, so both kinds of rule and chains cut by earlier
+        # leads all occur; exponents stop at 4, as at 5 a trinomial pair can
+        # take 800 S-pairs and a second
+        gens = data.draw(st.lists(small_polys(p, 4, 3), max_size=2), label="gens")
+        at = data.draw(st.integers(0, len(gens)), label="at")
+        gens.insert(at, data.draw(small_polys(p, 4, 3, min_terms=3), label="trinomial"))
+        assert_matches_reference(gens)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_small_binomial_ideals(self, p, data):
+        # the binomial path: monomials and binomials only
+        assert_matches_reference(data.draw(st.lists(small_polys(p, 5, 2), min_size=1,
                                                     max_size=4), label="gens"))
 
     # the benchmark's oracle box: p <= 13, n <= 40, q <= 2^17
@@ -491,6 +519,25 @@ class TestBuchbergerMatchesReference:
         n = data.draw(st.integers(2, 40).filter(lambda n: n % p), label="n")
         e = data.draw(st.sampled_from([e for e in range(18) if p**e <= 2**17]), label="e")
         assert_matches_reference(frobenius_power_generators(RingSpec(p, n), e))
+
+
+def basis_or_error(run, gens, pair_budget):
+    try:
+        return run(gens, pair_budget)
+    except PairBudgetExceededError as exc:
+        return str(exc)
+
+
+class TestBinomialPathMatchesDictPath:
+    # p = 2 matters: there -1 == 1, and a binomial's c is 1 either way
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_basis_and_budget(self, data):
+        p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)), label="p")
+        gens = data.draw(st.lists(small_polys(p, 8, 2), min_size=1, max_size=4), label="gens")
+        budget = data.draw(st.integers(0, 40), label="pair_budget")
+        assert basis_or_error(buchberger, gens, budget) == (
+            basis_or_error(groebner._dict_buchberger, gens, budget))
 
 
 class TestBuchberger:
@@ -888,36 +935,44 @@ class TestInternalPolynomialsAreNormalized:
 
     @pytest.mark.parametrize("p, n, e", CASES)
     def test_verify_closed_form_basis(self, monkeypatch, p, n, e):
-        # every normal form runs through _normal_form, against rules that
-        # _rule builds one polynomial at a time: record both
-        made = {}  # id of each rule -> (rule, the polynomial it was built from)
-        seen = []  # (f, basis) of every normal form
-        honest_rule, honest_normal_form = groebner._rule, groebner._normal_form
+        # every normal form runs through _binomial_nf, against rules that
+        # _binomial_rule builds one triple at a time: record both
+        made = {}  # id of each rule -> (rule, the triple it was built from)
+        seen = []  # (terms, reducers) of every normal form
+        honest_rule, honest_nf = groebner._binomial_rule, groebner._binomial_nf
 
         def recording_rule(g, earlier):
             rule = honest_rule(g, earlier)
             made[id(rule)] = rule, g  # the rule is kept, so its id stays unique
             return rule
 
-        def recording_normal_form(p, work, rules):
-            seen.append((FpPoly._raw(p, dict(work)), [made[id(r)][1] for r in rules]))
-            return honest_normal_form(p, work, rules)
+        def recording_nf(p, terms, rules):
+            seen.append((list(terms), [made[id(r)][1] for r in rules]))
+            return honest_nf(p, terms, rules)
 
-        monkeypatch.setattr(groebner, "_rule", recording_rule)
-        monkeypatch.setattr(groebner, "_normal_form", recording_normal_form)
+        monkeypatch.setattr(groebner, "_binomial_rule", recording_rule)
+        monkeypatch.setattr(groebner, "_binomial_nf", recording_nf)
         check = verify_closed_form_basis(RingSpec(p, n), e, q_cap=p**e)
         assert check.ok
-        polys = [g for f, basis in seen for g in (f, *basis)]
-        for g in polys:
-            assert g.p == p
+        for terms, reducers in seen:
+            assert all(type(m) is Monomial and type(c) is int for c, m in terms)
+            for lead, tail, c in reducers:
+                assert type(lead) is Monomial
+                if tail is None:
+                    assert c == 0
+                    continue
+                assert type(tail) is Monomial and tail < lead and 0 < c < p
+                assert groebner._poly(p, (lead, tail, c)) == FpPoly(p, {lead: 1, tail: -c})
+        q, b = check.q, check.b
+        lhs = [(1, Monomial(q, 0)), (-1, Monomial(b, q - b))]
+        relation = (Monomial(n, 0), Monomial(0, n), 1)  # x^n - 1*y^n
+        predicted = [(Monomial(b, q - b), None, 0), (Monomial(0, q), None, 0), relation]
+        assert (lhs, [relation]) in seen
+        assert any(reducers == predicted for _, reducers in seen)
+        # the one place FpPolys are built: the basis returned
+        for g in groebner._colength(RingSpec(p, n), q)[0].generators:
             assert all(type(m) is Monomial for m in g.terms)
             assert g == FpPoly(p, dict(g.terms))
-        q, b = check.q, check.b
-        lhs = FpPoly(p, {(q, 0): 1, (b, q - b): -1})
-        relation = FpPoly(p, {(n, 0): 1, (0, n): -1})
-        predicted = [FpPoly(p, {(b, q - b): 1}), FpPoly(p, {(0, q): 1}), relation]
-        assert (lhs, [relation]) in seen
-        assert any(basis == predicted for _, basis in seen)
 
 
 FORMULA_NAMES = {"hk_value", "phi_value", "residue_b", "hk_table", "period_of",
@@ -950,3 +1005,37 @@ class TestOracleIndependence:
             assert (check.ok, check.q, check.b) == (True, q, b)
             assert check.computed_staircase == (
                 Monomial(0, q), Monomial(b, q - b), Monomial(spec.n, 0))
+
+
+class TestOracleTakesTheBinomialPath:
+    """The oracle's generators are two monomials and a binomial, so no dict of
+    terms is ever built: a silent fall-back to the dict path fails here
+    instead of only costing time."""
+
+    @pytest.fixture(autouse=True)
+    def no_dict_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle took the dict path")
+
+        for name in ("_normal_form", "_rule", "_s_pair", "_reduced_form"):
+            monkeypatch.setattr(groebner, name, refuse)
+
+    def test_library_oracle(self):
+        # the colength n*q - b*(n - b), b = q mod n, computed here
+        for spec, e in [(RingSpec(2, 7), 5), (RingSpec(3, 5), 4), (RingSpec(2, 7), 4096)]:
+            q = spec.p**e
+            b = q % spec.n
+            assert hk_brute(spec, e, q_cap=q) == spec.n * q - b * (spec.n - b)
+            assert verify_closed_form_basis(spec, e, q_cap=q).ok
+
+    def test_gb_and_verify_commands(self, capsys):
+        from hkkit.cli import main
+
+        assert main(["gb", "--p", "2", "--n", "7", "--e", "5", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["count"], doc["generators"]) == (212, ["y^32", "x^4*y^28", "x^7 + y^7"])
+        assert main(["verify", "--p", "3", "--n", "5", "--emax", "4", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(r["oracle"], r["basis_check"], r["pass"]) for r in rows] == [
+            (1, None, True), (9, None, True), (41, True, True), (129, True, True),
+            (401, True, True)]

@@ -494,13 +494,12 @@ class TestBuchbergerMatchesReference:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_small_ideals(self, p, data):
-        # the dict path: one trinomial among up to two monomials, binomials
+        # the dict path: one trinomial among up to three monomials, binomials
         # and trinomials, so both kinds of rule and chains cut by earlier
-        # leads all occur; exponents stop at 4, as at 5 a trinomial pair can
-        # take 800 S-pairs and a second
-        gens = data.draw(st.lists(small_polys(p, 4, 3), max_size=2), label="gens")
+        # leads all occur
+        gens = data.draw(st.lists(small_polys(p, 5, 3), max_size=3), label="gens")
         at = data.draw(st.integers(0, len(gens)), label="at")
-        gens.insert(at, data.draw(small_polys(p, 4, 3, min_terms=3), label="trinomial"))
+        gens.insert(at, data.draw(small_polys(p, 5, 3, min_terms=3), label="trinomial"))
         assert_matches_reference(gens)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -212,7 +212,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         closed = hk_value(spec, e)
         # one Buchberger run serves both the oracle count and the basis check
         gb, oracle = _colength(spec, q)
-        basis_ok = _check_basis(spec, q, gb).ok if q > spec.n else None
+        basis_ok = all(_check_basis(spec, q, gb)) if q > spec.n else None
         ok = closed == oracle and basis_ok is not False
         rows.append((e, q, closed, oracle, basis_ok, ok))
     skipped = range(len(rows), args.emax + 1)

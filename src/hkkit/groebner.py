@@ -16,25 +16,32 @@ S-polynomial and remainder they lead to, since a rewrite by a monomial or a
 binomial maps one term to at most one.  On this binomial path buchberger and
 the basis check keep each polynomial as a monic triple (lead, tail, c) and
 reduce one term at a time, by one walk down first-divisor rewrites
-(_reduce_term); FpPolys are built only for the basis returned.  Generators of
-three or more terms, which the public API accepts, take the dict path: one
-loop, _normal_form, reduces a dict of terms against rewrite rules built once
-per divisor polynomial (_rule).  The public reduce always takes the dict
-path.  Both paths share the pair queue and the minimalization, which read
-leading monomials only, and return the same reduced basis.
+(_reduce_term); FpPolys are built only for the basis returned.  The oracle
+(_colength) builds its generators as triples and enters this path directly.
+Generators of three or more terms, which the public API accepts, take the
+dict path: one loop, _normal_form, reduces a dict of terms against rewrite
+rules built once per divisor polynomial (_rule).  The public reduce always
+takes the dict path.  Both paths process the same pairs in the same order,
+share the minimalization, which reads leading monomials only, and return the
+same reduced basis.
 """
 
 import heapq
 import itertools
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
 from .closed_form import RingSpec
 from .numtheory import is_prime
 
 Q_CAP_DEFAULT = 512
+PAIR_BUDGET_DEFAULT = 100_000
+
+# Monomial(i, j) runs NamedTuple's Python-level __new__; the binomial path,
+# which makes a few dozen monomials per oracle row, calls
+# _new(Monomial, (i, j)) instead, which builds the same object in C.
+_new = tuple.__new__
 
 
 class Monomial(NamedTuple):
@@ -48,8 +55,8 @@ class Monomial(NamedTuple):
 
     def lcm(self, other: "Monomial") -> "Monomial":
         # conditional expressions, not max(): Buchberger takes an lcm per pair
-        return Monomial(self.i if self.i > other.i else other.i,
-                        self.j if self.j > other.j else other.j)
+        return _new(Monomial, (self.i if self.i > other.i else other.i,
+                               self.j if self.j > other.j else other.j))
 
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(self.i + other.i, self.j + other.j)
@@ -60,18 +67,10 @@ class Monomial(NamedTuple):
         return Monomial(self.i - other.i, self.j - other.j)
 
     def __str__(self) -> str:
-        if self.i == 0 and self.j == 0:
-            return "1"
-        parts = []
-        if self.i == 1:
-            parts.append("x")
-        elif self.i > 1:
-            parts.append(f"x^{self.i}")
-        if self.j == 1:
-            parts.append("y")
-        elif self.j > 1:
-            parts.append(f"y^{self.j}")
-        return "*".join(parts)
+        i, j = self
+        x = "" if not i else "x" if i == 1 else f"x^{i}"
+        y = "" if not j else "y" if j == 1 else f"y^{j}"
+        return f"{x}*{y}" if x and y else x or y or "1"
 
 
 class CharacteristicMismatchError(ValueError):
@@ -216,7 +215,7 @@ class FpPoly:
         chunks = []
         for mono in sorted(self.terms, reverse=True):
             coeff = self.terms[mono]
-            if mono == Monomial(0, 0):
+            if mono == (0, 0):  # a plain tuple: Monomial(0, 0) would run __new__ per term
                 chunks.append(str(coeff))
             elif coeff == 1:
                 chunks.append(str(mono))
@@ -264,22 +263,6 @@ def _s_pair(p: int, lcm: Monomial, f: FpPoly, g: FpPoly) -> dict[Monomial, int]:
     return work
 
 
-def _first_divisible(mono: Monomial, di: int, dj: int, lead: Monomial, limit: int) -> int:
-    """Smallest k in [1, limit) with lead dividing mono + k*(di, dj), else limit."""
-    lo, hi = 1, limit - 1
-    # lead divides the monomial at step k when k*d >= gap on both axes
-    for gap, d in ((lead.i - mono.i, di), (lead.j - mono.j, dj)):
-        if d > 0:
-            if (k := -(-gap // d)) > lo:
-                lo = k
-        elif d < 0:
-            if (k := gap // d) < hi:
-                hi = k
-        elif gap > 0:
-            return limit
-    return lo if lo <= hi else limit
-
-
 def _chain_length(
     mono: Monomial, lm: Monomial, di: int, dj: int, earlier: Sequence[Monomial]
 ) -> int:
@@ -298,7 +281,26 @@ def _chain_length(
         steps = (mono.i - lm.i) // -di
     steps += 1
     for lead in earlier:
-        steps = _first_divisible(mono, di, dj, lead, steps)
+        # the smallest k in [lo, hi] = [1, steps) with lead dividing the
+        # monomial at step k, i.e. k*di >= gap_i and k*dj >= gap_j
+        lo, hi = 1, steps - 1
+        gap = lead.i - mono.i
+        if di:  # di < 0: k <= gap_i // di
+            if (k := gap // di) < hi:
+                hi = k
+        elif gap > 0:
+            continue
+        gap = lead.j - mono.j
+        if dj > 0:
+            if (k := -(-gap // dj)) > lo:
+                lo = k
+        elif dj < 0:
+            if (k := gap // dj) < hi:
+                hi = k
+        elif gap > 0:
+            continue
+        if lo <= hi:
+            steps = lo
     return steps
 
 
@@ -434,9 +436,10 @@ def _reduce_term(p: int, coeff: int, mono: Monomial, rules: Sequence[tuple]) -> 
     jump, multiplying the coefficient by c once per rewrite, before the rules
     are scanned again from the first.
     """
+    mi, mj = mono
     while True:
         for lm, chain, c in rules:
-            if lm.i <= mono.i and lm.j <= mono.j:
+            if lm.i <= mi and lm.j <= mj:
                 break
         else:
             coeff %= p
@@ -445,7 +448,8 @@ def _reduce_term(p: int, coeff: int, mono: Monomial, rules: Sequence[tuple]) -> 
             return None
         di, dj, earlier = chain
         steps = _chain_length(mono, lm, di, dj, earlier)
-        mono = Monomial(mono.i + steps * di, mono.j + steps * dj)
+        mi, mj = mi + steps * di, mj + steps * dj
+        mono = _new(Monomial, (mi, mj))
         if c != 1:
             coeff = coeff * pow(c, steps, p)
 
@@ -471,20 +475,17 @@ def _binomial_nf(p: int, terms: Sequence[tuple[int, Monomial]],
     return (out[0][0], None, 0) if out else None
 
 
-def _terms(g: tuple) -> list[tuple[int, Monomial]]:
-    """A triple's terms (coeff, mono)."""
-    lead, tail, c = g
-    return [(1, lead)] if tail is None else [(1, lead), (-c, tail)]
-
-
 def _binomial_s_pair(lcm: Monomial, f: tuple, g: tuple) -> list[tuple[int, Monomial]]:
     """Terms (coeff, mono) of (lcm/lm f)*f - (lcm/lm g)*g, for triples f and g
     whose leads divide lcm.  The leads cancel, so only the shifted tails are
     written: -c_f at tail_f + (lcm - lm_f) and c_g at tail_g + (lcm - lm_g)."""
     out = []
-    for (lm, tail, c), sign in ((f, -1), (g, 1)):
-        if tail is not None:
-            out.append((sign * c, Monomial(tail.i + lcm.i - lm.i, tail.j + lcm.j - lm.j)))
+    lm, tail, c = f
+    if tail is not None:
+        out.append((-c, _new(Monomial, (tail.i + lcm.i - lm.i, tail.j + lcm.j - lm.j))))
+    lm, tail, c = g
+    if tail is not None:
+        out.append((c, _new(Monomial, (tail.i + lcm.i - lm.i, tail.j + lcm.j - lm.j))))
     return out
 
 
@@ -502,46 +503,81 @@ class GroebnerBasis:
     staircase: tuple[Monomial, ...]
 
 
-# Buchberger's loop and minimalization read leads only, so both paths share them.
+# Buchberger's pair loop, once per representation: a queue of index pairs by
+# lcm of leads, pairs with coprime leads skipped, every nonzero remainder
+# appended, and a budget on the pairs processed.  Both loops take the same
+# pairs in the same order, so both paths return the same basis or raise at the
+# same budget.
 
 
-def _pair_loop(gens: Sequence, lead: Callable, rule: Callable, remainder: Callable,
-               pair_budget: int) -> tuple[list, list[Monomial]]:
-    """Every element Buchberger's pair loop appends to the monic gens, with
-    their leads, for either representation.
-
-    lead(g) is g's leading monomial, rule(g, leads) its rewrite rule against
-    the leads listed before it, and remainder(lcm, f, g, rules) the monic
-    normal form of the S-polynomial of f and g, or None when it is zero.
-    """
-    basis: list = []
+def _dict_pair_loop(p: int, gens: Sequence[FpPoly], pair_budget: int
+                    ) -> tuple[list[FpPoly], list[Monomial]]:
+    """Every element the pair loop appends to the monic FpPolys gens, with
+    their leads; each S-pair is written into a dict (_s_pair) and reduced by
+    _normal_form."""
+    basis: list[FpPoly] = []
     leads: list[Monomial] = []
     rules: list[tuple] = []
     heap: list[tuple[Monomial, int, int]] = []
-
-    def add(g) -> None:
-        lm = lead(g)
-        for k, lm_k in enumerate(leads):
-            if (lm_k.i == 0 or lm.i == 0) and (lm_k.j == 0 or lm.j == 0):
-                continue  # coprime leading monomials: S-poly reduces to zero
-            heapq.heappush(heap, (lm_k.lcm(lm), k, len(basis)))
-        rules.append(rule(g, leads))
-        basis.append(g)
-        leads.append(lm)
-
-    for g in gens:
-        add(g)
+    todo = list(gens)
     processed = 0
-    while heap:
-        big, a, b = heapq.heappop(heap)
-        processed += 1
-        if processed > pair_budget:
-            raise PairBudgetExceededError(
-                f"more than {pair_budget} S-pairs processed"
-            )
-        new = remainder(big, basis[a], basis[b], rules)
-        if new is not None:
-            add(new)
+    while todo:
+        for g in todo:
+            lm = g.leading_term()[0]
+            for k, lm_k in enumerate(leads):
+                if (lm_k.i == 0 or lm.i == 0) and (lm_k.j == 0 or lm.j == 0):
+                    continue  # coprime leading monomials: S-poly reduces to zero
+                heapq.heappush(heap, (lm_k.lcm(lm), k, len(basis)))
+            rules.append(_rule(g, leads))
+            basis.append(g)
+            leads.append(lm)
+        todo = []
+        while heap and not todo:
+            lcm, a, b = heapq.heappop(heap)
+            processed += 1
+            if processed > pair_budget:
+                raise PairBudgetExceededError(f"more than {pair_budget} S-pairs processed")
+            if work := _normal_form(p, _s_pair(p, lcm, basis[a], basis[b]), rules):
+                todo.append(FpPoly._raw(p, work).monic())
+    return basis, leads
+
+
+def _binomial_pair_loop(p: int, gens: Sequence[tuple], pair_budget: int
+                        ) -> tuple[list[tuple], list[Monomial]]:
+    """Every element the pair loop appends to the monic triples gens, with
+    their leads; each S-pair is a list of at most two terms
+    (_binomial_s_pair), and one of a monomial and a binomial, which has one
+    term, is reduced by one _reduce_term walk."""
+    basis: list[tuple] = []
+    leads: list[Monomial] = []
+    rules: list[tuple] = []
+    heap: list[tuple[Monomial, int, int]] = []
+    todo = list(gens)
+    processed = 0
+    while todo:
+        for g in todo:
+            lm = g[0]
+            for k, lm_k in enumerate(leads):
+                if (lm_k.i == 0 or lm.i == 0) and (lm_k.j == 0 or lm.j == 0):
+                    continue  # coprime leading monomials: S-poly reduces to zero
+                heapq.heappush(heap, (lm_k.lcm(lm), k, len(basis)))
+            rules.append(_binomial_rule(g, leads))
+            basis.append(g)
+            leads.append(lm)
+        todo = []
+        while heap and not todo:
+            lcm, a, b = heapq.heappop(heap)
+            processed += 1
+            if processed > pair_budget:
+                raise PairBudgetExceededError(f"more than {pair_budget} S-pairs processed")
+            terms = _binomial_s_pair(lcm, basis[a], basis[b])
+            if len(terms) == 1:
+                # a monomial and a binomial: one shifted tail, one term left
+                reduced = _reduce_term(p, *terms[0], rules)
+                if reduced is not None:
+                    todo.append((reduced[0], None, 0))
+            elif terms and (reduced := _binomial_nf(p, terms, rules)) is not None:
+                todo.append(reduced)
     return basis, leads
 
 
@@ -582,13 +618,7 @@ def _reduced_form(minimal: list[FpPoly]) -> list[FpPoly]:
 def _dict_buchberger(gens: Sequence[FpPoly], pair_budget: int) -> GroebnerBasis:
     """buchberger on dicts of terms, for checked generators of any length."""
     p = gens[0].p
-
-    def remainder(lcm, f, g, rules):
-        work = _normal_form(p, _s_pair(p, lcm, f, g), rules)
-        return FpPoly._raw(p, work).monic() if work else None
-
-    basis, leads = _pair_loop([g.monic() for g in gens], lambda g: g.leading_term()[0],
-                              _rule, remainder, pair_budget)
+    basis, leads = _dict_pair_loop(p, [g.monic() for g in gens], pair_budget)
     final = _reduced_form(_minimal(basis, leads))
     rules = _rules(final)
     _check_members(_normal_form(p, dict(g.terms), rules) for g in gens)
@@ -597,24 +627,27 @@ def _dict_buchberger(gens: Sequence[FpPoly], pair_budget: int) -> GroebnerBasis:
 
 def _binomial_buchberger(p: int, gens: Sequence[tuple], pair_budget: int) -> GroebnerBasis:
     """buchberger on monic triples over F_p, p already known prime."""
-
-    def remainder(lcm, f, g, rules):
-        terms = _binomial_s_pair(lcm, f, g)
-        return _binomial_nf(p, terms, rules) if terms else None  # two monomials: zero
-
-    basis, leads = _pair_loop(gens, itemgetter(0), _binomial_rule, remainder, pair_budget)
+    basis, leads = _binomial_pair_loop(p, gens, pair_budget)
     minimal = _minimal(basis, leads)
-    # tail-reduce as _reduced_form does; a monomial is already reduced
+    # tail-reduce as _reduced_form does.  No other lead divides a survivor's
+    # lead, so of lead - c*tail only the term -c*tail moves: to k*m, or to zero
     rules = _binomial_rules(minimal)
-    final = [g if g[1] is None else _binomial_nf(p, _terms(g), rules[:idx] + rules[idx + 1 :])
-             for idx, g in enumerate(minimal)]
+    final = minimal[:]
+    for idx, (lead, tail, c) in enumerate(minimal):
+        if tail is not None:
+            if reduced := _reduce_term(p, -c, tail, rules[:idx] + rules[idx + 1:]):
+                final[idx] = lead, reduced[0], -reduced[1] % p
+            else:
+                final[idx] = lead, None, 0
     if final != minimal:
         rules = _binomial_rules(final)
-    _check_members(_binomial_nf(p, _terms(g), rules) for g in gens)
+    _check_members(_reduce_term(p, 1, lead, rules) if tail is None
+                   else _binomial_nf(p, [(1, lead), (-c, tail)], rules)
+                   for lead, tail, c in gens)
     return GroebnerBasis(tuple([_poly(p, g) for g in final]), tuple([g[0] for g in final]))
 
 
-def buchberger(gens: Sequence[FpPoly], pair_budget: int = 100_000) -> GroebnerBasis:
+def buchberger(gens: Sequence[FpPoly], pair_budget: int = PAIR_BUDGET_DEFAULT) -> GroebnerBasis:
     """Reduced lex Groebner basis of the ideal the generators span.
 
     Textbook Buchberger: a queue of index pairs ordered by the lcm of leading
@@ -627,15 +660,19 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = 100_000) -> GroebnerBa
     pair_budget caps how many pairs may be processed; exhausting it raises
     PairBudgetExceededError rather than returning anything partial.
 
-    The input picks one of two representations, with the same pair queue,
-    budget, minimalization and result.  When every generator has one or two
-    terms, so has every element the run makes, and the binomial path keeps
-    each as a monic triple (lead, tail, c): a remainder is the sum of the
-    normal forms of its two terms, each one walk of first-divisor rewrites
-    (_reduce_term).  FpPolys are built once, for the result.  Otherwise the
-    dict path keeps each element as an FpPoly: _s_pair writes each
-    S-polynomial into the dict _normal_form reduces, against rewrite rules
-    built once as each element joins the basis.
+    The input picks one of two representations, with the same pairs
+    processed, budget, minimalization and result.  When every generator has
+    one or two terms, so has every element the run makes, and the binomial
+    path keeps each as a monic triple (lead, tail, c): a remainder is the sum
+    of the normal forms of its two terms, each one walk of first-divisor
+    rewrites (_reduce_term).  FpPolys are built once, for the result.
+    Otherwise the dict path keeps each element as an FpPoly: _s_pair writes
+    each S-polynomial into the dict _normal_form reduces, against rewrite
+    rules built once as each element joins the basis.
+
+    The oracle does not come through here: _colength builds its generators
+    as triples and calls _binomial_buchberger itself, without these input
+    checks, which its generators pass by construction.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -652,18 +689,25 @@ def count_under_staircase(staircase: Sequence[Monomial]) -> int | None:
     """Monomials divisible by no staircase element; None when infinitely many.
 
     In two variables the count is finite exactly when the staircase blocks
-    both axes, i.e. contains pure powers x^a and y^c.  Corner walk: column i
-    contributes min{m.j : m.i <= i}, which changes only at corners, so each
-    gap between sorted corners adds its width times that running minimum.
+    both axes, i.e. contains pure powers x^a and y^c.  Corner walk, one pass
+    over the sorted corners: column i contributes min{m.j : m.i <= i}, which
+    changes only at corners, so each gap between corners adds its width
+    times that running minimum.  The walk needs a first corner on the y-axis
+    (i = 0) and ends where the minimum reaches 0, at the first corner on the
+    x-axis; a staircase without either has infinitely many standard monomials.
     """
-    if not any(m.j == 0 for m in staircase) or not any(m.i == 0 for m in staircase):
-        return None
     corners = sorted(staircase)
-    total, height = 0, corners[0].j
-    for corner, following in zip(corners, corners[1:]):
-        height = min(height, corner.j)
-        total += (following.i - corner.i) * height
-    return total
+    if not corners or corners[0][0]:
+        return None
+    total, (i, height) = 0, corners[0]
+    for ci, cj in corners:
+        if not height:
+            return total
+        total += (ci - i) * height
+        i = ci
+        if cj < height:
+            height = cj
+    return None if height else total
 
 
 def frobenius_power_generators(spec: RingSpec, e: int) -> list[FpPoly]:
@@ -690,21 +734,38 @@ def _power_generators(spec: RingSpec, q: int) -> list[FpPoly]:
 def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
     """Colength of (x^q, y^q, x^n - y^n) in F_p[x, y], the slow honest way.
 
-    Runs buchberger on the raw generators and counts standard monomials.
-    The generators are two monomials and a binomial, so the run takes the
-    binomial path: monic triples, each term reduced by one walk of rewrites,
-    and no dict of terms.  The closed formula is never consulted, which is what makes agreement
-    with hk_value meaningful.  q above q_cap raises QCapExceededError to
-    tell the caller to fall back to the formula.
+    Runs Buchberger on the raw generators and counts standard monomials
+    (_colength).  The generators are two monomials and a binomial, built as
+    the monic triples of buchberger's binomial path: each term is reduced by
+    one walk of rewrites, and neither a dict of terms nor a generator FpPoly
+    is built.  The closed formula is never consulted, which is what makes
+    agreement with hk_value meaningful.  q above q_cap raises
+    QCapExceededError to tell the caller to fall back to the formula.
     """
     return _colength(spec, capped_q(spec.p, e, q_cap))[1]
 
 
+def _relation(n: int) -> tuple:
+    """x^n - y^n as a monic triple of the binomial path."""
+    return _new(Monomial, (n, 0)), _new(Monomial, (0, n)), 1
+
+
 def _colength(spec: RingSpec, q: int) -> tuple[GroebnerBasis, int]:
     """Reduced basis of (x^q, y^q, x^n - y^n), q = p^e already built as by
-    capped_q, and its staircase count: the only buchberger run on these
-    generators, which every oracle caller and the CLI share."""
-    gb = buchberger(_power_generators(spec, q))
+    capped_q, and its staircase count: the only Buchberger run on these
+    generators, which every oracle caller and the CLI share.
+
+    The generators are built as the monic triples of the binomial path,
+    x^n - y^n as (x^n, y^n, 1), and go straight to _binomial_buchberger.
+    No FpPoly is made for them, and buchberger's input checks are not run:
+    they could only pass here, since the RingSpec has checked p and the
+    three are nonzero over one field by construction.  Every check on the
+    result runs: each generator must reduce to zero modulo the basis
+    (_check_members), and the staircase must block both axes.
+    """
+    gens = [(_new(Monomial, (q, 0)), None, 0), (_new(Monomial, (0, q)), None, 0),
+            _relation(spec.n)]
+    gb = _binomial_buchberger(spec.p, gens, PAIR_BUDGET_DEFAULT)
     count = count_under_staircase(gb.staircase)
     if count is None:
         # x^q and y^q are in the ideal, so both axes are always blocked
@@ -712,17 +773,21 @@ def _colength(spec: RingSpec, q: int) -> tuple[GroebnerBasis, int]:
     return gb, count
 
 
-def _telescopes(relation: FpPoly, q: int, b: int) -> bool:
-    """Whether relation = x^n - y^n divides x^q - x^b y^(q-b).
+def _telescopes(spec: RingSpec, q: int, b: int) -> bool:
+    """Whether x^n - y^n divides x^q - x^b y^(q-b), n from spec.
 
     Division by a single polynomial leaves a zero remainder exactly when it
     divides, and the quotient is then the ladder
     x^(q-n) + x^(q-2n) y^n + ... + x^b y^(q-b-n); the term reducer walks the
     ladder in one binomial jump instead of multiplying it out.
     """
-    rules = [_binomial_rule(_triple(relation), ())]
-    return _binomial_nf(relation.p, [(1, Monomial(q, 0)), (-1, Monomial(b, q - b))],
-                        rules) is None
+    lhs = [(1, _new(Monomial, (q, 0))), (-1, _new(Monomial, (b, q - b)))]
+    return _binomial_nf(spec.p, lhs, [_binomial_rule(_relation(spec.n), ())]) is None
+
+
+def _predicted_staircase(n: int, q: int, b: int) -> tuple[Monomial, ...]:
+    """The leads y^q, x^b y^(q-b), x^n of the predicted basis, ascending."""
+    return _new(Monomial, (0, q)), _new(Monomial, (b, q - b)), _new(Monomial, (n, 0))
 
 
 @dataclass(frozen=True)
@@ -761,38 +826,38 @@ def verify_closed_form_basis(
         and listed in ascending lex order, as GroebnerBasis keeps it.
     """
     q = capped_q(spec.p, e, q_cap)
-    if q <= spec.n:
-        raise ValueError(f"need q > n, got q = {q} and n = {spec.n}")
-    return _check_basis(spec, q, _colength(spec, q)[0])
+    n = spec.n
+    if q <= n:
+        raise ValueError(f"need q > n, got q = {q} and n = {n}")
+    basis = _colength(spec, q)[0]
+    telescoping_ok, spoly_ok, staircase_ok = _check_basis(spec, q, basis)
+    b = q % n
+    return BasisCheck(
+        ok=telescoping_ok and spoly_ok and staircase_ok,
+        telescoping_ok=telescoping_ok,
+        spoly_ok=spoly_ok,
+        staircase_ok=staircase_ok,
+        expected_staircase=_predicted_staircase(n, q, b),
+        computed_staircase=basis.staircase,
+        q=q,
+        b=b,
+    )
 
 
-def _check_basis(spec: RingSpec, q: int, basis: GroebnerBasis) -> BasisCheck:
-    """verify_closed_form_basis for a q = p^e > n already built, as by
-    capped_q, and the basis _colength computed for it."""
+def _check_basis(spec: RingSpec, q: int, basis: GroebnerBasis) -> tuple[bool, bool, bool]:
+    """The flags (a), (b), (c) of verify_closed_form_basis, for a q = p^e > n
+    already built, as by capped_q, and the basis _colength computed for it.
+    The CLI reads these flags alone, so no BasisCheck is built per row."""
     p, n = spec.p, spec.n
     b = q % n
+    telescoping_ok = _telescopes(spec, q, b)
 
-    relation = (Monomial(n, 0), Monomial(0, n), 1)  # x^n - 1*y^n
-    telescoping_ok = _telescopes(_poly(p, relation), q, b)
-
-    predicted = [(Monomial(b, q - b), None, 0), (Monomial(0, q), None, 0), relation]
+    predicted = [(_new(Monomial, (b, q - b)), None, 0), (_new(Monomial, (0, q)), None, 0),
+                 _relation(n)]
     rules = _binomial_rules(predicted)
     spoly_ok = not any(
         _binomial_nf(p, _binomial_s_pair(f[0].lcm(g[0]), f, g), rules)
         for f, g in itertools.combinations(predicted, 2)
     )
 
-    expected = (Monomial(0, q), Monomial(b, q - b), Monomial(n, 0))
-    computed = basis.staircase
-    staircase_ok = computed == expected
-
-    return BasisCheck(
-        ok=telescoping_ok and spoly_ok and staircase_ok,
-        telescoping_ok=telescoping_ok,
-        spoly_ok=spoly_ok,
-        staircase_ok=staircase_ok,
-        expected_staircase=expected,
-        computed_staircase=computed,
-        q=q,
-        b=b,
-    )
+    return telescoping_ok, spoly_ok, basis.staircase == _predicted_staircase(n, q, b)

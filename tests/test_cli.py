@@ -499,14 +499,16 @@ class TestDriver:
         PairBudgetExceededError("more than 100000 S-pairs processed"),
     ])
     def test_internal_fault_exits_4(self, capsys, monkeypatch, fault):
-        def broken(gens):
+        # the oracle's one Buchberger run, which gb and verify both reach
+        def broken(p, gens, pair_budget):
             raise fault
 
-        monkeypatch.setattr(hkkit.groebner, "buchberger", broken)
-        code, out, err = run(capsys, "gb", "--p", "2", "--n", "3", "--e", "2")
-        assert code == 4
-        assert out == ""
-        assert err == f"error: internal fault: {fault}\n"
+        monkeypatch.setattr(hkkit.groebner, "_binomial_buchberger", broken)
+        for argv in ["gb --p 2 --n 3 --e 2", "verify --p 2 --n 3 --emax 2"]:
+            code, out, err = run(capsys, *argv.split())
+            assert code == 4
+            assert out == ""
+            assert err == f"error: internal fault: {fault}\n"
 
     @pytest.mark.parametrize("argv", [
         "gb --p 2 --n 3 --e 2", "verify --p 2 --n 3 --emax 2",

@@ -5,7 +5,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hkkit import groebner
 from hkkit.closed_form import RingSpec, hk_value
@@ -539,6 +539,48 @@ class TestBinomialPathMatchesDictPath:
             basis_or_error(groebner._dict_buchberger, gens, budget))
 
 
+# the largest e with p^e <= 2^4096, per prime the oracle tests draw from
+MAX_E_4096 = {p: max(e for e in range(4097) if p**e <= 2**4096) for p in (2, 3, 5, 7, 11, 13)}
+
+
+@st.composite
+def frobenius_rings(draw):
+    """(RingSpec(p, n), q = p^e): n in 2..60 coprime to p, q up to 2^4096."""
+    p = draw(st.sampled_from(sorted(MAX_E_4096)), label="p")
+    n = draw(st.integers(2, 60).filter(lambda n: n % p), label="n")
+    e = draw(st.integers(0, MAX_E_4096[p]), label="e")
+    return RingSpec(p, n), p**e
+
+
+class TestColengthMatchesBuchberger:
+    """_colength builds the generators as triples and skips buchberger's
+    input checks and the FpPoly round trip; it must still land on the basis
+    buchberger computes from the generator FpPolys, and on that basis's count."""
+
+    @given(ring=frobenius_rings())
+    @example(ring=(RingSpec(2, 7), 2**65536))  # one chain of about 2^65536/7 rewrites
+    @example(ring=(RingSpec(3, 10), 9))  # q < n: x^n - y^n drops out of the basis
+    @example(ring=(RingSpec(13, 60), 1))  # q = 1: the basis is x, y
+    @settings(max_examples=300, deadline=None)
+    def test_same_basis_and_count(self, ring):
+        spec, q = ring
+        expected = buchberger(groebner._power_generators(spec, q))
+        assert groebner._colength(spec, q) == (
+            expected, count_under_staircase(expected.staircase))
+
+    def test_member_check_refuses_a_wrong_basis(self, monkeypatch):
+        # x^5 - 2*y^5 in place of x^5 - y^5 over F_3: x^27 and y^27 still reduce
+        # to zero modulo the basis, the binomial generator x^5 - y^5 does not
+        honest = groebner._minimal
+
+        def corrupt(basis, leads):
+            return [g if g[1] is None else (g[0], g[1], 2) for g in honest(basis, leads)]
+
+        monkeypatch.setattr(groebner, "_minimal", corrupt)
+        with pytest.raises(RuntimeError, match="input generator fails to reduce to zero"):
+            hk_brute(RingSpec(3, 5), 3)
+
+
 class TestBuchberger:
     def test_frobenius_generators_give_predicted_staircase(self):
         gb = buchberger(frobenius_power_generators(RingSpec(2, 3), 2))
@@ -842,11 +884,11 @@ class TestVerifyClosedFormBasis:
             verify_closed_form_basis(RingSpec(2, 5), 0)
 
     def test_telescoping_is_exact_division(self):
-        rel = relation(2, 3)
+        spec = RingSpec(2, 3)  # divides by x^3 - y^3
         q = 2**16
-        assert groebner._telescopes(rel, q, q % 3)
-        assert groebner._telescopes(rel, q, q % 3 + 3)  # same class mod n
-        assert not groebner._telescopes(rel, q, q % 3 + 1)
+        assert groebner._telescopes(spec, q, q % 3)
+        assert groebner._telescopes(spec, q, q % 3 + 3)  # same class mod n
+        assert not groebner._telescopes(spec, q, q % 3 + 1)
 
     def test_wrong_b_fails_telescoping(self, monkeypatch):
         honest = groebner._telescopes
@@ -1007,17 +1049,22 @@ class TestOracleIndependence:
 
 
 class TestOracleTakesTheBinomialPath:
-    """The oracle's generators are two monomials and a binomial, so no dict of
-    terms is ever built: a silent fall-back to the dict path fails here
-    instead of only costing time."""
+    """The oracle's generators are two monomials and a binomial, built as
+    monic triples, so neither a dict of terms nor a generator FpPoly is ever
+    built: a silent fall-back to the dict path, or to the FpPoly round trip
+    through _power_generators and _triple, fails here instead of only
+    costing time."""
 
     @pytest.fixture(autouse=True)
-    def no_dict_path(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the oracle took the dict path")
+    def no_fall_back(self, monkeypatch):
+        def refuse(name):
+            def refused(*args):
+                raise AssertionError(f"the oracle called {name}")
+            return refused
 
-        for name in ("_normal_form", "_rule", "_s_pair", "_reduced_form"):
-            monkeypatch.setattr(groebner, name, refuse)
+        for name in ("_normal_form", "_rule", "_s_pair", "_reduced_form",
+                     "_power_generators", "_triple"):
+            monkeypatch.setattr(groebner, name, refuse(name))
 
     def test_library_oracle(self):
         # the colength n*q - b*(n - b), b = q mod n, computed here

@@ -10,20 +10,17 @@ is only evidence because the routes share no code.
 Monomial order is lex with x > y throughout, which for exponent pairs (i, j)
 is plain tuple comparison.
 
-Polynomials live in one of two representations, picked from buchberger's
-input.  The oracle's generators are monomials and a binomial, and so is every
-S-polynomial and remainder they lead to, since a rewrite by a monomial or a
-binomial maps one term to at most one.  On this binomial path buchberger and
-the basis check keep each polynomial as a monic triple (lead, tail, c) and
-reduce one term at a time, by one walk down first-divisor rewrites
-(_reduce_term); FpPolys are built only for the basis returned.  The oracle
-(_colength) builds its generators as triples and enters this path directly.
-Generators of three or more terms, which the public API accepts, take the
-dict path: one loop, _normal_form, reduces a dict of terms against rewrite
-rules built once per divisor polynomial (_rule).  The public reduce always
-takes the dict path.  Both paths process the same pairs in the same order,
-share the minimalization, which reads leading monomials only, and return the
-same reduced basis.
+Two Buchberger engines take the same pairs in the same order and share the
+minimalization and the member check.  The public buchberger is the general
+one: it takes FpPolys of any length and is built from the public primitives,
+s_polynomial and reduce.  The oracle (_colength) has its own,
+_binomial_buchberger.  Its generators are
+monomials and a binomial, and so is every S-polynomial and remainder they
+lead to, since a rewrite by a monomial or a binomial maps one term to at most
+one: it keeps each polynomial as a monic triple (lead, tail, c), reduces one
+term at a time by one walk down first-divisor rewrites (_reduce_term), and
+builds FpPolys only for the basis returned.  Both return the same reduced
+basis, and the tests compare them.
 """
 
 import heapq
@@ -240,29 +237,6 @@ def s_polynomial(f: FpPoly, g: FpPoly) -> FpPoly:
     return left - right
 
 
-def _s_pair(p: int, lcm: Monomial, f: FpPoly, g: FpPoly) -> dict[Monomial, int]:
-    """Terms of (lcm/lm f)*f - (lcm/lm g)*g, for monic f and g whose leads divide lcm.
-
-    The leads cancel, so they are never written: the result is the dict that
-    _normal_form consumes, equal to s_polynomial(f, g).terms.  The dict path
-    of buchberger is its only caller.
-    """
-    lm = f.leading_term()[0]
-    si, sj = lcm.i - lm.i, lcm.j - lm.j
-    work = {Monomial(m.i + si, m.j + sj): c for m, c in f.terms.items() if m != lm}
-    lm = g.leading_term()[0]
-    si, sj = lcm.i - lm.i, lcm.j - lm.j
-    for m, c in g.terms.items():
-        if m != lm:
-            key = Monomial(m.i + si, m.j + sj)
-            c = (work.get(key, 0) - c) % p
-            if c:
-                work[key] = c
-            else:
-                work.pop(key)
-    return work
-
-
 def _chain_length(
     mono: Monomial, lm: Monomial, di: int, dj: int, earlier: Sequence[Monomial]
 ) -> int:
@@ -321,14 +295,44 @@ def _rule(g: FpPoly, earlier: Sequence[Monomial]) -> tuple:
     return lm, (tail.i - lm.i, tail.j - lm.j, tuple(earlier)), rest
 
 
-def _rules(basis: Sequence[FpPoly]) -> list[tuple]:
-    leads = [g.leading_term()[0] for g in basis]
-    return [_rule(g, leads[:idx]) for idx, g in enumerate(basis)]
+def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
+    """Full normal form of f modulo a list of nonzero polynomials.
 
+    Always rewrites the largest remaining monomial, using the first basis
+    element (in list order) whose leading monomial divides it, so the result
+    is deterministic for a fixed list.  No monomial of the output is
+    divisible by any basis leading monomial.  Rewriting only ever introduces
+    monomials strictly below the one removed, and lex on nonnegative
+    exponents is a well-order, so this terminates.
 
-def _normal_form(p: int, work: dict[Monomial, int], rules: Sequence[tuple]) -> dict:
-    """Terms of the normal form of the polynomial in work, which it consumes."""
-    out: dict[Monomial, int] = {}
+    reduce works on a dict of waiting terms, whatever the inputs: each basis
+    element's rewrite rule (_rule) is built once per call, and every rewrite
+    merges into that dict.  buchberger reduces every S-polynomial with it.
+    The oracle does not: its binomial engine reduces one term at a time
+    (_reduce_term) and keeps no dict of terms.
+
+    A binomial g = lc*lm + ct*tail rewrites c*mono into -(ct/lc)*c times
+    mono + (tail - lm), and so on until lm stops dividing the moving monomial
+    or an earlier basis lead starts to.  Such a chain of T rewrites (T from a
+    few integer divisions, see _chain_length) is one jump: c*(-ct/lc)^T at
+    mono + T*(tail - lm) merges into the waiting terms as one rewrite would.
+    Every binomial rewrite takes the jump, a one-step chain (T = 1) included.
+    Which rewrite a monomial gets depends on that monomial alone, so the
+    normal form is linear in f: a waiting term the jump passes runs down the
+    same chain later, and the output is term for term that of rewriting one
+    step at a time, as reducers of three or more terms still do.  For the
+    oracle's ideals, whose reducers are all monomials or binomials, the jump
+    turns the O(q/n) rewrites of a chain by x^n - y^n into one.
+    """
+    rules: list[tuple] = []
+    leads: list[Monomial] = []
+    for g in basis:
+        if g.is_zero():
+            raise ValueError("basis elements must be nonzero")
+        f._check_char(g)
+        rules.append(rule := _rule(g, leads))
+        leads.append(rule[0])
+    p, work, out = f.p, dict(f.terms), {}
     while work:
         mono = max(work)
         coeff = work.pop(mono)
@@ -351,60 +355,14 @@ def _normal_form(p: int, work: dict[Monomial, int], rules: Sequence[tuple]) -> d
                 break
         else:
             out[mono] = coeff
-    return out
+    return FpPoly._raw(p, out)
 
 
-def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
-    """Full normal form of f modulo a list of nonzero polynomials.
-
-    Always rewrites the largest remaining monomial, using the first basis
-    element (in list order) whose leading monomial divides it, so the result
-    is deterministic for a fixed list.  No monomial of the output is
-    divisible by any basis leading monomial.  Rewriting only ever introduces
-    monomials strictly below the one removed, and lex on nonnegative
-    exponents is a well-order, so this terminates.
-
-    reduce works on dicts of terms, whatever the inputs: each basis
-    element's rewrite rule (_rule) is built once per call, and _normal_form
-    merges every rewrite into the dict of waiting terms.  It is the dict
-    path that buchberger takes for generators of three or more terms.
-    Monomial and binomial generators take the binomial path instead, which
-    reduces one term at a time (_reduce_term) and keeps no dict of terms.
-
-    A binomial g = lc*lm + ct*tail rewrites c*mono into -(ct/lc)*c times
-    mono + (tail - lm), and so on until lm stops dividing the moving monomial
-    or an earlier basis lead starts to.  Such a chain of T rewrites (T from a
-    few integer divisions, see _chain_length) is one jump: c*(-ct/lc)^T at
-    mono + T*(tail - lm) merges into the waiting terms as one rewrite would.
-    Every binomial rewrite takes the jump, a one-step chain (T = 1) included.
-    Which rewrite a monomial gets depends on that monomial alone, so the
-    normal form is linear in f: a waiting term the jump passes runs down the
-    same chain later, and the output is term for term that of rewriting one
-    step at a time, as reducers of three or more terms still do.  For the
-    oracle's ideals, whose reducers are all monomials or binomials, the jump
-    turns the O(q/n) rewrites of a chain by x^n - y^n into one.
-    """
-    for g in basis:
-        if g.is_zero():
-            raise ValueError("basis elements must be nonzero")
-        f._check_char(g)
-    return FpPoly._raw(f.p, _normal_form(f.p, dict(f.terms), _rules(basis)))
-
-
-# The binomial path.  An element is a monic triple (lead, tail, c) that stands
-# for lead - c*tail, with c in [1, p-1], tail < lead, and tail None (c = 0)
-# for the monomial lead.  Every S-polynomial and every remainder of such
-# elements has at most two terms again, because a rewrite by a monomial or a
-# binomial maps one term to one term or to none.
-
-
-def _triple(g: FpPoly) -> tuple:
-    """g, of one or two terms, as a monic triple."""
-    lm, lc = g.leading_term()
-    if len(g.terms) == 1:
-        return lm, None, 0
-    tail, ct = min(g.terms.items())
-    return lm, tail, -ct * pow(lc, -1, g.p) % g.p
+# The oracle's binomial path.  An element is a monic triple (lead, tail, c)
+# that stands for lead - c*tail, with c in [1, p-1], tail < lead, and tail
+# None (c = 0) for the monomial lead.  Every S-polynomial and every remainder
+# of such elements has at most two terms again, because a rewrite by a
+# monomial or a binomial maps one term to one term or to none.
 
 
 def _poly(p: int, g: tuple) -> FpPoly:
@@ -503,43 +461,11 @@ class GroebnerBasis:
     staircase: tuple[Monomial, ...]
 
 
-# Buchberger's pair loop, once per representation: a queue of index pairs by
-# lcm of leads, pairs with coprime leads skipped, every nonzero remainder
-# appended, and a budget on the pairs processed.  Both loops take the same
-# pairs in the same order, so both paths return the same basis or raise at the
-# same budget.
-
-
-def _dict_pair_loop(p: int, gens: Sequence[FpPoly], pair_budget: int
-                    ) -> tuple[list[FpPoly], list[Monomial]]:
-    """Every element the pair loop appends to the monic FpPolys gens, with
-    their leads; each S-pair is written into a dict (_s_pair) and reduced by
-    _normal_form."""
-    basis: list[FpPoly] = []
-    leads: list[Monomial] = []
-    rules: list[tuple] = []
-    heap: list[tuple[Monomial, int, int]] = []
-    todo = list(gens)
-    processed = 0
-    while todo:
-        for g in todo:
-            lm = g.leading_term()[0]
-            for k, lm_k in enumerate(leads):
-                if (lm_k.i == 0 or lm.i == 0) and (lm_k.j == 0 or lm.j == 0):
-                    continue  # coprime leading monomials: S-poly reduces to zero
-                heapq.heappush(heap, (lm_k.lcm(lm), k, len(basis)))
-            rules.append(_rule(g, leads))
-            basis.append(g)
-            leads.append(lm)
-        todo = []
-        while heap and not todo:
-            lcm, a, b = heapq.heappop(heap)
-            processed += 1
-            if processed > pair_budget:
-                raise PairBudgetExceededError(f"more than {pair_budget} S-pairs processed")
-            if work := _normal_form(p, _s_pair(p, lcm, basis[a], basis[b]), rules):
-                todo.append(FpPoly._raw(p, work).monic())
-    return basis, leads
+# Buchberger's pair loop, once per engine: a queue of index pairs by lcm of
+# leads, pairs with coprime leads skipped, every nonzero remainder appended,
+# and a budget on the pairs processed.  Both loops take the same pairs in the
+# same order, so both engines return the same basis or raise at the same
+# budget.
 
 
 def _binomial_pair_loop(p: int, gens: Sequence[tuple], pair_budget: int
@@ -606,30 +532,11 @@ def _check_members(remainders: Iterable) -> None:
         )
 
 
-def _reduced_form(minimal: list[FpPoly]) -> list[FpPoly]:
-    # tail-reduce each survivor against the others; leading monomials are
-    # pairwise indivisible so one pass lands on the unique reduced form (a
-    # later rule's chain may also stop at g's own lead: that splits one jump)
-    rules = _rules(minimal)
-    return [FpPoly._raw(g.p, _normal_form(g.p, dict(g.terms), rules[:idx] + rules[idx + 1 :]))
-            for idx, g in enumerate(minimal)]
-
-
-def _dict_buchberger(gens: Sequence[FpPoly], pair_budget: int) -> GroebnerBasis:
-    """buchberger on dicts of terms, for checked generators of any length."""
-    p = gens[0].p
-    basis, leads = _dict_pair_loop(p, [g.monic() for g in gens], pair_budget)
-    final = _reduced_form(_minimal(basis, leads))
-    rules = _rules(final)
-    _check_members(_normal_form(p, dict(g.terms), rules) for g in gens)
-    return GroebnerBasis(tuple(final), tuple(g.leading_term()[0] for g in final))
-
-
 def _binomial_buchberger(p: int, gens: Sequence[tuple], pair_budget: int) -> GroebnerBasis:
     """buchberger on monic triples over F_p, p already known prime."""
     basis, leads = _binomial_pair_loop(p, gens, pair_budget)
     minimal = _minimal(basis, leads)
-    # tail-reduce as _reduced_form does.  No other lead divides a survivor's
+    # tail-reduce as buchberger does.  No other lead divides a survivor's
     # lead, so of lead - c*tail only the term -c*tail moves: to k*m, or to zero
     rules = _binomial_rules(minimal)
     final = minimal[:]
@@ -660,19 +567,18 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = PAIR_BUDGET_DEFAULT) -
     pair_budget caps how many pairs may be processed; exhausting it raises
     PairBudgetExceededError rather than returning anything partial.
 
-    The input picks one of two representations, with the same pairs
-    processed, budget, minimalization and result.  When every generator has
-    one or two terms, so has every element the run makes, and the binomial
-    path keeps each as a monic triple (lead, tail, c): a remainder is the sum
-    of the normal forms of its two terms, each one walk of first-divisor
-    rewrites (_reduce_term).  FpPolys are built once, for the result.
-    Otherwise the dict path keeps each element as an FpPoly: _s_pair writes
-    each S-polynomial into the dict _normal_form reduces, against rewrite
-    rules built once as each element joins the basis.
+    Every element is a monic FpPoly, and every remainder is
+    reduce(s_polynomial(f, g), basis): the public primitives, which work for
+    generators of any length.  The final pass reduces each survivor of
+    _minimal against the others with reduce, and the member check reduces
+    each generator modulo the result.
 
     The oracle does not come through here: _colength builds its generators
-    as triples and calls _binomial_buchberger itself, without these input
-    checks, which its generators pass by construction.
+    as triples and runs _binomial_buchberger, which keeps monomials and
+    binomials as triples and reduces one term at a time, without these input
+    checks, which its generators pass by construction.  The two engines share
+    only the pair order, _minimal, _chain_length and _check_members, so the
+    tests that compare them compare two computations.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -680,9 +586,34 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = PAIR_BUDGET_DEFAULT) -
         g._check_char(gens[0])
         if g.is_zero():
             raise ValueError("generators must be nonzero")
-    if all(len(g.terms) <= 2 for g in gens):
-        return _binomial_buchberger(gens[0].p, [_triple(g) for g in gens], pair_budget)
-    return _dict_buchberger(gens, pair_budget)
+    basis: list[FpPoly] = []
+    leads: list[Monomial] = []
+    heap: list[tuple[Monomial, int, int]] = []
+
+    def append(g: FpPoly) -> None:
+        lm = g.leading_term()[0]
+        for k, lm_k in enumerate(leads):
+            if (lm_k.i == 0 or lm.i == 0) and (lm_k.j == 0 or lm.j == 0):
+                continue  # coprime leading monomials: S-poly reduces to zero
+            heapq.heappush(heap, (lm_k.lcm(lm), k, len(basis)))
+        basis.append(g)
+        leads.append(lm)
+
+    for g in gens:
+        append(g.monic())
+    processed = 0
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        processed += 1
+        if processed > pair_budget:
+            raise PairBudgetExceededError(f"more than {pair_budget} S-pairs processed")
+        remainder = reduce(s_polynomial(basis[a], basis[b]), basis)
+        if not remainder.is_zero():
+            append(remainder.monic())
+    minimal = _minimal(basis, leads)
+    final = [reduce(g, minimal[:idx] + minimal[idx + 1:]) for idx, g in enumerate(minimal)]
+    _check_members(reduce(g, final).terms for g in gens)
+    return GroebnerBasis(tuple(final), tuple(g.leading_term()[0] for g in final))
 
 
 def count_under_staircase(staircase: Sequence[Monomial]) -> int | None:
@@ -736,9 +667,9 @@ def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
 
     Runs Buchberger on the raw generators and counts standard monomials
     (_colength).  The generators are two monomials and a binomial, built as
-    the monic triples of buchberger's binomial path: each term is reduced by
-    one walk of rewrites, and neither a dict of terms nor a generator FpPoly
-    is built.  The closed formula is never consulted, which is what makes
+    the monic triples of the oracle's binomial engine: each term is reduced
+    by one walk of rewrites, and neither a dict of terms nor a generator
+    FpPoly is built.  The closed formula is never consulted, which is what makes
     agreement with hk_value meaningful.  q above q_cap raises
     QCapExceededError to tell the caller to fall back to the formula.
     """

@@ -227,32 +227,6 @@ class TestSPolynomial:
             s_polynomial(mono_poly(2, 1, 0), mono_poly(3, 0, 1))
 
 
-def monic_polys(p, n_terms, max_exp=6):
-    monos = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
-    return st.dictionaries(monos, st.integers(1, p - 1), min_size=n_terms,
-                           max_size=n_terms).map(lambda d: FpPoly(p, d).monic())
-
-
-class TestSPair:
-    """_s_pair, the S-pair writer of buchberger's dict path, against the
-    reference s_polynomial, which shares no code with it."""
-
-    @given(st.data())
-    @settings(max_examples=400, deadline=None)
-    def test_matches_s_polynomial(self, data):
-        p = data.draw(st.sampled_from((2, 3, 5, 7)), label="p")
-        # monomials, binomials, and polynomials of three or more terms
-        f, g = (data.draw(monic_polys(p, data.draw(st.sampled_from((1, 2, 3, 5)))))
-                for _ in range(2))
-        f_terms, g_terms = dict(f.terms), dict(g.terms)
-        lcm = f.leading_term()[0].lcm(g.leading_term()[0])
-        work = groebner._s_pair(p, lcm, f, g)
-        assert work == s_polynomial(f, g).terms
-        assert all(0 < c < p for c in work.values())
-        work.clear()  # _normal_form consumes it: f and g must not share it
-        assert (f.terms, g.terms) == (f_terms, g_terms)
-
-
 class TestReduce:
     def test_pure_power_swallows_spolynomials(self):
         basis = [
@@ -346,6 +320,16 @@ def relation(p, n):
     return FpPoly(p, {Monomial(n, 0): 1, Monomial(0, n): -1})
 
 
+def triple(g):
+    """g, of one or two terms, as the monic triple (lead, tail, c) of the
+    oracle's binomial path, which stands for lead - c*tail."""
+    lm, lc = lead_of(g)
+    if len(g.terms) == 1:
+        return lm, None, 0
+    tail, ct = min(g.terms.items())
+    return lm, tail, -ct * pow(lc, -1, g.p) % g.p
+
+
 def chain_length_stepwise(mono, lm, di, dj, earlier):
     """First k >= 1 at which the chain from mono stops, by walking it."""
     k = 1
@@ -418,7 +402,7 @@ class TestBinomialChainJump:
         p = data.draw(st.sampled_from((2, 3, 5, 7)))
         basis = data.draw(st.lists(small_polys(p, 8, 2), min_size=1, max_size=4))
         f = data.draw(small_polys(p, 16, 2))
-        rules = groebner._binomial_rules([groebner._triple(g) for g in basis])
+        rules = groebner._binomial_rules([triple(g) for g in basis])
         got = groebner._binomial_nf(p, [(c, m) for m, c in f.terms.items()], rules)
         expected = reduce_stepwise(f, basis)
         if expected.is_zero():
@@ -494,9 +478,9 @@ class TestBuchbergerMatchesReference:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_small_ideals(self, p, data):
-        # the dict path: one trinomial among up to three monomials, binomials
-        # and trinomials, so both kinds of rule and chains cut by earlier
-        # leads all occur
+        # one trinomial among up to three monomials, binomials and
+        # trinomials, so both kinds of rule and chains cut by earlier leads
+        # all occur
         gens = data.draw(st.lists(small_polys(p, 5, 3), max_size=3), label="gens")
         at = data.draw(st.integers(0, len(gens)), label="at")
         gens.insert(at, data.draw(small_polys(p, 5, 3, min_terms=3), label="trinomial"))
@@ -506,7 +490,7 @@ class TestBuchbergerMatchesReference:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_small_binomial_ideals(self, p, data):
-        # the binomial path: monomials and binomials only
+        # monomials and binomials only, the oracle's kind of generator
         assert_matches_reference(data.draw(st.lists(small_polys(p, 5, 2), min_size=1,
                                                     max_size=4), label="gens"))
 
@@ -528,6 +512,9 @@ def basis_or_error(run, gens, pair_budget):
 
 
 class TestBinomialPathMatchesDictPath:
+    """The oracle's engine on monic triples against buchberger, which keeps
+    dicts of terms (FpPolys) and shares no reducer with it."""
+
     # p = 2 matters: there -1 == 1, and a binomial's c is 1 either way
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -535,8 +522,12 @@ class TestBinomialPathMatchesDictPath:
         p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)), label="p")
         gens = data.draw(st.lists(small_polys(p, 8, 2), min_size=1, max_size=4), label="gens")
         budget = data.draw(st.integers(0, 40), label="pair_budget")
-        assert basis_or_error(buchberger, gens, budget) == (
-            basis_or_error(groebner._dict_buchberger, gens, budget))
+
+        def binomial_engine(gens, pair_budget):
+            return groebner._binomial_buchberger(p, [triple(g) for g in gens], pair_budget)
+
+        assert basis_or_error(binomial_engine, gens, budget) == (
+            basis_or_error(buchberger, gens, budget))
 
 
 # the largest e with p^e <= 2^4096, per prime the oracle tests draw from
@@ -1048,23 +1039,28 @@ class TestOracleIndependence:
                 Monomial(0, q), Monomial(b, q - b), Monomial(spec.n, 0))
 
 
+def refuse_all(monkeypatch, names, caller):
+    """Set each groebner function in names to raise when called."""
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"{caller} called {name}")
+        return refused
+
+    for name in names:
+        monkeypatch.setattr(groebner, name, refuse(name))
+
+
 class TestOracleTakesTheBinomialPath:
     """The oracle's generators are two monomials and a binomial, built as
     monic triples, so neither a dict of terms nor a generator FpPoly is ever
-    built: a silent fall-back to the dict path, or to the FpPoly round trip
-    through _power_generators and _triple, fails here instead of only
+    built: a silent fall-back to buchberger or its primitives, or to the
+    generator FpPolys of _power_generators, fails here instead of only
     costing time."""
 
     @pytest.fixture(autouse=True)
     def no_fall_back(self, monkeypatch):
-        def refuse(name):
-            def refused(*args):
-                raise AssertionError(f"the oracle called {name}")
-            return refused
-
-        for name in ("_normal_form", "_rule", "_s_pair", "_reduced_form",
-                     "_power_generators", "_triple"):
-            monkeypatch.setattr(groebner, name, refuse(name))
+        refuse_all(monkeypatch, ("buchberger", "reduce", "s_polynomial", "_rule",
+                                 "_power_generators"), "the oracle")
 
     def test_library_oracle(self):
         # the colength n*q - b*(n - b), b = q mod n, computed here
@@ -1085,3 +1081,34 @@ class TestOracleTakesTheBinomialPath:
         assert [(r["oracle"], r["basis_check"], r["pass"]) for r in rows] == [
             (1, None, True), (9, None, True), (41, True, True), (129, True, True),
             (401, True, True)]
+
+
+class TestBuchbergerTakesTheGeneralPath:
+    """buchberger never enters the oracle's binomial engine, even on the
+    monomials and binomials that engine is built for: with the engine
+    refusing every call, it still lands on the oracle's basis and on the
+    reference's.  So the tests that compare buchberger with _colength
+    compare two computations, not one with itself."""
+
+    ENGINE = ("_binomial_buchberger", "_binomial_pair_loop", "_reduce_term", "_binomial_nf")
+
+    @given(ring=frobenius_rings())
+    @example(ring=(RingSpec(2, 7), 2**65536))  # one chain of about 2^65536/7 rewrites
+    @example(ring=(RingSpec(3, 10), 9))  # q < n: x^n - y^n drops out of the basis
+    @settings(max_examples=50, deadline=None)
+    def test_frobenius_generators(self, ring):
+        spec, q = ring
+        expected = groebner._colength(spec, q)[0]
+        gens = groebner._power_generators(spec, q)
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_all(mp, self.ENGINE, "buchberger")
+            assert buchberger(gens) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_binomial_ideals(self, data):
+        p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)), label="p")
+        gens = data.draw(st.lists(small_polys(p, 8, 2), min_size=1, max_size=4), label="gens")
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_all(mp, self.ENGINE, "buchberger")
+            assert_matches_reference(gens)

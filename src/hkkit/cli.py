@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
 from .closed_form import HKRecord, RingSpec, _rows, hk_value
-from .groebner import Q_CAP_DEFAULT, QCapExceededError, _check_basis, _colength, capped_q
+from .groebner import Q_CAP_DEFAULT, QCapExceededError, _check_basis, _colength, _poly, capped_q
 from .period import PeriodReport, period_of
 from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, realize
 
@@ -129,18 +129,17 @@ def _emit(fmt: str, doc, table, plain=None) -> None:
     """Write one result to stdout as fmt, building only that format's view.
 
     doc() gives the JSON document, table() the header row and rows for CSV,
-    and plain() the lines of plain text (by default the table in right-aligned
-    columns, two spaces apart).  Table cells are ints, integral Decimals and
-    str, never bool: each view fills one row template, repeated over all rows,
-    with one % call.
+    and plain() the lines of plain text, joined and written in one call (by
+    default the table in right-aligned columns, two spaces apart).  Table
+    cells are ints, integral Decimals and str, never bool: each view fills
+    one row template, repeated over all rows, with one % call.
     Each CSV row is its cells joined by commas, unquoted: every cell the CLI
     prints is letters, digits, spaces and `_^*+;`, which csv.writer never quotes.
     """
     if fmt == "json":
         sys.stdout.write(_json(doc()))
     elif fmt == "plain" and plain:
-        for line in plain():
-            print(line)
+        sys.stdout.write("\n".join([*plain(), ""]))
     else:
         rows = list(table())
         width, cells = len(rows[0]), tuple(chain.from_iterable(rows))
@@ -211,8 +210,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             break  # q only grows with e: every later row is past the cap too
         closed = hk_value(spec, e)
         # one Buchberger run serves both the oracle count and the basis check
-        gb, oracle = _colength(spec, q)
-        basis_ok = all(_check_basis(spec, q, gb)) if q > spec.n else None
+        basis, oracle = _colength(spec, q)
+        basis_ok = all(_check_basis(spec, q, basis)) if q > spec.n else None
         ok = closed == oracle and basis_ok is not False
         rows.append((e, q, closed, oracle, basis_ok, ok))
     skipped = range(len(rows), args.emax + 1)
@@ -242,16 +241,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gb(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
     q = capped_q(spec.p, args.e, args.qcap)
-    gb, count = _colength(spec, q)
+    basis, count = _colength(spec, q)
     head = {"p": spec.p, "n": spec.n, "e": args.e, "q": q}
-    generators = [str(g) for g in gb.generators]
-    leads = [[m.i, m.j] for m in gb.staircase]
+    generators = [str(_poly(spec.p, g)) for g in basis]
+    leads = [[m.i, m.j] for m, _, _ in basis]
     table = [["generator", "lead_i", "lead_j"]]
     table += ([g, *lead] for g, lead in zip(generators, leads))
 
     def plain():
         summary = {**head, "count": count}
-        summary["staircase"] = "  ".join(str(m) for m in gb.staircase)
+        summary["staircase"] = "  ".join(str(m) for m, _, _ in basis)
         return [*_pairs(summary), "basis:", *(f"  {g}" for g in generators)]
 
     doc = {**head, "generators": generators, "staircase": leads, "count": count}

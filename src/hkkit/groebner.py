@@ -19,8 +19,8 @@ monomials and a binomial, and so is every S-polynomial and remainder they
 lead to, since a rewrite by a monomial or a binomial maps one term to at most
 one: it keeps each polynomial as a monic triple (lead, tail, c), reduces one
 term at a time by one walk down first-divisor rewrites (_reduce_term), and
-builds FpPolys only for the basis returned.  Both return the same reduced
-basis, and the tests compare them.
+returns the basis as triples; only the gb command makes FpPolys of them, to
+print.  Both engines return the same reduced basis, which the tests compare.
 """
 
 import heapq
@@ -532,8 +532,9 @@ def _check_members(remainders: Iterable) -> None:
         )
 
 
-def _binomial_buchberger(p: int, gens: Sequence[tuple], pair_budget: int) -> GroebnerBasis:
-    """buchberger on monic triples over F_p, p already known prime."""
+def _binomial_buchberger(p: int, gens: Sequence[tuple], pair_budget: int) -> list[tuple]:
+    """buchberger on monic triples over F_p, p already known prime: the
+    checked reduced basis as the triples it holds, by ascending lead."""
     basis, leads = _binomial_pair_loop(p, gens, pair_budget)
     minimal = _minimal(basis, leads)
     # tail-reduce as buchberger does.  No other lead divides a survivor's
@@ -551,7 +552,7 @@ def _binomial_buchberger(p: int, gens: Sequence[tuple], pair_budget: int) -> Gro
     _check_members(_reduce_term(p, 1, lead, rules) if tail is None
                    else _binomial_nf(p, [(1, lead), (-c, tail)], rules)
                    for lead, tail, c in gens)
-    return GroebnerBasis(tuple([_poly(p, g) for g in final]), tuple([g[0] for g in final]))
+    return final
 
 
 def buchberger(gens: Sequence[FpPoly], pair_budget: int = PAIR_BUDGET_DEFAULT) -> GroebnerBasis:
@@ -668,10 +669,10 @@ def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
     Runs Buchberger on the raw generators and counts standard monomials
     (_colength).  The generators are two monomials and a binomial, built as
     the monic triples of the oracle's binomial engine: each term is reduced
-    by one walk of rewrites, and neither a dict of terms nor a generator
-    FpPoly is built.  The closed formula is never consulted, which is what makes
-    agreement with hk_value meaningful.  q above q_cap raises
-    QCapExceededError to tell the caller to fall back to the formula.
+    by one walk of rewrites, the count reads the triples' leads, and no dict
+    of terms and no FpPoly is built.  The closed formula is never consulted,
+    which is what makes agreement with hk_value meaningful.  q above q_cap
+    raises QCapExceededError to tell the caller to fall back to the formula.
     """
     return _colength(spec, capped_q(spec.p, e, q_cap))[1]
 
@@ -681,27 +682,28 @@ def _relation(n: int) -> tuple:
     return _new(Monomial, (n, 0)), _new(Monomial, (0, n)), 1
 
 
-def _colength(spec: RingSpec, q: int) -> tuple[GroebnerBasis, int]:
+def _colength(spec: RingSpec, q: int) -> tuple[list[tuple], int]:
     """Reduced basis of (x^q, y^q, x^n - y^n), q = p^e already built as by
-    capped_q, and its staircase count: the only Buchberger run on these
-    generators, which every oracle caller and the CLI share.
+    capped_q, as monic triples by ascending lead, and its staircase count: the
+    one Buchberger run on these generators that every oracle caller shares.
 
     The generators are built as the monic triples of the binomial path,
     x^n - y^n as (x^n, y^n, 1), and go straight to _binomial_buchberger.
-    No FpPoly is made for them, and buchberger's input checks are not run:
-    they could only pass here, since the RingSpec has checked p and the
-    three are nonzero over one field by construction.  Every check on the
-    result runs: each generator must reduce to zero modulo the basis
-    (_check_members), and the staircase must block both axes.
+    No FpPoly is made for them or for the basis (only gb builds those, to
+    print them), and buchberger's input checks are not run: they could only
+    pass here, since the RingSpec has checked p and the three are nonzero
+    over one field by construction.  Every check on the result runs: each
+    generator must reduce to zero modulo the basis (_check_members), and the
+    staircase must block both axes.
     """
     gens = [(_new(Monomial, (q, 0)), None, 0), (_new(Monomial, (0, q)), None, 0),
             _relation(spec.n)]
-    gb = _binomial_buchberger(spec.p, gens, PAIR_BUDGET_DEFAULT)
-    count = count_under_staircase(gb.staircase)
+    basis = _binomial_buchberger(spec.p, gens, PAIR_BUDGET_DEFAULT)
+    count = count_under_staircase([g[0] for g in basis])
     if count is None:
         # x^q and y^q are in the ideal, so both axes are always blocked
         raise RuntimeError("staircase misses a pure power: library bug")
-    return gb, count
+    return basis, count
 
 
 def _telescopes(spec: RingSpec, q: int, b: int) -> bool:
@@ -752,9 +754,9 @@ def verify_closed_form_basis(
         by exact division (see _telescopes), at a cost independent of q;
     (b) all three S-polynomials of the predicted basis reduce to zero modulo
         it (Buchberger's criterion, so the predicted set is a Groebner basis);
-    (c) buchberger run on the raw generators lands on the staircase
+    (c) Buchberger run on the raw generators lands on the staircase
         (y^q, x^b y^(q-b), x^n): pairwise indivisible because q > n > b >= 1,
-        and listed in ascending lex order, as GroebnerBasis keeps it.
+        and listed in ascending lex order, as _colength returns the basis.
     """
     q = capped_q(spec.p, e, q_cap)
     n = spec.n
@@ -769,15 +771,15 @@ def verify_closed_form_basis(
         spoly_ok=spoly_ok,
         staircase_ok=staircase_ok,
         expected_staircase=_predicted_staircase(n, q, b),
-        computed_staircase=basis.staircase,
+        computed_staircase=tuple([g[0] for g in basis]),
         q=q,
         b=b,
     )
 
 
-def _check_basis(spec: RingSpec, q: int, basis: GroebnerBasis) -> tuple[bool, bool, bool]:
+def _check_basis(spec: RingSpec, q: int, basis: Sequence[tuple]) -> tuple[bool, bool, bool]:
     """The flags (a), (b), (c) of verify_closed_form_basis, for a q = p^e > n
-    already built, as by capped_q, and the basis _colength computed for it.
+    already built, as by capped_q, and the triples _colength computed for it.
     The CLI reads these flags alone, so no BasisCheck is built per row."""
     p, n = spec.p, spec.n
     b = q % n
@@ -790,5 +792,4 @@ def _check_basis(spec: RingSpec, q: int, basis: GroebnerBasis) -> tuple[bool, bo
         _binomial_nf(p, _binomial_s_pair(f[0].lcm(g[0]), f, g), rules)
         for f, g in itertools.combinations(predicted, 2)
     )
-
-    return telescoping_ok, spoly_ok, basis.staircase == _predicted_staircase(n, q, b)
+    return telescoping_ok, spoly_ok, tuple([g[0] for g in basis]) == _predicted_staircase(n, q, b)

@@ -1,0 +1,119 @@
+"""The oracle's colength against the definition, with no Groebner theory.
+
+A = F[x,y]/(x^q, y^q) has the q^2 monomials x^i y^j (i, j < q) as a basis,
+and the image of the ideal (x^n - y^n) in A is spanned by the products
+m*(x^n - y^n), m a monomial of A.  A term that leaves the box is zero in A,
+so each product is e_u - e_v (both terms in the box), e_u (one) or 0
+(none).  The span of the two-term products is that of a graph's edges,
+whose rank is the number of vertices less the number of connected
+components; a one-term product raises the rank by one for its component
+only, the first time.  So the colength of (x^q, y^q, x^n - y^n) is the
+number of components that hold no one-term product, whatever the field.
+
+The count needs no term order, no field arithmetic and no basis, and shares
+no code with _colength, public buchberger or count_under_staircase: a fault
+in any piece they share shows here.  The same components also check the
+basis _colength returns (basis_faults), which a fault that leaves the count
+alone, such as a divisible lead kept, still changes.
+"""
+
+import pytest
+
+from hkkit import RingSpec
+from hkkit.groebner import _colength
+
+
+def quotient(n: int, q: int) -> tuple[list[int], set[int]]:
+    """Each monomial's component, as a root node (x^i y^j is node i*q + j),
+    and the roots of the live components: those with no one-term product."""
+    parent = list(range(q * q))
+
+    def root(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    killed = set()
+    for i in range(q):
+        for j in range(q):
+            # x^i y^j * (x^n - y^n) = x^(i+n) y^j - x^i y^(j+n), terms past q dropped
+            left = (i + n) * q + j if i + n < q else None
+            right = i * q + j + n if j + n < q else None
+            if left is not None and right is not None:
+                parent[root(left)] = root(right)
+            elif left is not None or right is not None:
+                killed.add(left if right is None else right)
+    roots = [root(u) for u in range(q * q)]
+    return roots, set(roots) - {roots[u] for u in killed}
+
+
+def colength_by_definition(n: int, q: int) -> int:
+    """dim F[x,y]/(x^q, y^q, x^n - y^n), by a union-find over the q^2 monomials."""
+    return len(quotient(n, q)[1])
+
+
+def basis_faults(p: int, n: int, q: int, basis) -> list[str]:
+    """What keeps the triples (lead, tail, c), each lead - c*tail, from being
+    the reduced basis of the ideal, read off the definition alone.
+
+    A polynomial lies in the ideal when, in each live component, its
+    coefficients on the monomials of the box sum to 0 mod p.  Elements of
+    the ideal whose leads leave as standard (divisible by no lead) one
+    monomial per live component, and none in a dead one or outside the box,
+    are a Groebner basis, if each lead is above its tail in lex (x > y), which
+    is tuple order; it is reduced when no lead divides another lead or a
+    tail."""
+    roots, live = quotient(n, q)
+    faults = []
+    for lead, tail, c in basis:
+        sums = dict.fromkeys(live, 0)
+        for (i, j), coeff in [(lead, 1)] + ([] if tail is None else [(tail, -c)]):
+            if i < q and j < q and roots[i * q + j] in live:
+                sums[roots[i * q + j]] += coeff
+        if any(total % p for total in sums.values()):
+            faults.append(f"{(lead, tail, c)} is not in the ideal")
+    leads = [lead for lead, _, _ in basis]
+
+    def dividing(mono):
+        return [(a, b) for a, b in leads if a <= mono[0] and b <= mono[1]]
+
+    if not (dividing((q, 0)) and dividing((0, q))):
+        faults.append("a monomial outside the box is standard")
+    # column i of the box holds the standard x^i y^j with j below every lead x^a y^b, a <= i
+    standard = [roots[i * q + j] for i in range(q)
+                for j in range(min([q] + [b for a, b in leads if a <= i]))]
+    if sorted(standard) != sorted(live):
+        faults.append("the standard monomials are not one per live component")
+    for lead, tail, _ in basis:
+        if len(dividing(lead)) > 1 or tail is not None and (dividing(tail) or tail > lead):
+            faults.append(f"{(lead, tail)} is not reduced")
+    return faults
+
+
+# every prime p <= 13, every 2 <= n < 30 coprime to p, every q = p^e <= 128
+ROWS = [(p, n, p**e) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 30) if n % p
+        for e in range(8) if p**e <= 128]
+
+
+@pytest.mark.parametrize("n, q, colength", [
+    (3, 1, 1),  # A is F itself
+    (5, 4, 16),  # q <= n: every product leaves the box, nothing is cut
+    (3, 4, 10),  # the staircase y^4, x y^3, x^3: 4 + 3 + 3
+    (2, 3, 5),  # x^2 = y^2, and x y^2, x^2 y and x^2 y^2 vanish: 9 - 1 - 3
+])
+def test_definition_on_hand_counted_rings(n, q, colength):
+    assert colength_by_definition(n, q) == colength
+
+
+def test_colength_matches_the_definition():
+    assert len(ROWS) == 501
+    wrong = [(p, n, q) for p, n, q in ROWS
+             if _colength(RingSpec(p, n), q)[1] != colength_by_definition(n, q)]
+    assert wrong == []
+
+
+def test_basis_is_the_reduced_basis_of_the_definition():
+    wrong = [(p, n, q, faults) for p, n, q in ROWS
+             if (faults := basis_faults(p, n, q, _colength(RingSpec(p, n), q)[0]))]
+    assert wrong == []

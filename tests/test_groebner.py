@@ -511,6 +511,12 @@ def basis_or_error(run, gens, pair_budget):
         return str(exc)
 
 
+def as_polys(p, triples):
+    """The generators and staircase a GroebnerBasis would hold for the
+    oracle's triples: each triple as an FpPoly through _poly, and the leads."""
+    return tuple(groebner._poly(p, g) for g in triples), tuple(g[0] for g in triples)
+
+
 class TestBinomialPathMatchesDictPath:
     """The oracle's engine on monic triples against buchberger, which keeps
     dicts of terms (FpPolys) and shares no reducer with it."""
@@ -524,10 +530,15 @@ class TestBinomialPathMatchesDictPath:
         budget = data.draw(st.integers(0, 40), label="pair_budget")
 
         def binomial_engine(gens, pair_budget):
-            return groebner._binomial_buchberger(p, [triple(g) for g in gens], pair_budget)
+            return as_polys(p, groebner._binomial_buchberger(
+                p, [triple(g) for g in gens], pair_budget))
+
+        def general_engine(gens, pair_budget):
+            gb = buchberger(gens, pair_budget)
+            return gb.generators, gb.staircase
 
         assert basis_or_error(binomial_engine, gens, budget) == (
-            basis_or_error(buchberger, gens, budget))
+            basis_or_error(general_engine, gens, budget))
 
 
 # the largest e with p^e <= 2^4096, per prime the oracle tests draw from
@@ -544,9 +555,10 @@ def frobenius_rings(draw):
 
 
 class TestColengthMatchesBuchberger:
-    """_colength builds the generators as triples and skips buchberger's
-    input checks and the FpPoly round trip; it must still land on the basis
-    buchberger computes from the generator FpPolys, and on that basis's count."""
+    """_colength builds the generators as triples, skips buchberger's input
+    checks and returns its basis as triples; as FpPolys (_poly) and leads,
+    that basis must equal the one buchberger computes from the generator
+    FpPolys, and its count that basis's count."""
 
     @given(ring=frobenius_rings())
     @example(ring=(RingSpec(2, 7), 2**65536))  # one chain of about 2^65536/7 rewrites
@@ -556,8 +568,9 @@ class TestColengthMatchesBuchberger:
     def test_same_basis_and_count(self, ring):
         spec, q = ring
         expected = buchberger(groebner._power_generators(spec, q))
-        assert groebner._colength(spec, q) == (
-            expected, count_under_staircase(expected.staircase))
+        triples, count = groebner._colength(spec, q)
+        assert as_polys(spec.p, triples) == (expected.generators, expected.staircase)
+        assert count == count_under_staircase(expected.staircase)
 
     def test_member_check_refuses_a_wrong_basis(self, monkeypatch):
         # x^5 - 2*y^5 in place of x^5 - y^5 over F_3: x^27 and y^27 still reduce
@@ -1001,8 +1014,8 @@ class TestInternalPolynomialsAreNormalized:
         predicted = [(Monomial(b, q - b), None, 0), (Monomial(0, q), None, 0), relation]
         assert (lhs, [relation]) in seen
         assert any(reducers == predicted for _, reducers in seen)
-        # the one place FpPolys are built: the basis returned
-        for g in groebner._colength(RingSpec(p, n), q)[0].generators:
+        # FpPolys are built from the basis's triples only, by _poly, for gb
+        for g in as_polys(p, groebner._colength(RingSpec(p, n), q)[0])[0]:
             assert all(type(m) is Monomial for m in g.terms)
             assert g == FpPoly(p, dict(g.terms))
 
@@ -1083,6 +1096,78 @@ class TestOracleTakesTheBinomialPath:
             (401, True, True)]
 
 
+def cli_run(capsys, argv):
+    from hkkit.cli import main
+
+    code = main(argv.split())
+    return (code, *capsys.readouterr())
+
+
+class TestOnlyGbBuildsPolynomials:
+    """_colength returns its basis as monic triples.  hk_brute,
+    verify_closed_form_basis and every verify row read the leads and build
+    neither an FpPoly nor a GroebnerBasis; gb alone builds FpPolys, one per
+    basis element through _poly, to print them."""
+
+    VERIFY = ["verify --p 3 --n 5 --emax 4", "verify --p 2 --n 7 --emax 12",
+              "verify --p 13 --n 60 --emax 2"]
+    # each gb argv with the size of its basis: x^n - y^n drops out at q < n
+    GB = [("gb --p 2 --n 7 --e 5", 3), ("gb --p 3 --n 10 --e 2", 2),
+          ("gb --p 13 --n 60 --e 0", 2), ("gb --p 2 --n 7 --e 9", 3)]
+    FORMATS = ["plain", "csv", "json"]
+
+    @staticmethod
+    def watch(monkeypatch, seen, refuse):
+        """Append to seen the name of each _poly call, GroebnerBasis and FpPoly
+        made from here on, by either FpPoly constructor and through the _poly
+        the CLI imported too, and raise there if refuse."""
+        from hkkit import cli
+
+        def watched(name, original):
+            def call(*args):
+                seen.append(name)
+                if refuse:
+                    raise AssertionError(f"the oracle built {name}")
+                return original(*args)
+            return call
+
+        poly = watched("_poly", groebner._poly)
+        monkeypatch.setattr(groebner, "_poly", poly)
+        monkeypatch.setattr(cli, "_poly", poly)
+        monkeypatch.setattr(groebner, "GroebnerBasis",
+                            watched("GroebnerBasis", groebner.GroebnerBasis))
+        monkeypatch.setattr(FpPoly, "__init__", watched("FpPoly", FpPoly.__init__))
+        monkeypatch.setattr(FpPoly, "_raw", classmethod(watched("FpPoly", FpPoly._raw.__func__)))
+
+    def test_library_and_verify_build_none(self, monkeypatch, capsys):
+        library = [(RingSpec(2, 7), 5), (RingSpec(3, 5), 4), (RingSpec(2, 7), 4096)]
+
+        def answers():
+            return ([(hk_brute(spec, e, q_cap=spec.p**e),
+                      verify_closed_form_basis(spec, e, q_cap=spec.p**e))
+                     for spec, e in library],
+                    [cli_run(capsys, f"{argv} --format {fmt}")
+                     for argv in self.VERIFY for fmt in self.FORMATS])
+
+        expected, seen = answers(), []
+        self.watch(monkeypatch, seen, refuse=True)
+        assert answers() == expected
+        assert seen == []
+        # the refusal reaches the CLI: gb, which prints the polynomials, meets it
+        with pytest.raises(AssertionError, match="the oracle built _poly"):
+            cli_run(capsys, self.GB[0][0])
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_gb_builds_one_fppoly_per_basis_element(self, monkeypatch, capsys, fmt):
+        expected = [cli_run(capsys, f"{argv} --format {fmt}") for argv, _ in self.GB]
+        seen = []
+        self.watch(monkeypatch, seen, refuse=False)
+        for (argv, size), output in zip(self.GB, expected):
+            assert cli_run(capsys, f"{argv} --format {fmt}") == output
+            assert seen == ["_poly", "FpPoly"] * size, argv
+            seen.clear()
+
+
 class TestBuchbergerTakesTheGeneralPath:
     """buchberger never enters the oracle's binomial engine, even on the
     monomials and binomials that engine is built for: with the engine
@@ -1098,11 +1183,12 @@ class TestBuchbergerTakesTheGeneralPath:
     @settings(max_examples=50, deadline=None)
     def test_frobenius_generators(self, ring):
         spec, q = ring
-        expected = groebner._colength(spec, q)[0]
+        expected = as_polys(spec.p, groebner._colength(spec, q)[0])
         gens = groebner._power_generators(spec, q)
         with pytest.MonkeyPatch.context() as mp:
             refuse_all(mp, self.ENGINE, "buchberger")
-            assert buchberger(gens) == expected
+            gb = buchberger(gens)
+            assert (gb.generators, gb.staircase) == expected
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)

@@ -35,6 +35,22 @@ LIMITS = {
     "plimit": ("HKKIT_PLIMIT", SEARCH_LIMIT_DEFAULT, "characteristic search bound"),
 }
 
+# Subcommands: name -> (help, required int options as {dest: help}, LIMITS dests);
+# every command also takes --format, one of FORMATS
+_RING = {"p": "characteristic (prime)", "n": "exponent n in x^n - y^n"}
+COMMANDS = {
+    "table": ("tabulate e, q, b, HK(e), phi(e)",
+              {**_RING, "emax": "largest e to tabulate"}, ()),
+    "period": ("order, period, and branch report", _RING, ()),
+    "realize": ("find a ring with a prescribed period",
+                {"pi": "target period"}, ("nlimit", "plimit")),
+    "verify": ("closed form vs. Groebner oracle, row per e",
+               {**_RING, "emax": "largest e to check"}, ("qcap",)),
+    "gb": ("reduced Groebner basis of (x^q, y^q, x^n - y^n)",
+           {**_RING, "e": "Frobenius exponent"}, ("qcap",)),
+}
+FORMATS = ("plain", "csv", "json")
+
 # table walks q and HK(e) as Decimals in this context, where every integer is
 # exact (any rounding would raise Inexact): a row costs one multiplication by
 # p, and its text is linear in its digits, where int-to-str is quadratic
@@ -260,7 +276,8 @@ def cmd_gb(args: argparse.Namespace) -> int:
 
 def _resolve_limits(args: argparse.Namespace) -> None:
     """Set each LIMITS dest the command takes: flag, else environment, else default."""
-    for dest, (var, value, _) in args.limits.items():
+    for dest in COMMANDS[args.command][2]:
+        var, value, _ = LIMITS[dest]
         raw = os.environ.get(var)
         if raw is not None:
             try:
@@ -271,13 +288,14 @@ def _resolve_limits(args: argparse.Namespace) -> None:
                 raise ValueError(f"{var} must be positive, got {value}")
         flag = getattr(args, dest)
         if flag is not None and flag < 1:
-            raise ValueError(f"limits must be positive, got {flag}")
+            raise ValueError(f"--{dest} must be positive, got {flag}")
         setattr(args, dest, value if flag is None else flag)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The process's shared parser, built on first use; callers must not mutate it."""
+    """The process's shared parser, one subparser per COMMANDS entry, built for
+    the first argv that _parse_table refuses; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="hkkit",
         description=(
@@ -286,74 +304,42 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    ring = [("p", "characteristic (prime)"), ("n", "exponent n in x^n - y^n")]
-    # (name, help, required options with help, LIMITS options)
-    for name, summary, options, limits in [
-        ("table", "tabulate e, q, b, HK(e), phi(e)",
-         [*ring, ("emax", "largest e to tabulate")], []),
-        ("period", "order, period, and branch report", ring, []),
-        ("realize", "find a ring with a prescribed period",
-         [("pi", "target period")], ["nlimit", "plimit"]),
-        ("verify", "closed form vs. Groebner oracle, row per e",
-         [*ring, ("emax", "largest e to check")], ["qcap"]),
-        ("gb", "reduced Groebner basis of (x^q, y^q, x^n - y^n)",
-         [*ring, ("e", "Frobenius exponent")], ["qcap"]),
-    ]:
+    for name, (summary, options, limits) in COMMANDS.items():
         cmd = sub.add_parser(name, help=summary)
-        cmd.add_argument("--format", choices=["plain", "csv", "json"], default="plain",
+        cmd.add_argument("--format", choices=FORMATS, default="plain",
                          help="output format (default plain)")
-        for dest, text in options:
+        for dest, text in options.items():
             cmd.add_argument(f"--{dest}", type=int, required=True, help=text)
-        limits = {dest: LIMITS[dest] for dest in limits}  # all that main resolves for it
-        for dest, (_, default, text) in limits.items():
+        for dest in limits:
+            _, default, text = LIMITS[dest]
             cmd.add_argument(f"--{dest}", type=int, help=f"{text} (default {default})")
-        cmd.set_defaults(limits=limits)
     return parser
 
 
-@functools.cache
-def _option_table(command: argparse.ArgumentParser) -> tuple[dict, dict, set]:
-    """What command's parser knows, read once from its actions: each store
-    option that takes an int, or a str from its choices, by option string, as
-    (dest, choices or None for an int); the defaults argparse puts in a fresh
-    namespace; and the dests of the required options."""
-    options, defaults = {}, {}
-    for action in command._actions:
-        if argparse.SUPPRESS not in (action.dest, action.default):
-            defaults[action.dest] = action.default
-        kind = (action.type, bool(action.choices))  # an int, or a str from choices
-        if (isinstance(action, argparse._StoreAction) and action.nargs is None
-                and kind in ((int, False), (None, True))):
-            options.update(dict.fromkeys(action.option_strings, (action.dest, action.choices)))
-    for dest, value in command._defaults.items():
-        defaults.setdefault(dest, value)
-    return options, defaults, {action.dest for action in command._actions if action.required}
-
-
-def _parse_table(command: argparse.ArgumentParser, argv: Sequence[str]):
-    """The namespace command's parser would build from argv[1:], read off its
-    option table, when argv[1:] is (OPTION VALUE) pairs in their canonical form:
-    exact option strings, ints written as ASCII -?[0-9]+, listed choices, and
+def _parse_table(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace argparse would build from argv, read off COMMANDS, when
+    argv is a command and then (OPTION VALUE) pairs in their canonical form:
+    exact option strings, ints written as ASCII -?[0-9]+, listed formats, and
     every required option given (a repeated one keeps its last value).  Else
     None, and argparse reads argv."""
-    if len(argv) % 2 == 0:
+    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
         return None
-    options, defaults, required = _option_table(command)
-    values = {}
+    _, options, limits = COMMANDS[argv[0]]
+    values = {"format": "plain", **dict.fromkeys(limits)}
     for option, text in zip(argv[1::2], argv[2::2]):
-        dest, choices = options.get(option, (None, ()))
-        if choices is None:
+        dest = option[2:]
+        if option[:2] == "--" and (dest in options or dest in limits):
             digits = text[1:] if text[:1] == "-" else text
             if not (digits.isascii() and digits.isdigit()):
                 return None
             values[dest] = int(text)
-        elif text in choices:
-            values[dest] = text
-        else:  # not an option in the table, or not one of its choices
+        elif option == "--format" and text in FORMATS:
+            values["format"] = text
+        else:  # not an option of the command, or not a listed format
             return None
-    if not required <= values.keys():
+    if not options.keys() <= values.keys():
         return None
-    return argparse.Namespace(command=argv[0], **{**defaults, **values})
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -362,18 +348,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        parser = build_parser()
         argv = sys.argv[1:] if argv is None else argv
-        # an argv led by a command goes straight to that command's parser, which
-        # the top-level one would hand the rest of argv anyway: one parse, not two
-        command = parser._subparsers._group_actions[0].choices.get(argv[0] if argv else None)
-        if command is None:  # help, or a missing or unknown command
-            args = parser.parse_args(argv)
-        elif (args := _parse_table(command, argv)) is None:
+        if (args := _parse_table(argv)) is None:
             # argparse reads every other argv, and writes its messages and exits
-            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if extras:
-                parser.error("unrecognized arguments: %s" % " ".join(extras))
+            parser = build_parser()
+            # an argv led by a command goes straight to that command's parser, which
+            # the top-level one would hand the rest of argv anyway: one parse, not two
+            command = parser._subparsers._group_actions[0].choices.get(argv[0] if argv else None)
+            if command is None:  # help, or a missing or unknown command
+                args = parser.parse_args(argv)
+            else:
+                args, extras = command.parse_known_args(argv[1:],
+                                                        argparse.Namespace(command=argv[0]))
+                if extras:
+                    parser.error("unrecognized arguments: %s" % " ".join(extras))
         _resolve_limits(args)
         # looked up per call, not bound in the shared parser, so a rebound cmd_* runs
         return globals()[f"cmd_{args.command}"](args)

@@ -610,6 +610,14 @@ class TestDriver:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["gb", "--p", "2", "--n", "3", "--e", "1", "--qcap", "0"],
+        ["realize", "--pi", "6", "--nlimit", "0"],
+        ["realize", "--pi", "6", "--plimit", "0"],
+    ])
+    def test_nonpositive_limit_flag_names_its_option(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", f"error: {argv[-2]} must be positive, got 0\n")
+
 
 class TestLimitsPerCommand:
     """Each HKKIT_* variable is read only by the commands that take its flag."""
@@ -655,7 +663,7 @@ class TestParserReuse:
     ]
 
     def test_one_parser_per_process(self, capsys, monkeypatch):
-        assert run(capsys, *self.COMMANDS[0])[0] == 0  # builds it, if no test has yet
+        assert run(capsys, *self.COMMANDS[0])[0] == 0  # well-formed: builds no parser
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -821,14 +829,14 @@ def command_argvs(draw) -> list[str]:
 
 
 class TestOptionTable:
-    """A canonical argv is read off its command's option table, into the
-    namespace argparse builds; argparse reads every other argv."""
+    """A canonical argv is read off COMMANDS, into the namespace argparse
+    builds; argparse reads every other argv."""
 
     @given(command_argvs())
     @settings(max_examples=500)  # parsing only: about one in eight takes the table
     def test_table_namespace_is_argparses(self, argv):
         command = COMMAND_PARSERS[argv[0]]
-        table = hkkit.cli._parse_table(command, argv)
+        table = hkkit.cli._parse_table(argv)
         if table is None:
             return
         try:
@@ -853,13 +861,26 @@ class TestOptionTable:
     ]
 
     def test_readme_and_benchmark_argvs_skip_argparse(self, capsys, monkeypatch):
-        # a Python whose argparse internals moved would lose the table path
-        # silently: every answer stays the same, only slower
-        def refuse(argv, *args, **kwargs):
-            raise AssertionError(f"argparse reads {argv}")
+        # a table that refused these argvs would lose its fast path silently:
+        # every answer stays the same, only slower; nor is a parser built
+        def refuse():
+            raise AssertionError("a well-formed argv built the parser")
 
-        for parser in [hkkit.cli.build_parser(), *COMMAND_PARSERS.values()]:
-            monkeypatch.setattr(parser, "parse_known_args", refuse)
+        monkeypatch.setattr(hkkit.cli, "build_parser", refuse)
         for command in [*(command for command, _ in EXAMPLES), *self.BENCHMARK_ARGVS]:
             assert main(shlex.split(command)) == (3 if "--nlimit 10 " in command else 0)
         capsys.readouterr()
+
+    def test_parsers_are_built_from_commands(self):
+        """Each command's parser has --format, its required int options and its
+        limits, as COMMANDS lists them, and no other option but -h."""
+        assert COMMAND_PARSERS.keys() == hkkit.cli.COMMANDS.keys()
+        for name, (_, options, limits) in hkkit.cli.COMMANDS.items():
+            # by option strings: (nargs, type, choices, required, default)
+            expected = {("--format",): (None, None, hkkit.cli.FORMATS, False, "plain")}
+            expected.update({(f"--{dest}",): (None, int, None, True, None) for dest in options})
+            expected.update({(f"--{dest}",): (None, int, None, False, None) for dest in limits})
+            actual = {tuple(a.option_strings): (a.nargs, a.type, a.choices, a.required, a.default)
+                      for a in COMMAND_PARSERS[name]._actions
+                      if not isinstance(a, argparse._HelpAction)}
+            assert actual == expected, name

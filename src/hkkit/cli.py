@@ -260,13 +260,13 @@ def cmd_gb(args: argparse.Namespace) -> int:
     basis, count = _colength(spec, q)
     head = {"p": spec.p, "n": spec.n, "e": args.e, "q": q}
     generators = [str(_poly(spec.p, g)) for g in basis]
-    leads = [[m.i, m.j] for m, _, _ in basis]
+    leads = [[m.i, m.j] for m, _ in basis]
     table = [["generator", "lead_i", "lead_j"]]
     table += ([g, *lead] for g, lead in zip(generators, leads))
 
     def plain():
         summary = {**head, "count": count}
-        summary["staircase"] = "  ".join(str(m) for m, _, _ in basis)
+        summary["staircase"] = "  ".join(str(m) for m, _ in basis)
         return [*_pairs(summary), "basis:", *(f"  {g}" for g in generators)]
 
     doc = {**head, "generators": generators, "staircase": leads, "count": count}
@@ -351,17 +351,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         if (args := _parse_table(argv)) is None:
             # argparse reads every other argv, and writes its messages and exits
-            parser = build_parser()
-            # an argv led by a command goes straight to that command's parser, which
-            # the top-level one would hand the rest of argv anyway: one parse, not two
-            command = parser._subparsers._group_actions[0].choices.get(argv[0] if argv else None)
-            if command is None:  # help, or a missing or unknown command
-                args = parser.parse_args(argv)
-            else:
-                args, extras = command.parse_known_args(argv[1:],
-                                                        argparse.Namespace(command=argv[0]))
-                if extras:
-                    parser.error("unrecognized arguments: %s" % " ".join(extras))
+            args = build_parser().parse_args(argv)
         _resolve_limits(args)
         # looked up per call, not bound in the shared parser, so a rebound cmd_* runs
         return globals()[f"cmd_{args.command}"](args)

@@ -14,13 +14,15 @@ Two Buchberger engines take the same pairs in the same order and share the
 minimalization and the member check.  The public buchberger is the general
 one: it takes FpPolys of any length and is built from the public primitives,
 s_polynomial and reduce.  The oracle (_colength) has its own,
-_binomial_buchberger.  Its generators are
-monomials and a binomial, and so is every S-polynomial and remainder they
-lead to, since a rewrite by a monomial or a binomial maps one term to at most
-one: it keeps each polynomial as a monic triple (lead, tail, c), reduces one
-term at a time by one walk down first-divisor rewrites (_reduce_term), and
-returns the basis as triples; only the gb command makes FpPolys of them, to
-print.  Both engines return the same reduced basis, which the tests compare.
+_binomial_buchberger.  Its generators are x^q, y^q and the difference
+x^n - y^n, and every S-polynomial and remainder they lead to is again 0, a
+monomial or a difference of two monomials, since a rewrite by lead - tail
+maps a term to one term with the same coefficient: it keeps each element as
+a pair (lead, tail) standing for lead - tail, reduces one monomial at a time
+by one walk down first-divisor rewrites (_reduce_term), and returns the
+basis as pairs.  It does no field arithmetic; only the gb command makes
+FpPolys of the pairs, to print.  Both engines return the same reduced
+basis, which the tests compare.
 """
 
 import heapq
@@ -308,8 +310,8 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     reduce works on a dict of waiting terms, whatever the inputs: each basis
     element's rewrite rule (_rule) is built once per call, and every rewrite
     merges into that dict.  buchberger reduces every S-polynomial with it.
-    The oracle does not: its binomial engine reduces one term at a time
-    (_reduce_term) and keeps no dict of terms.
+    The oracle does not: its binomial engine reduces one monomial at a time
+    (_reduce_term), with no coefficients, and keeps no dict of terms.
 
     A binomial g = lc*lm + ct*tail rewrites c*mono into -(ct/lc)*c times
     mono + (tail - lm), and so on until lm stops dividing the moving monomial
@@ -358,26 +360,27 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     return FpPoly._raw(p, out)
 
 
-# The oracle's binomial path.  An element is a monic triple (lead, tail, c)
-# that stands for lead - c*tail, with c in [1, p-1], tail < lead, and tail
-# None (c = 0) for the monomial lead.  Every S-polynomial and every remainder
-# of such elements has at most two terms again, because a rewrite by a
-# monomial or a binomial maps one term to one term or to none.
+# The oracle's binomial path.  An element is a pair (lead, tail) that stands
+# for lead - tail, with tail < lead, and tail None for the monomial lead.
+# Every S-polynomial and every remainder of such elements is again 0, a
+# monomial or such a difference, because a rewrite by lead - tail maps one
+# term to one term with the same coefficient, and a rewrite by a monomial to
+# none: no coefficient is ever stored, and no field arithmetic is done.
 
 
 def _poly(p: int, g: tuple) -> FpPoly:
-    """The FpPoly a triple stands for."""
-    lead, tail, c = g
-    return FpPoly._raw(p, {lead: 1} if tail is None else {lead: 1, tail: -c % p})
+    """The FpPoly over F_p that a pair stands for, -1 stored as p - 1."""
+    lead, tail = g
+    return FpPoly._raw(p, {lead: 1} if tail is None else {lead: 1, tail: p - 1})
 
 
 def _binomial_rule(g: tuple, earlier: Sequence[Monomial]) -> tuple:
-    """A triple's rewrite rule (lm, chain, c), with earlier the leads listed
-    before it: chain is (di, dj, earlier) as in _rule, or None for a monomial."""
-    lm, tail, c = g
+    """A pair's rewrite rule (lm, chain), with earlier the leads listed before
+    it: chain is (di, dj, earlier) as in _rule, or None for a monomial."""
+    lm, tail = g
     if tail is None:
-        return lm, None, c
-    return lm, (tail.i - lm.i, tail.j - lm.j, tuple(earlier)), c
+        return lm, None
+    return lm, (tail.i - lm.i, tail.j - lm.j, tuple(earlier))
 
 
 def _binomial_rules(basis: Sequence[tuple]) -> list[tuple]:
@@ -385,66 +388,60 @@ def _binomial_rules(basis: Sequence[tuple]) -> list[tuple]:
     return [_binomial_rule(g, leads[:idx]) for idx, g in enumerate(basis)]
 
 
-def _reduce_term(p: int, coeff: int, mono: Monomial, rules: Sequence[tuple]) -> tuple | None:
-    """The normal form (m, k) of the term coeff*mono modulo binomial rules,
-    k*m with k in [1, p-1], or None for zero.
+def _reduce_term(mono: Monomial, rules: Sequence[tuple]) -> Monomial | None:
+    """The normal form of mono modulo binomial rules: a monomial, or None for
+    zero.
 
     One walk down first-divisor rewrites: a monomial rule ends it at zero, and
     a binomial rule moves mono down its whole chain (_chain_length) in one
-    jump, multiplying the coefficient by c once per rewrite, before the rules
-    are scanned again from the first.
+    jump, before the rules are scanned again from the first.
     """
     mi, mj = mono
     while True:
-        for lm, chain, c in rules:
+        for lm, chain in rules:
             if lm.i <= mi and lm.j <= mj:
                 break
         else:
-            coeff %= p
-            return (mono, coeff) if coeff else None
+            return mono
         if chain is None:
             return None
         di, dj, earlier = chain
         steps = _chain_length(mono, lm, di, dj, earlier)
         mi, mj = mi + steps * di, mj + steps * dj
         mono = _new(Monomial, (mi, mj))
-        if c != 1:
-            coeff = coeff * pow(c, steps, p)
 
 
-def _binomial_nf(p: int, terms: Sequence[tuple[int, Monomial]],
+def _binomial_nf(a: Monomial | None, b: Monomial | None,
                  rules: Sequence[tuple]) -> tuple | None:
-    """Normal form of the sum of at most two terms (coeff, mono) modulo
-    binomial rules, as a monic triple, or None for zero.
+    """Normal form of a - b modulo binomial rules, a or b None for zero, as a
+    pair up to sign, or None for zero.
 
-    The normal form is linear and each term reduces on its own
-    (_reduce_term), so it is the sum of the terms' normal forms: two that
-    land on one monomial merge, and may cancel.
+    The normal form is linear and each monomial reduces on its own
+    (_reduce_term), so it is the difference of the two normal forms: two
+    that land on one monomial cancel.
     """
-    out = []
-    for a, mono in terms:
-        if reduced := _reduce_term(p, a, mono, rules):
-            out.append(reduced)
-    if len(out) == 2:
-        (lead, a), (tail, b) = max(out), min(out)
-        if lead != tail:
-            return lead, tail, -b * pow(a, -1, p) % p
-        out = [(lead, a + b)] if (a + b) % p else []
-    return (out[0][0], None, 0) if out else None
+    if a is not None:
+        a = _reduce_term(a, rules)
+    if b is not None:
+        b = _reduce_term(b, rules)
+    if a == b:
+        return None
+    if a is None or b is None:
+        return (a or b), None
+    return (a, b) if a > b else (b, a)
 
 
-def _binomial_s_pair(lcm: Monomial, f: tuple, g: tuple) -> list[tuple[int, Monomial]]:
-    """Terms (coeff, mono) of (lcm/lm f)*f - (lcm/lm g)*g, for triples f and g
-    whose leads divide lcm.  The leads cancel, so only the shifted tails are
-    written: -c_f at tail_f + (lcm - lm_f) and c_g at tail_g + (lcm - lm_g)."""
-    out = []
-    lm, tail, c = f
-    if tail is not None:
-        out.append((-c, _new(Monomial, (tail.i + lcm.i - lm.i, tail.j + lcm.j - lm.j))))
-    lm, tail, c = g
-    if tail is not None:
-        out.append((c, _new(Monomial, (tail.i + lcm.i - lm.i, tail.j + lcm.j - lm.j))))
-    return out
+def _binomial_s_pair(lcm: Monomial, f: tuple, g: tuple) -> tuple:
+    """The S-polynomial of pairs f and g whose leads divide lcm, up to sign,
+    as (a, b) standing for a - b, each None for zero.  The leads cancel, so
+    only the tails are left, each shifted by lcm over its own lead."""
+    lm, tail = f
+    a = None if tail is None else _new(Monomial, (tail.i + lcm.i - lm.i,
+                                                  tail.j + lcm.j - lm.j))
+    lm, tail = g
+    b = None if tail is None else _new(Monomial, (tail.i + lcm.i - lm.i,
+                                                  tail.j + lcm.j - lm.j))
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -468,12 +465,11 @@ class GroebnerBasis:
 # budget.
 
 
-def _binomial_pair_loop(p: int, gens: Sequence[tuple], pair_budget: int
+def _binomial_pair_loop(gens: Sequence[tuple], pair_budget: int
                         ) -> tuple[list[tuple], list[Monomial]]:
-    """Every element the pair loop appends to the monic triples gens, with
-    their leads; each S-pair is a list of at most two terms
-    (_binomial_s_pair), and one of a monomial and a binomial, which has one
-    term, is reduced by one _reduce_term walk."""
+    """Every element the pair loop appends to the pairs gens, with their
+    leads; each S-polynomial is the difference of at most two monomials
+    (_binomial_s_pair), reduced by _binomial_nf."""
     basis: list[tuple] = []
     leads: list[Monomial] = []
     rules: list[tuple] = []
@@ -496,13 +492,8 @@ def _binomial_pair_loop(p: int, gens: Sequence[tuple], pair_budget: int
             processed += 1
             if processed > pair_budget:
                 raise PairBudgetExceededError(f"more than {pair_budget} S-pairs processed")
-            terms = _binomial_s_pair(lcm, basis[a], basis[b])
-            if len(terms) == 1:
-                # a monomial and a binomial: one shifted tail, one term left
-                reduced = _reduce_term(p, *terms[0], rules)
-                if reduced is not None:
-                    todo.append((reduced[0], None, 0))
-            elif terms and (reduced := _binomial_nf(p, terms, rules)) is not None:
+            if (reduced := _binomial_nf(*_binomial_s_pair(lcm, basis[a], basis[b]),
+                                        rules)) is not None:
                 todo.append(reduced)
     return basis, leads
 
@@ -532,26 +523,22 @@ def _check_members(remainders: Iterable) -> None:
         )
 
 
-def _binomial_buchberger(p: int, gens: Sequence[tuple], pair_budget: int) -> list[tuple]:
-    """buchberger on monic triples over F_p, p already known prime: the
-    checked reduced basis as the triples it holds, by ascending lead."""
-    basis, leads = _binomial_pair_loop(p, gens, pair_budget)
+def _binomial_buchberger(gens: Sequence[tuple], pair_budget: int) -> list[tuple]:
+    """buchberger on pairs, over any field, since no coefficient other than
+    1 and -1 ever arises: the checked reduced basis as the pairs it holds, by
+    ascending lead."""
+    basis, leads = _binomial_pair_loop(gens, pair_budget)
     minimal = _minimal(basis, leads)
     # tail-reduce as buchberger does.  No other lead divides a survivor's
-    # lead, so of lead - c*tail only the term -c*tail moves: to k*m, or to zero
+    # lead, so of lead - tail only the tail moves: to a monomial, or to zero
     rules = _binomial_rules(minimal)
     final = minimal[:]
-    for idx, (lead, tail, c) in enumerate(minimal):
+    for idx, (lead, tail) in enumerate(minimal):
         if tail is not None:
-            if reduced := _reduce_term(p, -c, tail, rules[:idx] + rules[idx + 1:]):
-                final[idx] = lead, reduced[0], -reduced[1] % p
-            else:
-                final[idx] = lead, None, 0
+            final[idx] = lead, _reduce_term(tail, rules[:idx] + rules[idx + 1:])
     if final != minimal:
         rules = _binomial_rules(final)
-    _check_members(_reduce_term(p, 1, lead, rules) if tail is None
-                   else _binomial_nf(p, [(1, lead), (-c, tail)], rules)
-                   for lead, tail, c in gens)
+    _check_members(_binomial_nf(lead, tail, rules) for lead, tail in gens)
     return final
 
 
@@ -575,9 +562,10 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = PAIR_BUDGET_DEFAULT) -
     each generator modulo the result.
 
     The oracle does not come through here: _colength builds its generators
-    as triples and runs _binomial_buchberger, which keeps monomials and
-    binomials as triples and reduces one term at a time, without these input
-    checks, which its generators pass by construction.  The two engines share
+    as pairs and runs _binomial_buchberger, which keeps monomials and
+    differences of two monomials as pairs, reduces one monomial at a time
+    and does no field arithmetic, without these input checks, which its
+    generators pass by construction.  The two engines share
     only the pair order, _minimal, _chain_length and _check_members, so the
     tests that compare them compare two computations.
     """
@@ -643,19 +631,14 @@ def count_under_staircase(staircase: Sequence[Monomial]) -> int | None:
 
 
 def frobenius_power_generators(spec: RingSpec, e: int) -> list[FpPoly]:
-    """Generators x^q, y^q, x^n - y^n with q = p^e, as polynomials over F_p."""
+    """Generators x^q, y^q, x^n - y^n with q = p^e, as polynomials over F_p.
+
+    They take p from a RingSpec, which has checked it, so they skip the
+    checking constructor; -1 is stored as p - 1.
+    """
     if e < 0:
         raise ValueError(f"e must be nonnegative, got {e}")
-    return _power_generators(spec, spec.p**e)
-
-
-def _power_generators(spec: RingSpec, q: int) -> list[FpPoly]:
-    """x^q, y^q, x^n - y^n for a q = p^e already built, as by capped_q.
-
-    The oracle's own polynomials take p from a RingSpec, which has checked
-    it, so they skip the checking constructor; -1 is stored as p - 1.
-    """
-    p, n = spec.p, spec.n
+    p, n, q = spec.p, spec.n, spec.p**e
     return [
         FpPoly._raw(p, {Monomial(q, 0): 1}),
         FpPoly._raw(p, {Monomial(0, q): 1}),
@@ -667,38 +650,39 @@ def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
     """Colength of (x^q, y^q, x^n - y^n) in F_p[x, y], the slow honest way.
 
     Runs Buchberger on the raw generators and counts standard monomials
-    (_colength).  The generators are two monomials and a binomial, built as
-    the monic triples of the oracle's binomial engine: each term is reduced
-    by one walk of rewrites, the count reads the triples' leads, and no dict
-    of terms and no FpPoly is built.  The closed formula is never consulted,
-    which is what makes agreement with hk_value meaningful.  q above q_cap
+    (_colength).  The generators are two monomials and a difference of two,
+    built as the pairs of the oracle's binomial engine: each monomial is
+    reduced by one walk of rewrites, the count reads the pairs' leads, and no
+    coefficient, no dict of terms and no FpPoly is built.  The closed formula
+    is never consulted, which is what makes agreement with hk_value
+    meaningful.  q above q_cap
     raises QCapExceededError to tell the caller to fall back to the formula.
     """
     return _colength(spec, capped_q(spec.p, e, q_cap))[1]
 
 
 def _relation(n: int) -> tuple:
-    """x^n - y^n as a monic triple of the binomial path."""
-    return _new(Monomial, (n, 0)), _new(Monomial, (0, n)), 1
+    """x^n - y^n as a pair of the binomial path."""
+    return _new(Monomial, (n, 0)), _new(Monomial, (0, n))
 
 
 def _colength(spec: RingSpec, q: int) -> tuple[list[tuple], int]:
     """Reduced basis of (x^q, y^q, x^n - y^n), q = p^e already built as by
-    capped_q, as monic triples by ascending lead, and its staircase count: the
-    one Buchberger run on these generators that every oracle caller shares.
+    capped_q, as pairs by ascending lead, and its staircase count: the one
+    Buchberger run on these generators that every oracle caller shares.
 
-    The generators are built as the monic triples of the binomial path,
-    x^n - y^n as (x^n, y^n, 1), and go straight to _binomial_buchberger.
-    No FpPoly is made for them or for the basis (only gb builds those, to
-    print them), and buchberger's input checks are not run: they could only
-    pass here, since the RingSpec has checked p and the three are nonzero
-    over one field by construction.  Every check on the result runs: each
-    generator must reduce to zero modulo the basis (_check_members), and the
-    staircase must block both axes.
+    The generators are built as the pairs of the binomial path, x^n - y^n as
+    (x^n, y^n), and go straight to _binomial_buchberger, which does no field
+    arithmetic: p enters only through q.  No FpPoly is made for them or for
+    the basis (only gb builds those, to print them), and buchberger's input
+    checks are not run: they could only pass here, since the three are
+    nonzero by construction.  Every check on the result runs: each generator
+    must reduce to zero modulo the basis (_check_members), and the staircase
+    must block both axes.
     """
-    gens = [(_new(Monomial, (q, 0)), None, 0), (_new(Monomial, (0, q)), None, 0),
+    gens = [(_new(Monomial, (q, 0)), None), (_new(Monomial, (0, q)), None),
             _relation(spec.n)]
-    basis = _binomial_buchberger(spec.p, gens, PAIR_BUDGET_DEFAULT)
+    basis = _binomial_buchberger(gens, PAIR_BUDGET_DEFAULT)
     count = count_under_staircase([g[0] for g in basis])
     if count is None:
         # x^q and y^q are in the ideal, so both axes are always blocked
@@ -714,8 +698,8 @@ def _telescopes(spec: RingSpec, q: int, b: int) -> bool:
     x^(q-n) + x^(q-2n) y^n + ... + x^b y^(q-b-n); the term reducer walks the
     ladder in one binomial jump instead of multiplying it out.
     """
-    lhs = [(1, _new(Monomial, (q, 0))), (-1, _new(Monomial, (b, q - b)))]
-    return _binomial_nf(spec.p, lhs, [_binomial_rule(_relation(spec.n), ())]) is None
+    return _binomial_nf(_new(Monomial, (q, 0)), _new(Monomial, (b, q - b)),
+                        [_binomial_rule(_relation(spec.n), ())]) is None
 
 
 def _predicted_staircase(n: int, q: int, b: int) -> tuple[Monomial, ...]:
@@ -779,17 +763,17 @@ def verify_closed_form_basis(
 
 def _check_basis(spec: RingSpec, q: int, basis: Sequence[tuple]) -> tuple[bool, bool, bool]:
     """The flags (a), (b), (c) of verify_closed_form_basis, for a q = p^e > n
-    already built, as by capped_q, and the triples _colength computed for it.
+    already built, as by capped_q, and the pairs _colength computed for it.
     The CLI reads these flags alone, so no BasisCheck is built per row."""
-    p, n = spec.p, spec.n
+    n = spec.n
     b = q % n
     telescoping_ok = _telescopes(spec, q, b)
 
-    predicted = [(_new(Monomial, (b, q - b)), None, 0), (_new(Monomial, (0, q)), None, 0),
+    predicted = [(_new(Monomial, (b, q - b)), None), (_new(Monomial, (0, q)), None),
                  _relation(n)]
     rules = _binomial_rules(predicted)
     spoly_ok = not any(
-        _binomial_nf(p, _binomial_s_pair(f[0].lcm(g[0]), f, g), rules)
+        _binomial_nf(*_binomial_s_pair(f[0].lcm(g[0]), f, g), rules)
         for f, g in itertools.combinations(predicted, 2)
     )
     return telescoping_ok, spoly_ok, tuple([g[0] for g in basis]) == _predicted_staircase(n, q, b)

@@ -500,7 +500,7 @@ class TestDriver:
     ])
     def test_internal_fault_exits_4(self, capsys, monkeypatch, fault):
         # the oracle's one Buchberger run, which gb and verify both reach
-        def broken(p, gens, pair_budget):
+        def broken(gens, pair_budget):
             raise fault
 
         monkeypatch.setattr(hkkit.groebner, "_binomial_buchberger", broken)
@@ -733,7 +733,8 @@ class TestParserReuse:
 
 
 class TestParseOnce:
-    """An argv led by a command is parsed once, by that command's parser."""
+    """An argv is parsed once: off the option table, or else by the
+    top-level parser alone, which hands the rest to the command's parser."""
 
     ARGVS = [
         [],
@@ -785,7 +786,8 @@ class TestParseOnce:
             "hkkit: error: unrecognized arguments: extra",
         ]
 
-    def test_top_level_parser_reads_only_argvs_without_a_command(self, capsys, monkeypatch):
+    def test_top_level_parser_reads_exactly_the_argvs_the_table_refuses(self, capsys,
+                                                                         monkeypatch):
         parser, seen = hkkit.cli.build_parser(), []
         parse_known_args = parser.parse_known_args
 
@@ -796,8 +798,10 @@ class TestParseOnce:
         monkeypatch.setattr(parser, "parse_known_args", recording)
         for argv in self.ARGVS:
             self.outcome(capsys, main, argv)
-        commands = set(parser._subparsers._group_actions[0].choices)
-        assert seen == [argv for argv in self.ARGVS if not argv or argv[0] not in commands]
+        refused = [argv for argv in self.ARGVS if hkkit.cli._parse_table(argv) is None]
+        assert seen == refused
+        # all but the repeated --p, which the table reads, keeping the last value
+        assert len(refused) == len(self.ARGVS) - 1
 
 
 COMMAND_PARSERS = hkkit.cli.build_parser()._subparsers._group_actions[0].choices

@@ -54,8 +54,8 @@ def colength_by_definition(n: int, q: int) -> int:
 
 
 def basis_faults(p: int, n: int, q: int, basis) -> list[str]:
-    """What keeps the triples (lead, tail, c), each lead - c*tail, from being
-    the reduced basis of the ideal, read off the definition alone.
+    """What keeps the pairs (lead, tail), each lead - tail, from being the
+    reduced basis of the ideal, read off the definition alone.
 
     A polynomial lies in the ideal when, in each live component, its
     coefficients on the monomials of the box sum to 0 mod p.  Elements of
@@ -66,14 +66,14 @@ def basis_faults(p: int, n: int, q: int, basis) -> list[str]:
     tail."""
     roots, live = quotient(n, q)
     faults = []
-    for lead, tail, c in basis:
+    for lead, tail in basis:
         sums = dict.fromkeys(live, 0)
-        for (i, j), coeff in [(lead, 1)] + ([] if tail is None else [(tail, -c)]):
+        for (i, j), coeff in [(lead, 1)] + ([] if tail is None else [(tail, -1)]):
             if i < q and j < q and roots[i * q + j] in live:
                 sums[roots[i * q + j]] += coeff
         if any(total % p for total in sums.values()):
-            faults.append(f"{(lead, tail, c)} is not in the ideal")
-    leads = [lead for lead, _, _ in basis]
+            faults.append(f"{(lead, tail)} is not in the ideal")
+    leads = [lead for lead, _ in basis]
 
     def dividing(mono):
         return [(a, b) for a, b in leads if a <= mono[0] and b <= mono[1]]
@@ -85,7 +85,7 @@ def basis_faults(p: int, n: int, q: int, basis) -> list[str]:
                 for j in range(min([q] + [b for a, b in leads if a <= i]))]
     if sorted(standard) != sorted(live):
         faults.append("the standard monomials are not one per live component")
-    for lead, tail, _ in basis:
+    for lead, tail in basis:
         if len(dividing(lead)) > 1 or tail is not None and (dividing(tail) or tail > lead):
             faults.append(f"{(lead, tail)} is not reduced")
     return faults

@@ -320,14 +320,23 @@ def relation(p, n):
     return FpPoly(p, {Monomial(n, 0): 1, Monomial(0, n): -1})
 
 
-def triple(g):
-    """g, of one or two terms, as the monic triple (lead, tail, c) of the
-    oracle's binomial path, which stands for lead - c*tail."""
-    lm, lc = lead_of(g)
-    if len(g.terms) == 1:
-        return lm, None, 0
-    tail, ct = min(g.terms.items())
-    return lm, tail, -ct * pow(lc, -1, g.p) % g.p
+def unit_binomials(p, max_exp):
+    """Monomials c*m and differences c*(m1 - m2), c a unit mod p: the whole
+    input domain of the oracle's engine.  Drawn as small_polys draws one or
+    two terms, with the second coefficient then set to minus the first."""
+    def difference(g):
+        (m1, c), *rest = g.terms.items()
+        return FpPoly(p, {m1: c, **{m2: -c for m2, _ in rest}})
+
+    return small_polys(p, max_exp, 2).map(difference)
+
+
+def pair(g):
+    """g, a monomial or a unit multiple of a difference of two monomials, as
+    the pair (lead, tail) of the oracle's binomial path, which stands for
+    lead - tail."""
+    assert len(g.terms) == 1 or sum(g.terms.values()) % g.p == 0, g
+    return lead_of(g)[0], min(g.terms) if len(g.terms) == 2 else None
 
 
 def chain_length_stepwise(mono, lm, di, dj, earlier):
@@ -398,12 +407,12 @@ class TestBinomialChainJump:
     @settings(max_examples=400, deadline=None)
     def test_term_reducer_matches_stepwise_reference(self, data):
         # the binomial path's normal form: monomial and binomial reducers,
-        # several per basis, and a sum of two terms that may merge or cancel
+        # several per basis, and a difference of two terms that may cancel
         p = data.draw(st.sampled_from((2, 3, 5, 7)))
-        basis = data.draw(st.lists(small_polys(p, 8, 2), min_size=1, max_size=4))
-        f = data.draw(small_polys(p, 16, 2))
-        rules = groebner._binomial_rules([triple(g) for g in basis])
-        got = groebner._binomial_nf(p, [(c, m) for m, c in f.terms.items()], rules)
+        basis = data.draw(st.lists(unit_binomials(p, 8), min_size=1, max_size=4))
+        f = data.draw(unit_binomials(p, 16))
+        rules = groebner._binomial_rules([pair(g) for g in basis])
+        got = groebner._binomial_nf(*pair(f), rules)
         expected = reduce_stepwise(f, basis)
         if expected.is_zero():
             assert got is None
@@ -511,30 +520,35 @@ def basis_or_error(run, gens, pair_budget):
         return str(exc)
 
 
-def as_polys(p, triples):
-    """The generators and staircase a GroebnerBasis would hold for the
-    oracle's triples: each triple as an FpPoly through _poly, and the leads."""
-    return tuple(groebner._poly(p, g) for g in triples), tuple(g[0] for g in triples)
+def as_polys(p, pairs):
+    """The generators and staircase a GroebnerBasis over F_p would hold for
+    the oracle's pairs: each pair as an FpPoly through _poly, and the leads."""
+    return tuple(groebner._poly(p, g) for g in pairs), tuple(g[0] for g in pairs)
 
 
 class TestBinomialPathMatchesDictPath:
-    """The oracle's engine on monic triples against buchberger, which keeps
-    dicts of terms (FpPolys) and shares no reducer with it."""
+    """The oracle's engine on pairs against buchberger, which keeps dicts of
+    terms (FpPolys), does field arithmetic and shares no reducer with it."""
 
-    # p = 2 matters: there -1 == 1, and a binomial's c is 1 either way
+    # p = 2 matters: there -1 == 1, so lead - tail and lead + tail are one
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_same_basis_and_budget(self, data):
         p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)), label="p")
-        gens = data.draw(st.lists(small_polys(p, 8, 2), min_size=1, max_size=4), label="gens")
+        gens = data.draw(st.lists(unit_binomials(p, 8), min_size=1, max_size=4), label="gens")
         budget = data.draw(st.integers(0, 40), label="pair_budget")
 
         def binomial_engine(gens, pair_budget):
-            return as_polys(p, groebner._binomial_buchberger(
-                p, [triple(g) for g in gens], pair_budget))
+            return as_polys(p, groebner._binomial_buchberger([pair(g) for g in gens],
+                                                             pair_budget))
 
         def general_engine(gens, pair_budget):
             gb = buchberger(gens, pair_budget)
+            # the premise of the pairs, checked with field arithmetic: the basis
+            # holds only monomials and differences lead + (p-1)*tail
+            for g in gb.generators:
+                assert [g.terms[m] for m in sorted(g.terms, reverse=True)] in (
+                    [1], [1, p - 1]), g
             return gb.generators, gb.staircase
 
         assert basis_or_error(binomial_engine, gens, budget) == (
@@ -547,38 +561,50 @@ MAX_E_4096 = {p: max(e for e in range(4097) if p**e <= 2**4096) for p in (2, 3, 
 
 @st.composite
 def frobenius_rings(draw):
-    """(RingSpec(p, n), q = p^e): n in 2..60 coprime to p, q up to 2^4096."""
+    """(RingSpec(p, n), e): n in 2..60 coprime to p, q = p^e up to 2^4096."""
     p = draw(st.sampled_from(sorted(MAX_E_4096)), label="p")
     n = draw(st.integers(2, 60).filter(lambda n: n % p), label="n")
     e = draw(st.integers(0, MAX_E_4096[p]), label="e")
-    return RingSpec(p, n), p**e
+    return RingSpec(p, n), e
+
+
+def assert_colength_matches_buchberger(spec, e):
+    expected = buchberger(frobenius_power_generators(spec, e))
+    pairs, count = groebner._colength(spec, spec.p**e)
+    assert as_polys(spec.p, pairs) == (expected.generators, expected.staircase)
+    assert count == count_under_staircase(expected.staircase)
 
 
 class TestColengthMatchesBuchberger:
-    """_colength builds the generators as triples, skips buchberger's input
-    checks and returns its basis as triples; as FpPolys (_poly) and leads,
+    """_colength builds the generators as pairs, skips buchberger's input
+    checks and returns its basis as pairs; as FpPolys (_poly) and leads,
     that basis must equal the one buchberger computes from the generator
     FpPolys, and its count that basis's count."""
 
     @given(ring=frobenius_rings())
-    @example(ring=(RingSpec(2, 7), 2**65536))  # one chain of about 2^65536/7 rewrites
-    @example(ring=(RingSpec(3, 10), 9))  # q < n: x^n - y^n drops out of the basis
-    @example(ring=(RingSpec(13, 60), 1))  # q = 1: the basis is x, y
+    @example(ring=(RingSpec(2, 7), 65536))  # one chain of about 2^65536/7 rewrites
+    @example(ring=(RingSpec(3, 10), 2))  # q < n: x^n - y^n drops out of the basis
+    @example(ring=(RingSpec(13, 60), 0))  # q = 1: the basis is x, y
     @settings(max_examples=300, deadline=None)
     def test_same_basis_and_count(self, ring):
-        spec, q = ring
-        expected = buchberger(groebner._power_generators(spec, q))
-        triples, count = groebner._colength(spec, q)
-        assert as_polys(spec.p, triples) == (expected.generators, expected.staircase)
-        assert count == count_under_staircase(expected.staircase)
+        assert_colength_matches_buchberger(*ring)
+
+    # a large characteristic, where a coefficient left in the oracle's engine,
+    # or a fault in buchberger's inverses, would show: p - 1 is no small unit
+    @pytest.mark.parametrize("p, e", [(10007, 1), (10007, 2), (10007, 3),
+                                      (2**61 - 1, 1), (2**61 - 1, 2)])
+    def test_large_characteristic(self, p, e):
+        for n in range(2, 41):
+            assert_colength_matches_buchberger(RingSpec(p, n), e)
 
     def test_member_check_refuses_a_wrong_basis(self, monkeypatch):
-        # x^5 - 2*y^5 in place of x^5 - y^5 over F_3: x^27 and y^27 still reduce
+        # x^5 - y^6 in place of x^5 - y^5 over F_3: x^27 and y^27 still reduce
         # to zero modulo the basis, the binomial generator x^5 - y^5 does not
         honest = groebner._minimal
 
         def corrupt(basis, leads):
-            return [g if g[1] is None else (g[0], g[1], 2) for g in honest(basis, leads)]
+            return [g if g[1] is None else (g[0], Monomial(g[1].i, g[1].j + 1))
+                    for g in honest(basis, leads)]
 
         monkeypatch.setattr(groebner, "_minimal", corrupt)
         with pytest.raises(RuntimeError, match="input generator fails to reduce to zero"):
@@ -981,9 +1007,9 @@ class TestInternalPolynomialsAreNormalized:
     @pytest.mark.parametrize("p, n, e", CASES)
     def test_verify_closed_form_basis(self, monkeypatch, p, n, e):
         # every normal form runs through _binomial_nf, against rules that
-        # _binomial_rule builds one triple at a time: record both
-        made = {}  # id of each rule -> (rule, the triple it was built from)
-        seen = []  # (terms, reducers) of every normal form
+        # _binomial_rule builds one pair at a time: record both
+        made = {}  # id of each rule -> (rule, the pair it was built from)
+        seen = []  # ((a, b), reducers) of every normal form of a - b
         honest_rule, honest_nf = groebner._binomial_rule, groebner._binomial_nf
 
         def recording_rule(g, earlier):
@@ -991,30 +1017,28 @@ class TestInternalPolynomialsAreNormalized:
             made[id(rule)] = rule, g  # the rule is kept, so its id stays unique
             return rule
 
-        def recording_nf(p, terms, rules):
-            seen.append((list(terms), [made[id(r)][1] for r in rules]))
-            return honest_nf(p, terms, rules)
+        def recording_nf(a, b, rules):
+            seen.append(((a, b), [made[id(r)][1] for r in rules]))
+            return honest_nf(a, b, rules)
 
         monkeypatch.setattr(groebner, "_binomial_rule", recording_rule)
         monkeypatch.setattr(groebner, "_binomial_nf", recording_nf)
         check = verify_closed_form_basis(RingSpec(p, n), e, q_cap=p**e)
         assert check.ok
         for terms, reducers in seen:
-            assert all(type(m) is Monomial and type(c) is int for c, m in terms)
-            for lead, tail, c in reducers:
+            assert all(m is None or type(m) is Monomial for m in terms)
+            for lead, tail in reducers:
                 assert type(lead) is Monomial
-                if tail is None:
-                    assert c == 0
-                    continue
-                assert type(tail) is Monomial and tail < lead and 0 < c < p
-                assert groebner._poly(p, (lead, tail, c)) == FpPoly(p, {lead: 1, tail: -c})
+                if tail is not None:
+                    assert type(tail) is Monomial and tail < lead
+                    assert groebner._poly(p, (lead, tail)) == FpPoly(p, {lead: 1, tail: -1})
         q, b = check.q, check.b
-        lhs = [(1, Monomial(q, 0)), (-1, Monomial(b, q - b))]
-        relation = (Monomial(n, 0), Monomial(0, n), 1)  # x^n - 1*y^n
-        predicted = [(Monomial(b, q - b), None, 0), (Monomial(0, q), None, 0), relation]
+        lhs = (Monomial(q, 0), Monomial(b, q - b))
+        relation = (Monomial(n, 0), Monomial(0, n))  # x^n - y^n
+        predicted = [(Monomial(b, q - b), None), (Monomial(0, q), None), relation]
         assert (lhs, [relation]) in seen
         assert any(reducers == predicted for _, reducers in seen)
-        # FpPolys are built from the basis's triples only, by _poly, for gb
+        # FpPolys are built from the basis's pairs only, by _poly, for gb
         for g in as_polys(p, groebner._colength(RingSpec(p, n), q)[0])[0]:
             assert all(type(m) is Monomial for m in g.terms)
             assert g == FpPoly(p, dict(g.terms))
@@ -1065,15 +1089,15 @@ def refuse_all(monkeypatch, names, caller):
 
 class TestOracleTakesTheBinomialPath:
     """The oracle's generators are two monomials and a binomial, built as
-    monic triples, so neither a dict of terms nor a generator FpPoly is ever
-    built: a silent fall-back to buchberger or its primitives, or to the
-    generator FpPolys of _power_generators, fails here instead of only
+    pairs, so neither a dict of terms nor a generator FpPoly is ever built:
+    a silent fall-back to buchberger or its primitives, or to the generator
+    FpPolys of frobenius_power_generators, fails here instead of only
     costing time."""
 
     @pytest.fixture(autouse=True)
     def no_fall_back(self, monkeypatch):
         refuse_all(monkeypatch, ("buchberger", "reduce", "s_polynomial", "_rule",
-                                 "_power_generators"), "the oracle")
+                                 "frobenius_power_generators"), "the oracle")
 
     def test_library_oracle(self):
         # the colength n*q - b*(n - b), b = q mod n, computed here
@@ -1104,7 +1128,7 @@ def cli_run(capsys, argv):
 
 
 class TestOnlyGbBuildsPolynomials:
-    """_colength returns its basis as monic triples.  hk_brute,
+    """_colength returns its basis as pairs.  hk_brute,
     verify_closed_form_basis and every verify row read the leads and build
     neither an FpPoly nor a GroebnerBasis; gb alone builds FpPolys, one per
     basis element through _poly, to print them."""
@@ -1178,13 +1202,13 @@ class TestBuchbergerTakesTheGeneralPath:
     ENGINE = ("_binomial_buchberger", "_binomial_pair_loop", "_reduce_term", "_binomial_nf")
 
     @given(ring=frobenius_rings())
-    @example(ring=(RingSpec(2, 7), 2**65536))  # one chain of about 2^65536/7 rewrites
-    @example(ring=(RingSpec(3, 10), 9))  # q < n: x^n - y^n drops out of the basis
+    @example(ring=(RingSpec(2, 7), 65536))  # one chain of about 2^65536/7 rewrites
+    @example(ring=(RingSpec(3, 10), 2))  # q < n: x^n - y^n drops out of the basis
     @settings(max_examples=50, deadline=None)
     def test_frobenius_generators(self, ring):
-        spec, q = ring
-        expected = as_polys(spec.p, groebner._colength(spec, q)[0])
-        gens = groebner._power_generators(spec, q)
+        spec, e = ring
+        expected = as_polys(spec.p, groebner._colength(spec, spec.p**e)[0])
+        gens = frobenius_power_generators(spec, e)
         with pytest.MonkeyPatch.context() as mp:
             refuse_all(mp, self.ENGINE, "buchberger")
             gb = buchberger(gens)

@@ -180,9 +180,9 @@ class TestMultiplicativeOrder:
 
 
 class TestOrderHelpers:
-    """The two halves of multiplicative_order, which enumerate_realizations
-    calls on their own: lambda(n) once per modulus, then each order from a
-    known multiple of it."""
+    """The two halves of multiplicative_order: lambda(n) from n's factors,
+    then each order from a known multiple of it.  enumerate_realizations
+    calls the second on its own, with lambda(n) from its windowed sieve."""
 
     @given(
         st.integers(min_value=2, max_value=10**5 - 1),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hkkit.closed_form import RingSpec
-from hkkit.numtheory import is_prime, multiplicative_order
+from hkkit.numtheory import _carmichael, is_prime, multiplicative_order, prime_factors
 from hkkit.period import Branch, period_of, verify_minimal_period
 from hkkit.realize import (
     RealizationResult,
@@ -249,8 +249,8 @@ class TestEnumerateRealizations:
         )
 
     def test_box_classifies_without_period_of(self, monkeypatch):
-        # each n is factored once for lambda(n): no per-ring order or period
-        # call, and a RingSpec (one Miller-Rabin on p) only for each result
+        # lambda(n) comes from the sieve: no per-ring order or period call,
+        # and a RingSpec (one Miller-Rabin on p) only for each result
         def refuse(*args):
             raise AssertionError("called per ring")
 
@@ -292,3 +292,42 @@ class TestEnumerateRealizations:
         skipped = {n for n in lam if math.gcd(2 * pi, lam[n]) % pi != 0}
         assert reached and skipped and not reached & skipped
         assert {r.spec.n for r in results} <= reached
+
+    @given(
+        st.integers(min_value=1, max_value=48),
+        st.integers(min_value=2, max_value=120),
+        st.integers(min_value=2, max_value=80),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    @example(2, 120, 80, 10**6)
+    @settings(max_examples=50, deadline=None)
+    def test_window_edges_change_nothing(self, pi, n_limit, p_limit, max_results):
+        # windows of 7 moduli, so a box crosses many window edges
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(importlib.import_module("hkkit.realize"), "_WINDOW", 7)
+            got = enumerate_realizations(pi, n_limit, p_limit, max_results)
+        assert got == enumerate_by_sweep(pi, n_limit, p_limit, max_results)
+
+    def test_sieve_matches_factoring(self, monkeypatch):
+        realize_module = importlib.import_module("hkkit.realize")
+        monkeypatch.setattr(realize_module, "_WINDOW", 64)
+        swept = list(realize_module._moduli(3000))
+        assert [n for n, _, _ in swept] == list(range(2, 3001))
+        for n, lam, primes in swept:
+            factors = prime_factors(n)
+            assert (lam, primes) == (_carmichael(factors)[0], list(factors)), n
+
+    def test_census_count(self):
+        assert len(enumerate_realizations(6, 30000, 300, 10**6)) == 8304
+
+    def test_sweep_memory_is_not_linear_in_n_limit(self):
+        # one window of 2^14 moduli at a time: about 4.5 MB traced at any
+        # n_limit; one window over all 2*10^5 moduli peaks at about 33 MB
+        tracemalloc.start()
+        try:
+            results = enumerate_realizations(6, 2 * 10**5, 3, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
+        assert len(results) == 15

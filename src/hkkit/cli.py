@@ -13,17 +13,14 @@ identical invocations are byte-identical and parse/re-render round-trips.
 """
 
 import argparse
-import dataclasses
-import decimal
 import functools
 import os
 import sys
 from collections.abc import Sequence
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
-from .closed_form import HKRecord, RingSpec, _rows, hk_value
+from .closed_form import HKRecord, RingSpec, _rows, _Value, hk_value
 from .groebner import Q_CAP_DEFAULT, QCapExceededError, _check_basis, _colength, _poly, capped_q
 from .period import PeriodReport, period_of
 from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, realize
@@ -50,12 +47,8 @@ COMMANDS = {
            {**_RING, "e": "Frobenius exponent"}, ("qcap",)),
 }
 FORMATS = ("plain", "csv", "json")
-
-# table walks q and HK(e) as Decimals in this context, where every integer is
-# exact (any rounding would raise Inexact): a row costs one multiplication by
-# p, and its text is linear in its digits, where int-to-str is quadratic
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                         traps=[decimal.Inexact])
+_quote = None  # json.encoder's C string escaper, imported by the first _json call
+_EXACT = None  # table's exact decimal context, built by its first call
 
 
 def _cell(value, sep: str) -> str:
@@ -71,13 +64,15 @@ def _cell(value, sep: str) -> str:
     return str(value)
 
 
-@dataclasses.dataclass(frozen=True)
-class _Rows:
-    """One or more NamedTuples of ints and integral Decimals that _json writes as
+class _Rows(_Value):
+    """One or more namedtuples of ints and integral Decimals that _json writes as
     a list of sorted-key objects: one row template, filled over all rows by one
     % call."""
 
-    records: Sequence[tuple]
+    __match_args__ = ("records",)
+
+    def __init__(self, records: Sequence[tuple]) -> None:
+        self.__dict__["records"] = records
 
 
 def _json(doc) -> str:
@@ -86,6 +81,9 @@ def _json(doc) -> str:
     list, written by one walk into one list of pieces that is joined once.
     Keys are str and values str, int, bool, None, dict, list, range,
     PeriodReport or _Rows; any other type raises json's TypeError."""
+    global _quote
+    if _quote is None:
+        from json.encoder import encode_basestring_ascii as _quote
     out = []
     _write(doc, "\n", out)
     out.append("\n")
@@ -180,7 +178,15 @@ def _report(r: PeriodReport) -> dict:  # a view that prints the profile adds r i
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    global _EXACT
+    import decimal  # only table needs it
     spec = RingSpec(args.p, args.n)
+    # q and HK(e) walk as Decimals in a context where every integer is exact
+    # (any rounding would raise Inexact): a row costs one multiplication by p,
+    # and its text is linear in its digits, where int-to-str is quadratic
+    if _EXACT is None:
+        _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                 traps=[decimal.Inexact])
     with decimal.localcontext(_EXACT):
         records = _rows(spec, args.emax, decimal.Decimal(1))
     doc = {"p": spec.p, "n": spec.n}

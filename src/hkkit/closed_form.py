@@ -9,10 +9,9 @@ so the Hilbert-Kunz multiplicity is n and the periodic term is
 phi(e) = b * (n - b).  All values are exact integers; e is uncapped.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, cycle, repeat
 from operator import mul, sub
-from typing import NamedTuple
 
 from .numtheory import is_prime
 
@@ -24,8 +23,42 @@ class InvalidRingError(ValueError):
     """A (p, n) pair that does not define a ring of this family."""
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class _Value:
+    """Base of hkkit's result types: a value is its fields, __match_args__.
+
+    Two values are equal when they are of the same class and their fields are
+    equal, a value hashes by its fields, and its repr is Class(field=value, ...).
+    Fields are set once, by __init__ writing __dict__; setting or deleting an
+    attribute raises dataclasses.FrozenInstanceError.  A mutable type restores
+    object's __setattr__ and __delattr__, and sets __hash__ to None.  No
+    __slots__: copy and pickle restore a value by filling its __dict__.
+    """
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # only on this error path
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class RingSpec(_Value):
     """The pair (p, n) defining k[[x,y]]/(x^n - y^n) over characteristic p.
 
     The coefficient field k never matters: the colength formula depends only
@@ -33,10 +66,15 @@ class RingSpec:
     field, losing nothing).
     """
 
-    p: int
-    n: int
+    __match_args__ = ("p", "n")
+
+    def __init__(self, p: int, n: int) -> None:
+        fields = self.__dict__
+        fields["p"], fields["n"] = p, n
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Refuse a (p, n) outside the family; __init__'s validation hook."""
         if not (isinstance(self.p, int) and isinstance(self.n, int)):
             raise InvalidRingError(f"p and n must be ints, got p={self.p!r}, n={self.n!r}")
         if self.n < 2:
@@ -57,14 +95,10 @@ class RingSpec:
         return self.n
 
 
-class HKRecord(NamedTuple):
+class HKRecord(namedtuple("HKRecord", "e q b hk phi")):
     """One table row: e, q = p^e, residue b, HK(e), and phi(e) = b(n-b)."""
 
-    e: int
-    q: int
-    b: int
-    hk: int
-    phi: int
+    __slots__ = ()
 
 
 def residue_b(spec: RingSpec, e: int) -> int:

@@ -27,27 +27,25 @@ basis, which the tests compare.
 
 import heapq
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
-from typing import NamedTuple
 
-from .closed_form import RingSpec
+from .closed_form import RingSpec, _Value
 from .numtheory import is_prime
 
 Q_CAP_DEFAULT = 512
 PAIR_BUDGET_DEFAULT = 100_000
 
-# Monomial(i, j) runs NamedTuple's Python-level __new__; the binomial path,
+# Monomial(i, j) runs namedtuple's Python-level __new__; the binomial path,
 # which makes a few dozen monomials per oracle row, calls
 # _new(Monomial, (i, j)) instead, which builds the same object in C.
 _new = tuple.__new__
 
 
-class Monomial(NamedTuple):
+class Monomial(namedtuple("Monomial", "i j")):
     """Power product x^i * y^j.  Tuple order coincides with lex(x > y)."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
     def divides(self, other: "Monomial") -> bool:
         return self.i <= other.i and self.j <= other.j
@@ -444,8 +442,7 @@ def _binomial_s_pair(lcm: Monomial, f: tuple, g: tuple) -> tuple:
     return a, b
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(_Value):
     """A reduced lex Groebner basis and its leading-term staircase.
 
     generators are monic, pairwise tail-reduced, and sorted by ascending
@@ -454,8 +451,11 @@ class GroebnerBasis:
     for a given ideal and order, so equal ideals give equal objects here.
     """
 
-    generators: tuple[FpPoly, ...]
-    staircase: tuple[Monomial, ...]
+    __match_args__ = ("generators", "staircase")
+
+    def __init__(self, generators: tuple[FpPoly, ...], staircase: tuple[Monomial, ...]) -> None:
+        fields = self.__dict__
+        fields["generators"], fields["staircase"] = generators, staircase
 
 
 # Buchberger's pair loop, once per engine: a queue of index pairs by lcm of
@@ -707,18 +707,20 @@ def _predicted_staircase(n: int, q: int, b: int) -> tuple[Monomial, ...]:
     return _new(Monomial, (0, q)), _new(Monomial, (b, q - b)), _new(Monomial, (n, 0))
 
 
-@dataclass(frozen=True)
-class BasisCheck:
+class BasisCheck(_Value):
     """Outcome of verify_closed_form_basis, one flag per sub-check."""
 
-    ok: bool
-    telescoping_ok: bool
-    spoly_ok: bool
-    staircase_ok: bool
-    expected_staircase: tuple[Monomial, ...]
-    computed_staircase: tuple[Monomial, ...]
-    q: int
-    b: int
+    __match_args__ = ("ok", "telescoping_ok", "spoly_ok", "staircase_ok",
+                      "expected_staircase", "computed_staircase", "q", "b")
+
+    def __init__(self, ok: bool, telescoping_ok: bool, spoly_ok: bool, staircase_ok: bool,
+                 expected_staircase: tuple[Monomial, ...],
+                 computed_staircase: tuple[Monomial, ...], q: int, b: int) -> None:
+        fields = self.__dict__
+        fields["ok"], fields["telescoping_ok"], fields["spoly_ok"] = ok, telescoping_ok, spoly_ok
+        fields["staircase_ok"], fields["q"], fields["b"] = staircase_ok, q, b
+        fields["expected_staircase"] = expected_staircase
+        fields["computed_staircase"] = computed_staircase
 
     def __bool__(self) -> bool:
         return self.ok

@@ -6,10 +6,9 @@ p^(omega/2) == -1 (mod n).
 """
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Mapping
 
-from .closed_form import RingSpec
+from .closed_form import RingSpec, _Value
 from .numtheory import multiplicative_order
 
 
@@ -18,8 +17,7 @@ class Branch(enum.Enum):
     FULL = "FULL"  # pi = omega
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(_Value):
     """Classification of the period of phi for the ring spec.
 
     involution_check is True exactly when omega is even and the congruence
@@ -29,11 +27,13 @@ class PeriodReport:
     Only the classification is stored; cycle and phi_profile are computed on each read.
     """
 
-    spec: RingSpec
-    omega: int
-    pi: int
-    branch: Branch
-    involution_check: bool
+    __match_args__ = ("spec", "omega", "pi", "branch", "involution_check")
+
+    def __init__(self, spec: RingSpec, omega: int, pi: int, branch: Branch,
+                 involution_check: bool) -> None:
+        fields = self.__dict__
+        fields["spec"], fields["omega"], fields["pi"] = spec, omega, pi
+        fields["branch"], fields["involution_check"] = branch, involution_check
 
     @property
     def cycle(self) -> tuple[int, ...]:
@@ -69,8 +69,7 @@ def _classify(p: int, n: int, omega: int) -> tuple[int, Branch, bool]:
     return pi, branch, involution
 
 
-@dataclass(frozen=True)
-class PeriodCheck:
+class PeriodCheck(_Value):
     """Outcome of a direct periodicity-and-minimality check.
 
     On success, divisor_witnesses maps each proper divisor d of the period to
@@ -80,10 +79,15 @@ class PeriodCheck:
     divisor that turned out to be a period too (failing_index is then None).
     """
 
-    ok: bool
-    failing_distance: int | None = None
-    failing_index: int | None = None
-    divisor_witnesses: Mapping[int, int] = field(default_factory=dict)
+    __match_args__ = ("ok", "failing_distance", "failing_index", "divisor_witnesses")
+
+    def __init__(self, ok: bool, failing_distance: int | None = None,
+                 failing_index: int | None = None,
+                 divisor_witnesses: Mapping[int, int] | None = None) -> None:
+        fields = self.__dict__
+        fields["ok"], fields["failing_distance"] = ok, failing_distance
+        fields["failing_index"] = failing_index
+        fields["divisor_witnesses"] = {} if divisor_witnesses is None else divisor_witnesses
 
     def __bool__(self) -> bool:
         return self.ok

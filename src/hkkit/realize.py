@@ -11,9 +11,9 @@ search here takes explicit limits and reports exhaustion rather than spinning.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from itertools import compress
 
-from .closed_form import _N_MAX, RingSpec
+from .closed_form import _N_MAX, RingSpec, _Value
 from .numtheory import _order_dividing, find_prime_in_class, is_prime, prime_factors
 from .period import PeriodReport, _classify, period_of
 
@@ -21,12 +21,14 @@ SEARCH_LIMIT_DEFAULT = 10_000
 _WINDOW = 1 << 14  # moduli that enumerate_realizations factors at once
 
 
-@dataclass
-class SearchStats:
+class SearchStats(_Value):
     """Counters for candidates examined during a realization search."""
 
-    n_candidates: int = 0
-    p_candidates: int = 0
+    __match_args__ = ("n_candidates", "p_candidates")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, n_candidates: int = 0, p_candidates: int = 0) -> None:
+        self.n_candidates, self.p_candidates = n_candidates, p_candidates
 
 
 class SearchExhausted(Exception):
@@ -44,8 +46,7 @@ class SearchExhausted(Exception):
         )
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(_Value):
     """A ring (p, n) whose periodic term has exact period target_pi.
 
     residue_used is the class r with ord_n(r) = 2 * target_pi in which p was
@@ -55,11 +56,13 @@ class RealizationResult:
     invariants (n prime, omega = 2 * target_pi, halved branch) need not hold.
     """
 
-    target_pi: int
-    spec: RingSpec
-    report: PeriodReport
-    residue_used: int | None
-    search_stats: SearchStats
+    __match_args__ = ("target_pi", "spec", "report", "residue_used", "search_stats")
+
+    def __init__(self, target_pi: int, spec: RingSpec, report: PeriodReport,
+                 residue_used: int | None, search_stats: SearchStats) -> None:
+        fields = self.__dict__
+        fields["target_pi"], fields["spec"], fields["report"] = target_pi, spec, report
+        fields["residue_used"], fields["search_stats"] = residue_used, search_stats
 
 
 def _check_search_args(pi: int, n_limit: int, p_limit: int) -> None:
@@ -154,6 +157,15 @@ def _moduli(n_limit: int):
             yield lo + i, lams[i], primes[i]
 
 
+def _primes_to(limit: int) -> list[int]:
+    """The primes up to limit >= 1, ascending, from a sieve of Eratosthenes."""
+    sieve = bytearray(2) + bytearray([1]) * (limit - 1)
+    for q in range(2, math.isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, limit + 1, q)))
+    return list(compress(range(limit + 1), sieve))
+
+
 def enumerate_realizations(
     pi: int, n_limit: int, p_limit: int, max_results: int
 ) -> list[RealizationResult]:
@@ -173,7 +185,7 @@ def enumerate_realizations(
     _check_search_args(pi, n_limit, p_limit)
     if max_results < 1:
         raise ValueError(f"max_results must be at least 1, got {max_results}")
-    primes = [p for p in range(2, p_limit + 1) if is_prime(p)]
+    primes = _primes_to(p_limit)
     g_primes: dict[int, set[int]] = {}
     counted = 0  # p_candidates: primes up to p_limit, less those dividing n
     results: list[RealizationResult] = []

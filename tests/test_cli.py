@@ -543,6 +543,20 @@ class TestDriver:
             "error: internal fault: out of memory",
         ]
 
+    def test_startup_loads_no_heavy_module(self):
+        # every hkkit call pays for what importing the CLI loads: dataclasses
+        # (with inspect), json and decimal are imported only on the paths that
+        # use them, a frozen-field error, a JSON document and table
+        child = ("import sys; before = set(sys.modules); import hkkit.cli; "
+                 "hkkit.cli.build_parser(); print(*sorted(set(sys.modules) - before))")
+        src = str(Path(hkkit.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        loaded = done.stdout.split()
+        assert done.returncode == 0 and "hkkit.cli" in loaded, done.stderr
+        assert not {"dataclasses", "inspect", "json", "decimal"} & set(loaded), loaded
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no int/str digit limit before CPython 3.10.7")
     def test_digit_limit_is_the_callers_after_every_exit(self, capsys, monkeypatch):

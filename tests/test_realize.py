@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import math
 import time
@@ -60,7 +59,8 @@ def enumerate_by_sweep(pi: int, n_limit: int, p_limit: int, max_results: int):
             if report.pi != pi:
                 continue
             results.append(
-                RealizationResult(pi, spec, report, None, dataclasses.replace(stats))
+                RealizationResult(pi, spec, report, None,
+                                  SearchStats(stats.n_candidates, stats.p_candidates))
             )
             if len(results) >= max_results:
                 return results
@@ -331,3 +331,21 @@ class TestEnumerateRealizations:
             tracemalloc.stop()
         assert peak < 8 * 10**6
         assert len(results) == 15
+
+    def test_primes_come_from_a_sieve(self, monkeypatch):
+        # the primes up to p_limit are sieved, not tested one integer at a
+        # time: is_prime serves only the moduli sieve's primes up to sqrt(11)
+        # and the result's RingSpec, not 10^6 candidates
+        realize_module = importlib.import_module("hkkit.realize")
+        honest, calls = realize_module.is_prime, []
+
+        def counted(m):
+            calls.append(m)
+            return honest(m)
+
+        monkeypatch.setattr(realize_module, "is_prime", counted)
+        results = enumerate_realizations(2, 10, 10**6, 1)
+        assert [(r.spec.p, r.spec.n) for r in results] == [(2, 5)]
+        assert len(calls) < 10, calls
+        assert realize_module._primes_to(10**4) == [p for p in range(2, 10**4 + 1)
+                                                   if honest(p)]

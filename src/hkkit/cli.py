@@ -18,10 +18,10 @@ import os
 import sys
 from collections.abc import Sequence
 from itertools import chain
-from operator import attrgetter
+from operator import itemgetter
 
 from .closed_form import HKRecord, RingSpec, _rows, _Value, hk_value
-from .groebner import Q_CAP_DEFAULT, QCapExceededError, _check_basis, _colength, _poly, capped_q
+from .groebner import Q_CAP_DEFAULT, QCapExceededError, _check_basis, _colength, capped_q
 from .period import PeriodReport, period_of
 from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, realize
 
@@ -65,9 +65,9 @@ def _cell(value, sep: str) -> str:
 
 
 class _Rows(_Value):
-    """One or more namedtuples of ints and integral Decimals that _json writes as
-    a list of sorted-key objects: one row template, filled over all rows by one
-    % call."""
+    """Tuples whose _fields name their cells, which _json writes as a list of
+    sorted-key objects: one row template, filled over all rows by one % call.
+    Cells are ints, integral Decimals, and JSON literals given as their text."""
 
     __match_args__ = ("records",)
 
@@ -79,8 +79,8 @@ def _json(doc) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) and a newline, each report as its
     phi_profile list, each _Rows as its list of objects and each range as its
     list, written by one walk into one list of pieces that is joined once.
-    Keys are str and values str, int, bool, None, dict, list, range,
-    PeriodReport or _Rows; any other type raises json's TypeError."""
+    Keys are str and values str, int, bool, None, dict, list, range, tuple (of
+    strs or int pairs), PeriodReport or _Rows; others raise json's TypeError."""
     global _quote
     if _quote is None:
         from json.encoder import encode_basestring_ascii as _quote
@@ -115,45 +115,52 @@ def _write(obj, pad: str, out: list) -> None:
             _write(item, inner, out)
             out.append(",")
         out[-1] = pad + "]" if obj else "[]"
-    else:  # a list of ints or of flat objects, rendered whole
+    else:  # a flat list, rendered whole
         inner = pad + "  "
-        if isinstance(obj, range):
+        if isinstance(obj, (range, tuple)):
+            item, values = "%d", obj
+            if obj and isinstance(obj[0], str):
+                item, values = "%s", map(_quote, obj)
+            elif obj and isinstance(obj[0], tuple):
+                item, values = f"[{inner}  %d,{inner}  %d{inner}]", chain.from_iterable(obj)
             # the template's size is checked before anything is built: a range
             # too long to list fails at once, with no memory taken
-            text = ("," + inner).join(["%d"] * len(obj)) % tuple(obj)
+            text = ("," + inner).join([item] * len(obj)) % tuple(values)
         elif isinstance(obj, PeriodReport):
             text = _cell(obj, "," + inner)
         elif isinstance(obj, _Rows):
-            keys = sorted(obj.records[0]._fields)
+            fields = obj.records[0]._fields
+            keys = sorted(fields)
             row = "{" + ",".join([f"{inner}  {_quote(k)}: %s" for k in keys]) + inner + "}"
-            values = chain.from_iterable(map(attrgetter(*keys), obj.records))
+            values = chain.from_iterable(map(itemgetter(*map(fields.index, keys)), obj.records))
             text = ("," + inner).join([row] * len(obj.records)) % tuple(values)
         else:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         out += ("[", inner, text, pad, "]") if text else ("[]",)
 
 
-def _pairs(fields: dict) -> list[str]:
-    """One `key  value` line per field, keys left-aligned."""
-    width = max(len(k) for k in fields)
-    return [f"{k:<{width}}  {_cell(v, ' ')}" for k, v in fields.items()]
+@functools.cache
+def _template(keys: tuple) -> str:
+    """One `key  %s` line per key, keys left-aligned: a record's plain view."""
+    width = max(map(len, keys))
+    return "".join([f"{k:<{width}}  %s\n" for k in keys])
 
 
 def _emit(fmt: str, doc, table, plain=None) -> None:
     """Write one result to stdout as fmt, building only that format's view.
 
     doc() gives the JSON document, table() the header row and rows for CSV,
-    and plain() the lines of plain text, joined and written in one call (by
-    default the table in right-aligned columns, two spaces apart).  Table
-    cells are ints, integral Decimals and str, never bool: each view fills
-    one row template, repeated over all rows, with one % call.
+    and plain() the plain text, written in one call (by default the table in
+    right-aligned columns, two spaces apart).  Table cells are ints, integral
+    Decimals and str, never bool: each view fills one row template, repeated
+    over all rows, with one % call.
     Each CSV row is its cells joined by commas, unquoted: every cell the CLI
     prints is letters, digits, spaces and `_^*+;`, which csv.writer never quotes.
     """
     if fmt == "json":
         sys.stdout.write(_json(doc()))
     elif fmt == "plain" and plain:
-        sys.stdout.write("\n".join([*plain(), ""]))
+        sys.stdout.write(plain())
     else:
         rows = list(table())
         width, cells = len(rows[0]), tuple(chain.from_iterable(rows))
@@ -169,7 +176,7 @@ def _emit_record(fmt: str, fields: dict, doc=None) -> None:
     """One record: a CSV row, `key  value` plain lines, doc() or fields as JSON."""
     _emit(fmt, doc or (lambda: fields),
           lambda: [list(fields), [_cell(v, ";") for v in fields.values()]],
-          lambda: _pairs(fields))
+          lambda: _template(tuple(fields)) % tuple([_cell(v, " ") for v in fields.values()]))
 
 
 def _report(r: PeriodReport) -> dict:  # a view that prints the profile adds r itself
@@ -219,12 +226,24 @@ def cmd_realize(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Check(tuple):  # a verify row: no namedtuple field can be `pass`
+    _fields = ("e", "q", "closed_form", "oracle", "basis_check", "pass")
+
+
+# verify by format: the basis column's name, its cells, and the status cells
+_STATUS, _LITERALS = {True: "PASS", False: "FAIL"}, {None: "null", True: "true", False: "false"}
+_VERIFY_CELLS = {"plain": ("basis", {None: "-", True: "ok", False: "FAIL"}, _STATUS),
+                 "csv": ("basis_check", {None: "na", True: "pass", False: "fail"}, _STATUS),
+                 "json": ("basis_check", _LITERALS, _LITERALS)}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = RingSpec(args.p, args.n)
     if args.emax < 0:
         # zero rows would report all_pass: a check that checked nothing
         raise ValueError(f"e_max must be nonnegative, got {args.emax}")
-    rows = []
+    name, basis_cell, status_cell = _VERIFY_CELLS[args.format]
+    rows, all_pass = [], True
     for e in range(args.emax + 1):
         try:
             q = capped_q(spec.p, e, args.qcap)
@@ -235,48 +254,46 @@ def cmd_verify(args: argparse.Namespace) -> int:
         basis, oracle = _colength(spec, q)
         basis_ok = all(_check_basis(spec, q, basis)) if q > spec.n else None
         ok = closed == oracle and basis_ok is not False
-        rows.append((e, q, closed, oracle, basis_ok, ok))
+        all_pass &= ok
+        rows.append((e, q, closed, oracle, basis_cell[basis_ok], status_cell[ok]))
     skipped = range(len(rows), args.emax + 1)
     if skipped:
         print(f"skipped e = {skipped[0]}..{skipped[-1]}: "
               f"q = p^e exceeds the oracle cap {args.qcap}", file=sys.stderr)
-    all_pass = all(row[-1] for row in rows)
-    keys = ["e", "q", "closed_form", "oracle", "basis_check", "pass"]
-    doc = {"p": spec.p, "n": spec.n, "q_cap": args.qcap, "all_pass": all_pass}
-
-    def table():
-        # the basis column by format: name, then cells for not run, held, failed
-        if args.format == "csv":
-            name, cell = "basis_check", {None: "na", True: "pass", False: "fail"}
-        else:
-            name, cell = "basis", {None: "-", True: "ok", False: "FAIL"}
-        yield [*keys[:4], name, "status"]
-        for *values, basis_ok, ok in rows:
-            yield [*values, cell[basis_ok], "PASS" if ok else "FAIL"]
-
     # only JSON lists every skipped e; plain and csv print the range's ends
-    _emit(args.format, lambda: {**doc, "skipped_e": skipped,
-                                "rows": [dict(zip(keys, r)) for r in rows]}, table)
+    _emit(args.format, lambda: {"p": spec.p, "n": spec.n, "q_cap": args.qcap,
+                                "all_pass": all_pass, "skipped_e": skipped,
+                                "rows": _Rows([*map(_Check, rows)])},
+          lambda: [(*_Check._fields[:4], name, "status"), *rows])
     return 0 if all_pass else 1
 
 
+def _generators(p: int, basis: Sequence[tuple]) -> list[str]:
+    """Each pair (lead, tail) as str(FpPoly) gives lead - tail over F_p: lead,
+    or lead + (p-1)*tail, a coefficient 1 left out, a constant tail as p - 1."""
+    unit = "" if p == 2 else f"{p - 1}*"
+    return [str(lead) if tail is None else f"{lead} + {p - 1}" if tail == (0, 0)
+            else f"{lead} + {unit}{tail}" for lead, tail in basis]
+
+
 def cmd_gb(args: argparse.Namespace) -> int:
+    """The basis _colength computes, printed from its pairs (_generators)."""
     spec = RingSpec(args.p, args.n)
     q = capped_q(spec.p, args.e, args.qcap)
     basis, count = _colength(spec, q)
-    head = {"p": spec.p, "n": spec.n, "e": args.e, "q": q}
-    generators = [str(_poly(spec.p, g)) for g in basis]
-    leads = [[m.i, m.j] for m, _ in basis]
-    table = [["generator", "lead_i", "lead_j"]]
-    table += ([g, *lead] for g, lead in zip(generators, leads))
+    gens = _generators(spec.p, basis)
+    head = {"p": spec.p, "n": spec.n, "e": args.e, "q": q, "count": count}
 
     def plain():
-        summary = {**head, "count": count}
-        summary["staircase"] = "  ".join(str(m) for m, _ in basis)
-        return [*_pairs(summary), "basis:", *(f"  {g}" for g in generators)]
+        # a generator's text starts with its lead's, up to the first space
+        staircase = "  ".join([g.partition(" ")[0] for g in gens])
+        text = _template((*head, "staircase")) + "basis:\n" + "  %s\n" * len(gens)
+        return text % (*head.values(), staircase, *gens)
 
-    doc = {**head, "generators": generators, "staircase": leads, "count": count}
-    _emit(args.format, lambda: doc, lambda: table, plain)
+    _emit(args.format,
+          lambda: {**head, "generators": tuple(gens), "staircase": tuple([g[0] for g in basis])},
+          lambda: [("generator", "lead_i", "lead_j"), *[(g, *m) for g, (m, _) in zip(gens, basis)]],
+          plain)
     return 0
 
 

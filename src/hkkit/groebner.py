@@ -20,9 +20,8 @@ monomial or a difference of two monomials, since a rewrite by lead - tail
 maps a term to one term with the same coefficient: it keeps each element as
 a pair (lead, tail) standing for lead - tail, reduces one monomial at a time
 by one walk down first-divisor rewrites (_reduce_term), and returns the
-basis as pairs.  It does no field arithmetic; only the gb command makes
-FpPolys of the pairs, to print.  Both engines return the same reduced
-basis, which the tests compare.
+basis as pairs, which the gb command prints: no field arithmetic, no
+FpPoly.  Both engines return the same reduced basis, which the tests compare.
 """
 
 import heapq
@@ -307,9 +306,8 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
 
     reduce works on a dict of waiting terms, whatever the inputs: each basis
     element's rewrite rule (_rule) is built once per call, and every rewrite
-    merges into that dict.  buchberger reduces every S-polynomial with it.
-    The oracle does not: its binomial engine reduces one monomial at a time
-    (_reduce_term), with no coefficients, and keeps no dict of terms.
+    merges into that dict.  buchberger reduces every S-polynomial with it;
+    the oracle's engine reduces one monomial at a time (_reduce_term).
 
     A binomial g = lc*lm + ct*tail rewrites c*mono into -(ct/lc)*c times
     mono + (tail - lm), and so on until lm stops dividing the moving monomial
@@ -358,18 +356,9 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     return FpPoly._raw(p, out)
 
 
-# The oracle's binomial path.  An element is a pair (lead, tail) that stands
-# for lead - tail, with tail < lead, and tail None for the monomial lead.
-# Every S-polynomial and every remainder of such elements is again 0, a
-# monomial or such a difference, because a rewrite by lead - tail maps one
-# term to one term with the same coefficient, and a rewrite by a monomial to
-# none: no coefficient is ever stored, and no field arithmetic is done.
-
-
-def _poly(p: int, g: tuple) -> FpPoly:
-    """The FpPoly over F_p that a pair stands for, -1 stored as p - 1."""
-    lead, tail = g
-    return FpPoly._raw(p, {lead: 1} if tail is None else {lead: 1, tail: p - 1})
+# The oracle's binomial path (see the module docstring).  An element is a
+# pair (lead, tail) that stands for lead - tail, with tail < lead, and tail
+# None for the monomial lead; a rewrite by a monomial maps a term to none.
 
 
 def _binomial_rule(g: tuple, earlier: Sequence[Monomial]) -> tuple:
@@ -561,13 +550,10 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = PAIR_BUDGET_DEFAULT) -
     _minimal against the others with reduce, and the member check reduces
     each generator modulo the result.
 
-    The oracle does not come through here: _colength builds its generators
-    as pairs and runs _binomial_buchberger, which keeps monomials and
-    differences of two monomials as pairs, reduces one monomial at a time
-    and does no field arithmetic, without these input checks, which its
-    generators pass by construction.  The two engines share
-    only the pair order, _minimal, _chain_length and _check_members, so the
-    tests that compare them compare two computations.
+    The oracle does not come through here: _colength runs
+    _binomial_buchberger on pairs (see the module docstring).  The two
+    engines share only the pair order, _minimal, _chain_length and
+    _check_members, so the tests that compare them compare two computations.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -650,13 +636,9 @@ def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
     """Colength of (x^q, y^q, x^n - y^n) in F_p[x, y], the slow honest way.
 
     Runs Buchberger on the raw generators and counts standard monomials
-    (_colength).  The generators are two monomials and a difference of two,
-    built as the pairs of the oracle's binomial engine: each monomial is
-    reduced by one walk of rewrites, the count reads the pairs' leads, and no
-    coefficient, no dict of terms and no FpPoly is built.  The closed formula
-    is never consulted, which is what makes agreement with hk_value
-    meaningful.  q above q_cap
-    raises QCapExceededError to tell the caller to fall back to the formula.
+    (_colength), on pairs: no coefficient, no FpPoly.  The closed formula is
+    never consulted, which makes agreement with hk_value meaningful.  q above
+    q_cap raises QCapExceededError: the caller falls back to the formula.
     """
     return _colength(spec, capped_q(spec.p, e, q_cap))[1]
 
@@ -671,14 +653,13 @@ def _colength(spec: RingSpec, q: int) -> tuple[list[tuple], int]:
     capped_q, as pairs by ascending lead, and its staircase count: the one
     Buchberger run on these generators that every oracle caller shares.
 
-    The generators are built as the pairs of the binomial path, x^n - y^n as
-    (x^n, y^n), and go straight to _binomial_buchberger, which does no field
-    arithmetic: p enters only through q.  No FpPoly is made for them or for
-    the basis (only gb builds those, to print them), and buchberger's input
-    checks are not run: they could only pass here, since the three are
-    nonzero by construction.  Every check on the result runs: each generator
-    must reduce to zero modulo the basis (_check_members), and the staircase
-    must block both axes.
+    The generators are built as pairs, x^n - y^n as (x^n, y^n), and go
+    straight to _binomial_buchberger, which does no field arithmetic: p
+    enters only through q.  No FpPoly is made, of them or of the basis (gb
+    prints the pairs), and buchberger's input checks, which the three pass by
+    construction, are not run.  Every check on the result runs: each
+    generator must reduce to zero modulo the basis (_check_members), and the
+    staircase must block both axes.
     """
     gens = [(_new(Monomial, (q, 0)), None), (_new(Monomial, (0, q)), None),
             _relation(spec.n)]

@@ -9,7 +9,7 @@ import enum
 from collections.abc import Mapping
 
 from .closed_form import RingSpec, _Value
-from .numtheory import multiplicative_order
+from .numtheory import multiplicative_order, prime_factors
 
 
 class Branch(enum.Enum):
@@ -117,9 +117,10 @@ def _check_claimed_period(
     if failing is not None:
         return PeriodCheck(ok=False, failing_distance=pi, failing_index=failing)
     witnesses: dict[int, int] = {}
-    for d in range(1, pi):
-        if pi % d != 0:
-            continue
+    divisors = [1]
+    for prime, k in prime_factors(pi).items():
+        divisors = [d * prime**j for d in divisors for j in range(k + 1)]
+    for d in sorted(divisors)[:-1]:  # the proper divisors of pi, ascending
         witness = _first_mismatch(spec, d, omega)
         if witness is None:
             return PeriodCheck(ok=False, failing_distance=d,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hkkit import groebner
+from hkkit.cli import _generators
 from hkkit.closed_form import RingSpec, hk_value
 from hkkit.groebner import (
     BasisCheck,
@@ -417,7 +418,7 @@ class TestBinomialChainJump:
         if expected.is_zero():
             assert got is None
         else:
-            assert groebner._poly(p, got) == expected.monic()
+            assert as_poly(p, got) == expected.monic()
 
     def test_chain_of_2_pow_60_steps_is_one_jump(self):
         # far too long to walk step by step: about q/7 rewrites of x^q
@@ -520,10 +521,17 @@ def basis_or_error(run, gens, pair_budget):
         return str(exc)
 
 
+def as_poly(p, g):
+    """The FpPoly over F_p that the oracle's pair (lead, tail) stands for:
+    lead - tail, or lead alone when tail is None."""
+    lead, tail = g
+    return FpPoly(p, {lead: 1} if tail is None else {lead: 1, tail: -1})
+
+
 def as_polys(p, pairs):
     """The generators and staircase a GroebnerBasis over F_p would hold for
-    the oracle's pairs: each pair as an FpPoly through _poly, and the leads."""
-    return tuple(groebner._poly(p, g) for g in pairs), tuple(g[0] for g in pairs)
+    the oracle's pairs: each pair as an FpPoly (as_poly), and the leads."""
+    return tuple(as_poly(p, g) for g in pairs), tuple(g[0] for g in pairs)
 
 
 class TestBinomialPathMatchesDictPath:
@@ -577,7 +585,7 @@ def assert_colength_matches_buchberger(spec, e):
 
 class TestColengthMatchesBuchberger:
     """_colength builds the generators as pairs, skips buchberger's input
-    checks and returns its basis as pairs; as FpPolys (_poly) and leads,
+    checks and returns its basis as pairs; as FpPolys (as_poly) and leads,
     that basis must equal the one buchberger computes from the generator
     FpPolys, and its count that basis's count."""
 
@@ -1031,17 +1039,16 @@ class TestInternalPolynomialsAreNormalized:
                 assert type(lead) is Monomial
                 if tail is not None:
                     assert type(tail) is Monomial and tail < lead
-                    assert groebner._poly(p, (lead, tail)) == FpPoly(p, {lead: 1, tail: -1})
         q, b = check.q, check.b
         lhs = (Monomial(q, 0), Monomial(b, q - b))
         relation = (Monomial(n, 0), Monomial(0, n))  # x^n - y^n
         predicted = [(Monomial(b, q - b), None), (Monomial(0, q), None), relation]
         assert (lhs, [relation]) in seen
         assert any(reducers == predicted for _, reducers in seen)
-        # FpPolys are built from the basis's pairs only, by _poly, for gb
-        for g in as_polys(p, groebner._colength(RingSpec(p, n), q)[0])[0]:
-            assert all(type(m) is Monomial for m in g.terms)
-            assert g == FpPoly(p, dict(g.terms))
+        # the basis's pairs hold Monomials, which gb prints as FpPoly would
+        basis = groebner._colength(RingSpec(p, n), q)[0]
+        assert all(type(m) is Monomial for g in basis for m in g if m is not None)
+        assert _generators(p, basis) == [str(g) for g in as_polys(p, basis)[0]]
 
 
 FORMULA_NAMES = {"hk_value", "phi_value", "residue_b", "hk_table", "period_of",
@@ -1127,69 +1134,77 @@ def cli_run(capsys, argv):
     return (code, *capsys.readouterr())
 
 
-class TestOnlyGbBuildsPolynomials:
-    """_colength returns its basis as pairs.  hk_brute,
-    verify_closed_form_basis and every verify row read the leads and build
-    neither an FpPoly nor a GroebnerBasis; gb alone builds FpPolys, one per
-    basis element through _poly, to print them."""
-
-    VERIFY = ["verify --p 3 --n 5 --emax 4", "verify --p 2 --n 7 --emax 12",
-              "verify --p 13 --n 60 --emax 2"]
-    # each gb argv with the size of its basis: x^n - y^n drops out at q < n
-    GB = [("gb --p 2 --n 7 --e 5", 3), ("gb --p 3 --n 10 --e 2", 2),
-          ("gb --p 13 --n 60 --e 0", 2), ("gb --p 2 --n 7 --e 9", 3)]
-    FORMATS = ["plain", "csv", "json"]
+class TestNoCliPathBuildsPolynomials:
+    """_colength returns its basis as pairs, and every caller reads them as
+    they stand: hk_brute, verify_closed_form_basis, verify's rows and gb's
+    printing build neither an FpPoly, by either constructor, nor a
+    GroebnerBasis.  With all three refusing, the library answers as before
+    and every command, in every format, prints the same bytes."""
 
     @staticmethod
-    def watch(monkeypatch, seen, refuse):
-        """Append to seen the name of each _poly call, GroebnerBasis and FpPoly
-        made from here on, by either FpPoly constructor and through the _poly
-        the CLI imported too, and raise there if refuse."""
-        from hkkit import cli
-
-        def watched(name, original):
-            def call(*args):
-                seen.append(name)
-                if refuse:
-                    raise AssertionError(f"the oracle built {name}")
-                return original(*args)
+    def refuse(monkeypatch):
+        """Make FpPoly(...), FpPoly._raw(...) and GroebnerBasis(...) raise."""
+        def refused(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"the oracle built {name}")
             return call
 
-        poly = watched("_poly", groebner._poly)
-        monkeypatch.setattr(groebner, "_poly", poly)
-        monkeypatch.setattr(cli, "_poly", poly)
-        monkeypatch.setattr(groebner, "GroebnerBasis",
-                            watched("GroebnerBasis", groebner.GroebnerBasis))
-        monkeypatch.setattr(FpPoly, "__init__", watched("FpPoly", FpPoly.__init__))
-        monkeypatch.setattr(FpPoly, "_raw", classmethod(watched("FpPoly", FpPoly._raw.__func__)))
+        monkeypatch.setattr(FpPoly, "__init__", refused("FpPoly"))
+        monkeypatch.setattr(FpPoly, "_raw", classmethod(refused("FpPoly")))
+        monkeypatch.setattr(GroebnerBasis, "__init__", refused("GroebnerBasis"))
 
-    def test_library_and_verify_build_none(self, monkeypatch, capsys):
+    def test_library_and_verify_build_none(self, monkeypatch):
         library = [(RingSpec(2, 7), 5), (RingSpec(3, 5), 4), (RingSpec(2, 7), 4096)]
 
         def answers():
-            return ([(hk_brute(spec, e, q_cap=spec.p**e),
-                      verify_closed_form_basis(spec, e, q_cap=spec.p**e))
-                     for spec, e in library],
-                    [cli_run(capsys, f"{argv} --format {fmt}")
-                     for argv in self.VERIFY for fmt in self.FORMATS])
+            return [(hk_brute(spec, e, q_cap=spec.p**e),
+                     verify_closed_form_basis(spec, e, q_cap=spec.p**e))
+                    for spec, e in library]
 
-        expected, seen = answers(), []
-        self.watch(monkeypatch, seen, refuse=True)
+        expected, gens = answers(), frobenius_power_generators(RingSpec(2, 7), 5)
+        self.refuse(monkeypatch)
         assert answers() == expected
-        assert seen == []
-        # the refusal reaches the CLI: gb, which prints the polynomials, meets it
-        with pytest.raises(AssertionError, match="the oracle built _poly"):
-            cli_run(capsys, self.GB[0][0])
+        # the refusal is in force: the general engine meets it
+        with pytest.raises(AssertionError, match="the oracle built"):
+            buchberger(gens)
+        with pytest.raises(AssertionError, match="the oracle built FpPoly"):
+            FpPoly(2, {})
 
-    @pytest.mark.parametrize("fmt", FORMATS)
-    def test_gb_builds_one_fppoly_per_basis_element(self, monkeypatch, capsys, fmt):
-        expected = [cli_run(capsys, f"{argv} --format {fmt}") for argv, _ in self.GB]
-        seen = []
-        self.watch(monkeypatch, seen, refuse=False)
-        for (argv, size), output in zip(self.GB, expected):
-            assert cli_run(capsys, f"{argv} --format {fmt}") == output
-            assert seen == ["_poly", "FpPoly"] * size, argv
-            seen.clear()
+    def test_gb_and_verify_keep_the_corpus_bytes(self, monkeypatch):
+        from cli_corpus import line
+        from test_cli_corpus import committed
+
+        self.refuse(monkeypatch)
+        assert [want for argv, want in committed() if line(argv) != want] == []
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_other_commands_keep_their_bytes(self, monkeypatch, capsys, fmt):
+        argvs = [f"{argv} --format {fmt}" for argv in
+                 ("table --p 3 --n 5 --emax 6", "period --p 2 --n 7", "realize --pi 6")]
+        expected = [cli_run(capsys, argv) for argv in argvs]
+        self.refuse(monkeypatch)
+        assert [cli_run(capsys, argv) for argv in argvs] == expected
+
+
+class TestPairPrinter:
+    """gb prints each pair (lead, tail) as str of the FpPoly lead - tail."""
+
+    @pytest.mark.parametrize("p", [2, 3, 13])
+    def test_every_small_pair(self, p):
+        monos = [Monomial(i, j) for i in range(4) for j in range(4)]
+        pairs = [(m, None) for m in monos] + [(a, b) for a in monos for b in monos if b < a]
+        assert _generators(p, pairs) == [str(as_poly(p, g)) for g in pairs]
+
+    @pytest.mark.parametrize("p, text", [(2, "x + 1"), (3, "x + 2"), (13, "x + 12")])
+    def test_constant_tail(self, p, text):
+        pair = (X, Monomial(0, 0))
+        assert _generators(p, [pair]) == [text] == [str(as_poly(p, pair))]
+
+    @pytest.mark.parametrize("p, text", [(2, "x^7 + y^7"), (3, "x^7 + 2*y^7"),
+                                         (13, "x^7 + 12*y^7")])
+    def test_binomial_and_monomials(self, p, text):
+        assert _generators(p, [(Monomial(0, 9), None), (Monomial(7, 0), Monomial(0, 7))]) == [
+            "y^9", text]
 
 
 class TestBuchbergerTakesTheGeneralPath:

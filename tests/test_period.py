@@ -10,6 +10,7 @@ from hkkit.period import (
     Branch,
     PeriodCheck,
     _check_claimed_period,
+    _first_mismatch,
     period_of,
     verify_minimal_period,
 )
@@ -232,3 +233,54 @@ class TestVerifyMinimalPeriod:
         assert _check_claimed_period(
             spec, pi, omega, window
         ) == check_claimed_period_by_pow(spec, pi, omega, window)
+
+
+def check_claimed_period_by_scan(
+    spec: RingSpec, pi: int, omega: int, window_multiplier: int
+) -> PeriodCheck:
+    # _check_claimed_period with its divisors found by scanning 1..pi-1, as it
+    # was before it took them from prime_factors(pi)
+    failing = _first_mismatch(spec, pi, window_multiplier * omega + 1)
+    if failing is not None:
+        return PeriodCheck(ok=False, failing_distance=pi, failing_index=failing)
+    witnesses: dict[int, int] = {}
+    for d in range(1, pi):
+        if pi % d == 0:
+            witness = _first_mismatch(spec, d, omega)
+            if witness is None:
+                return PeriodCheck(ok=False, failing_distance=d, divisor_witnesses=witnesses)
+            witnesses[d] = witness
+    return PeriodCheck(ok=True, divisor_witnesses=witnesses)
+
+
+class TestDivisorsFromFactors:
+    """The proper divisors of pi come from its factorization, ascending: the
+    same witnesses, in the same order, and the same first failing divisor as
+    the scan over 1..pi-1 gives."""
+
+    RINGS = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 600) if n % p]
+
+    @staticmethod
+    def assert_same(spec, pi, omega, window):
+        got = _check_claimed_period(spec, pi, omega, window)
+        want = check_claimed_period_by_scan(spec, pi, omega, window)
+        assert got == want
+        assert list(got.divisor_witnesses) == list(want.divisor_witnesses)
+        return got
+
+    def test_true_periods(self):
+        for p, n in self.RINGS:
+            spec = RingSpec(p, n)
+            report = period_of(spec)
+            assert self.assert_same(spec, report.pi, report.omega, 2).ok
+            assert verify_minimal_period(spec, 2) == _check_claimed_period(
+                spec, report.pi, report.omega, 2)
+
+    def test_multiples_fail_at_the_first_divisor(self):
+        # k*pi is a period; of its divisors, the true pi is the first that is one
+        for p, n in self.RINGS[::3]:
+            spec = RingSpec(p, n)
+            report = period_of(spec)
+            for k in (2, 6, 12):
+                check = self.assert_same(spec, k * report.pi, report.omega, 2)
+                assert (check.ok, check.failing_distance) == (False, report.pi)

@@ -21,7 +21,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .closed_form import HKRecord, RingSpec, _rows, _Value, hk_value
-from .groebner import Q_CAP_DEFAULT, QCapExceededError, _check_basis, _colength, capped_q
+from .groebner import Q_CAP_DEFAULT, Monomial, QCapExceededError, _check_basis, _colength, capped_q
 from .period import PeriodReport, period_of
 from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, realize
 
@@ -269,11 +269,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _generators(p: int, basis: Sequence[tuple]) -> list[str]:
-    """Each pair (lead, tail) as str(FpPoly) gives lead - tail over F_p: lead,
-    or lead + (p-1)*tail, a coefficient 1 left out, a constant tail as p - 1."""
-    unit = "" if p == 2 else f"{p - 1}*"
-    return [str(lead) if tail is None else f"{lead} + {p - 1}" if tail == (0, 0)
-            else f"{lead} + {unit}{tail}" for lead, tail in basis]
+    """Each pair (lead, tail) as str(FpPoly) gives lead - tail over F_p, by
+    Monomial.__str__: lead, or lead + (p-1)*tail, 1 left out, a constant tail as p - 1."""
+    unit, text = "" if p == 2 else f"{p - 1}*", Monomial.__str__
+    return [text(lead) if tail is None else f"{text(lead)} + {p - 1}" if tail == (0, 0)
+            else f"{text(lead)} + {unit}{text(tail)}" for lead, tail in basis]
 
 
 def cmd_gb(args: argparse.Namespace) -> int:
@@ -385,7 +385,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a library self-check failed: not the caller's input, nor a mismatch
         print(f"error: internal fault: {exc}", file=sys.stderr)
         return 4
-    except MemoryError:  # README reserves exit 1 for a verification failure
+    except (MemoryError, OverflowError):  # a size past memory or sys.maxsize: exit 4, not 1
         print("error: internal fault: out of memory", file=sys.stderr)
         return 4
     finally:

@@ -18,10 +18,12 @@ _binomial_buchberger.  Its generators are x^q, y^q and the difference
 x^n - y^n, and every S-polynomial and remainder they lead to is again 0, a
 monomial or a difference of two monomials, since a rewrite by lead - tail
 maps a term to one term with the same coefficient: it keeps each element as
-a pair (lead, tail) standing for lead - tail, reduces one monomial at a time
-by one walk down first-divisor rewrites (_reduce_term), and returns the
-basis as pairs, which the gb command prints: no field arithmetic, no
-FpPoly.  Both engines return the same reduced basis, which the tests compare.
+a pair (lead, tail) of plain (i, j) int tuples, standing for lead - tail,
+reduces one monomial at a time by one walk down first-divisor rewrites
+(_reduce_term), and returns the basis as pairs, which the gb command prints:
+no field arithmetic, no FpPoly, and a Monomial (the public, printed type)
+only where a public result holds one.  Both engines return the same reduced
+basis, which the tests compare.
 """
 
 import heapq
@@ -35,9 +37,9 @@ from .numtheory import is_prime
 Q_CAP_DEFAULT = 512
 PAIR_BUDGET_DEFAULT = 100_000
 
-# Monomial(i, j) runs namedtuple's Python-level __new__; the binomial path,
-# which makes a few dozen monomials per oracle row, calls
-# _new(Monomial, (i, j)) instead, which builds the same object in C.
+# Monomial(i, j) runs namedtuple's Python-level __new__; _new(Monomial, (i, j))
+# builds the same object in C.  The oracle's engine makes none: its monomials
+# are plain (i, j) tuples, turned into Monomials at the public boundary only.
 _new = tuple.__new__
 
 
@@ -50,9 +52,7 @@ class Monomial(namedtuple("Monomial", "i j")):
         return self.i <= other.i and self.j <= other.j
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        # conditional expressions, not max(): Buchberger takes an lcm per pair
-        return _new(Monomial, (self.i if self.i > other.i else other.i,
-                               self.j if self.j > other.j else other.j))
+        return _new(Monomial, _lcm(self, other))
 
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(self.i + other.i, self.j + other.j)
@@ -67,6 +67,12 @@ class Monomial(namedtuple("Monomial", "i j")):
         x = "" if not i else "x" if i == 1 else f"x^{i}"
         y = "" if not j else "y" if j == 1 else f"y^{j}"
         return f"{x}*{y}" if x and y else x or y or "1"
+
+
+def _lcm(a: tuple, b: tuple) -> tuple:
+    """The lcm of two monomials (Monomials or plain pairs) as a plain pair:
+    conditional expressions, not max(), since Buchberger takes one per pair."""
+    return a[0] if a[0] > b[0] else b[0], a[1] if a[1] > b[1] else b[1]
 
 
 class CharacteristicMismatchError(ValueError):
@@ -236,34 +242,34 @@ def s_polynomial(f: FpPoly, g: FpPoly) -> FpPoly:
     return left - right
 
 
-def _chain_length(
-    mono: Monomial, lm: Monomial, di: int, dj: int, earlier: Sequence[Monomial]
-) -> int:
+def _chain_length(mono: tuple, lm: tuple, di: int, dj: int, earlier: Sequence[tuple]) -> int:
     """How many rewrites in a row a binomial with lead lm makes, from mono.
 
     (di, dj) is the binomial's tail minus lm, and step k rewrites
     mono + k*(di, dj).  The chain ends at the first k >= 1 where lm no longer
-    divides that monomial or an earlier lead does.
+    divides that monomial or an earlier lead does.  Read by index, as
+    Monomials (reduce) or plain pairs (the oracle's engine) alike.
     """
+    mi, mj = mono
     # the tail is below lm in lex, so di < 0, or di == 0 and dj < 0
     if di == 0:
-        steps = (mono.j - lm.j) // -dj
+        steps = (mj - lm[1]) // -dj
     elif dj < 0:
-        steps = min((mono.i - lm.i) // -di, (mono.j - lm.j) // -dj)
+        steps = min((mi - lm[0]) // -di, (mj - lm[1]) // -dj)
     else:
-        steps = (mono.i - lm.i) // -di
+        steps = (mi - lm[0]) // -di
     steps += 1
-    for lead in earlier:
+    for li, lj in earlier:
         # the smallest k in [lo, hi] = [1, steps) with lead dividing the
         # monomial at step k, i.e. k*di >= gap_i and k*dj >= gap_j
         lo, hi = 1, steps - 1
-        gap = lead.i - mono.i
+        gap = li - mi
         if di:  # di < 0: k <= gap_i // di
             if (k := gap // di) < hi:
                 hi = k
         elif gap > 0:
             continue
-        gap = lead.j - mono.j
+        gap = lj - mj
         if dj > 0:
             if (k := -(-gap // dj)) > lo:
                 lo = k
@@ -361,13 +367,13 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
 # None for the monomial lead; a rewrite by a monomial maps a term to none.
 
 
-def _binomial_rule(g: tuple, earlier: Sequence[Monomial]) -> tuple:
+def _binomial_rule(g: tuple, earlier: Sequence[tuple]) -> tuple:
     """A pair's rewrite rule (lm, chain), with earlier the leads listed before
     it: chain is (di, dj, earlier) as in _rule, or None for a monomial."""
     lm, tail = g
     if tail is None:
         return lm, None
-    return lm, (tail.i - lm.i, tail.j - lm.j, tuple(earlier))
+    return lm, (tail[0] - lm[0], tail[1] - lm[1], tuple(earlier))
 
 
 def _binomial_rules(basis: Sequence[tuple]) -> list[tuple]:
@@ -375,9 +381,8 @@ def _binomial_rules(basis: Sequence[tuple]) -> list[tuple]:
     return [_binomial_rule(g, leads[:idx]) for idx, g in enumerate(basis)]
 
 
-def _reduce_term(mono: Monomial, rules: Sequence[tuple]) -> Monomial | None:
-    """The normal form of mono modulo binomial rules: a monomial, or None for
-    zero.
+def _reduce_term(mono: tuple, rules: Sequence[tuple]) -> tuple | None:
+    """The normal form of mono modulo binomial rules: a monomial, or None (zero).
 
     One walk down first-divisor rewrites: a monomial rule ends it at zero, and
     a binomial rule moves mono down its whole chain (_chain_length) in one
@@ -386,7 +391,7 @@ def _reduce_term(mono: Monomial, rules: Sequence[tuple]) -> Monomial | None:
     mi, mj = mono
     while True:
         for lm, chain in rules:
-            if lm.i <= mi and lm.j <= mj:
+            if lm[0] <= mi and lm[1] <= mj:
                 break
         else:
             return mono
@@ -394,12 +399,10 @@ def _reduce_term(mono: Monomial, rules: Sequence[tuple]) -> Monomial | None:
             return None
         di, dj, earlier = chain
         steps = _chain_length(mono, lm, di, dj, earlier)
-        mi, mj = mi + steps * di, mj + steps * dj
-        mono = _new(Monomial, (mi, mj))
+        mono = mi, mj = mi + steps * di, mj + steps * dj
 
 
-def _binomial_nf(a: Monomial | None, b: Monomial | None,
-                 rules: Sequence[tuple]) -> tuple | None:
+def _binomial_nf(a: tuple | None, b: tuple | None, rules: Sequence[tuple]) -> tuple | None:
     """Normal form of a - b modulo binomial rules, a or b None for zero, as a
     pair up to sign, or None for zero.
 
@@ -418,16 +421,14 @@ def _binomial_nf(a: Monomial | None, b: Monomial | None,
     return (a, b) if a > b else (b, a)
 
 
-def _binomial_s_pair(lcm: Monomial, f: tuple, g: tuple) -> tuple:
+def _binomial_s_pair(lcm: tuple, f: tuple, g: tuple) -> tuple:
     """The S-polynomial of pairs f and g whose leads divide lcm, up to sign,
     as (a, b) standing for a - b, each None for zero.  The leads cancel, so
     only the tails are left, each shifted by lcm over its own lead."""
     lm, tail = f
-    a = None if tail is None else _new(Monomial, (tail.i + lcm.i - lm.i,
-                                                  tail.j + lcm.j - lm.j))
+    a = None if tail is None else (tail[0] + lcm[0] - lm[0], tail[1] + lcm[1] - lm[1])
     lm, tail = g
-    b = None if tail is None else _new(Monomial, (tail.i + lcm.i - lm.i,
-                                                  tail.j + lcm.j - lm.j))
+    b = None if tail is None else (tail[0] + lcm[0] - lm[0], tail[1] + lcm[1] - lm[1])
     return a, b
 
 
@@ -455,23 +456,23 @@ class GroebnerBasis(_Value):
 
 
 def _binomial_pair_loop(gens: Sequence[tuple], pair_budget: int
-                        ) -> tuple[list[tuple], list[Monomial]]:
+                        ) -> tuple[list[tuple], list[tuple]]:
     """Every element the pair loop appends to the pairs gens, with their
     leads; each S-polynomial is the difference of at most two monomials
     (_binomial_s_pair), reduced by _binomial_nf."""
     basis: list[tuple] = []
-    leads: list[Monomial] = []
+    leads: list[tuple] = []
     rules: list[tuple] = []
-    heap: list[tuple[Monomial, int, int]] = []
+    heap: list[tuple[tuple, int, int]] = []
     todo = list(gens)
     processed = 0
     while todo:
         for g in todo:
             lm = g[0]
             for k, lm_k in enumerate(leads):
-                if (lm_k.i == 0 or lm.i == 0) and (lm_k.j == 0 or lm.j == 0):
+                if (lm_k[0] == 0 or lm[0] == 0) and (lm_k[1] == 0 or lm[1] == 0):
                     continue  # coprime leading monomials: S-poly reduces to zero
-                heapq.heappush(heap, (lm_k.lcm(lm), k, len(basis)))
+                heapq.heappush(heap, (_lcm(lm_k, lm), k, len(basis)))
             rules.append(_binomial_rule(g, leads))
             basis.append(g)
             leads.append(lm)
@@ -487,15 +488,15 @@ def _binomial_pair_loop(gens: Sequence[tuple], pair_budget: int
     return basis, leads
 
 
-def _minimal(basis: Sequence, leads: Sequence[Monomial]) -> list:
+def _minimal(basis: Sequence, leads: Sequence[tuple]) -> list:
     """The elements no other lead divides, by ascending lead: scanned in that
     order, a survivor is seen before any of its multiples, and of equal leads
-    the first listed stays."""
+    the first listed stays.  Leads are Monomials or plain pairs, read by index."""
     minimal, kept = [], []
     for idx in sorted(range(len(basis)), key=leads.__getitem__):
-        lm = leads[idx]
-        for k in kept:
-            if k.i <= lm.i and k.j <= lm.j:
+        lm = i, j = leads[idx]
+        for ki, kj in kept:
+            if ki <= i and kj <= j:
                 break
         else:
             minimal.append(basis[idx])
@@ -591,7 +592,7 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = PAIR_BUDGET_DEFAULT) -
     return GroebnerBasis(tuple(final), tuple(g.leading_term()[0] for g in final))
 
 
-def count_under_staircase(staircase: Sequence[Monomial]) -> int | None:
+def count_under_staircase(staircase: Sequence[tuple]) -> int | None:
     """Monomials divisible by no staircase element; None when infinitely many.
 
     In two variables the count is finite exactly when the staircase blocks
@@ -645,7 +646,7 @@ def hk_brute(spec: RingSpec, e: int, q_cap: int = Q_CAP_DEFAULT) -> int:
 
 def _relation(n: int) -> tuple:
     """x^n - y^n as a pair of the binomial path."""
-    return _new(Monomial, (n, 0)), _new(Monomial, (0, n))
+    return (n, 0), (0, n)
 
 
 def _colength(spec: RingSpec, q: int) -> tuple[list[tuple], int]:
@@ -653,16 +654,15 @@ def _colength(spec: RingSpec, q: int) -> tuple[list[tuple], int]:
     capped_q, as pairs by ascending lead, and its staircase count: the one
     Buchberger run on these generators that every oracle caller shares.
 
-    The generators are built as pairs, x^n - y^n as (x^n, y^n), and go
-    straight to _binomial_buchberger, which does no field arithmetic: p
-    enters only through q.  No FpPoly is made, of them or of the basis (gb
-    prints the pairs), and buchberger's input checks, which the three pass by
-    construction, are not run.  Every check on the result runs: each
-    generator must reduce to zero modulo the basis (_check_members), and the
-    staircase must block both axes.
+    The generators are built as pairs of plain (i, j) tuples, x^n - y^n as
+    ((n, 0), (0, n)), and go straight to _binomial_buchberger, which does no
+    field arithmetic: p enters only through q.  No FpPoly or Monomial is
+    made, of them or of the basis (gb prints the pairs), and buchberger's
+    input checks, which the three pass by construction, are not run.  Every
+    check on the result runs: each generator must reduce to zero modulo the
+    basis (_check_members), and the staircase must block both axes.
     """
-    gens = [(_new(Monomial, (q, 0)), None), (_new(Monomial, (0, q)), None),
-            _relation(spec.n)]
+    gens = [((q, 0), None), ((0, q), None), _relation(spec.n)]
     basis = _binomial_buchberger(gens, PAIR_BUDGET_DEFAULT)
     count = count_under_staircase([g[0] for g in basis])
     if count is None:
@@ -679,13 +679,12 @@ def _telescopes(spec: RingSpec, q: int, b: int) -> bool:
     x^(q-n) + x^(q-2n) y^n + ... + x^b y^(q-b-n); the term reducer walks the
     ladder in one binomial jump instead of multiplying it out.
     """
-    return _binomial_nf(_new(Monomial, (q, 0)), _new(Monomial, (b, q - b)),
-                        [_binomial_rule(_relation(spec.n), ())]) is None
+    return _binomial_nf((q, 0), (b, q - b), [_binomial_rule(_relation(spec.n), ())]) is None
 
 
-def _predicted_staircase(n: int, q: int, b: int) -> tuple[Monomial, ...]:
+def _predicted_staircase(n: int, q: int, b: int) -> tuple[tuple, ...]:
     """The leads y^q, x^b y^(q-b), x^n of the predicted basis, ascending."""
-    return _new(Monomial, (0, q)), _new(Monomial, (b, q - b)), _new(Monomial, (n, 0))
+    return (0, q), (b, q - b), (n, 0)
 
 
 class BasisCheck(_Value):
@@ -724,6 +723,7 @@ def verify_closed_form_basis(
     (c) Buchberger run on the raw generators lands on the staircase
         (y^q, x^b y^(q-b), x^n): pairwise indivisible because q > n > b >= 1,
         and listed in ascending lex order, as _colength returns the basis.
+    The checks run on plain pairs, and both staircases are returned as Monomials.
     """
     q = capped_q(spec.p, e, q_cap)
     n = spec.n
@@ -737,8 +737,8 @@ def verify_closed_form_basis(
         telescoping_ok=telescoping_ok,
         spoly_ok=spoly_ok,
         staircase_ok=staircase_ok,
-        expected_staircase=_predicted_staircase(n, q, b),
-        computed_staircase=tuple([g[0] for g in basis]),
+        expected_staircase=tuple([_new(Monomial, m) for m in _predicted_staircase(n, q, b)]),
+        computed_staircase=tuple([_new(Monomial, g[0]) for g in basis]),
         q=q,
         b=b,
     )
@@ -751,12 +751,10 @@ def _check_basis(spec: RingSpec, q: int, basis: Sequence[tuple]) -> tuple[bool, 
     n = spec.n
     b = q % n
     telescoping_ok = _telescopes(spec, q, b)
-
-    predicted = [(_new(Monomial, (b, q - b)), None), (_new(Monomial, (0, q)), None),
-                 _relation(n)]
+    predicted = [((b, q - b), None), ((0, q), None), _relation(n)]
     rules = _binomial_rules(predicted)
     spoly_ok = not any(
-        _binomial_nf(*_binomial_s_pair(f[0].lcm(g[0]), f, g), rules)
+        _binomial_nf(*_binomial_s_pair(_lcm(f[0], g[0]), f, g), rules)
         for f, g in itertools.combinations(predicted, 2)
     )
     return telescoping_ok, spoly_ok, tuple([g[0] for g in basis]) == _predicted_staircase(n, q, b)

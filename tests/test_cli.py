@@ -526,6 +526,21 @@ class TestDriver:
         code, out, err = run(capsys, "period", "--p", "3", "--n", "9223372036854775783")
         assert (code, out, err) == (4, "", "error: internal fault: out of memory\n")
 
+    def test_skipped_range_past_maxsize_exits_4(self, capsys):
+        # JSON lists every skipped e, and len() of a range of 10^20 of them
+        # overflows before any template is built: out of memory, not a mismatch
+        emax = "100000000000000000000"
+        note = f"skipped e = 10..{emax}: q = p^e exceeds the oracle cap 512"
+        code, out, err = run(capsys, "verify", "--p", "2", "--n", "5", "--emax", emax,
+                             "--format", "json")
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [note, "error: internal fault: out of memory"]
+        # plain and csv print the range's ends only, and pass
+        for fmt in ("plain", "csv"):
+            code, out, err = run(capsys, "verify", "--p", "2", "--n", "5", "--emax", emax,
+                                 "--format", fmt)
+            assert (code, err) == (0, note + "\n") and out
+
     def test_failed_allocation_exits_4(self):
         # JSON lists every skipped e, and a template of 10^12 "%d"s asks
         # malloc for about 8 TB; the child limits its own address space to

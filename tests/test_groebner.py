@@ -611,7 +611,7 @@ class TestColengthMatchesBuchberger:
         honest = groebner._minimal
 
         def corrupt(basis, leads):
-            return [g if g[1] is None else (g[0], Monomial(g[1].i, g[1].j + 1))
+            return [g if g[1] is None else (g[0], (g[1][0], g[1][1] + 1))
                     for g in honest(basis, leads)]
 
         monkeypatch.setattr(groebner, "_minimal", corrupt)
@@ -998,6 +998,12 @@ class TestPrimalityDecidedOnce:
         assert is_prime_calls == []
 
 
+def is_plain_pair(m):
+    """An (i, j) monomial as the oracle's engine holds it: a plain tuple of two
+    nonnegative ints, no Monomial."""
+    return type(m) is tuple and len(m) == 2 and all(type(k) is int and k >= 0 for k in m)
+
+
 class TestInternalPolynomialsAreNormalized:
     """The unchecked polynomials equal what the checking constructor builds."""
 
@@ -1034,21 +1040,49 @@ class TestInternalPolynomialsAreNormalized:
         check = verify_closed_form_basis(RingSpec(p, n), e, q_cap=p**e)
         assert check.ok
         for terms, reducers in seen:
-            assert all(m is None or type(m) is Monomial for m in terms)
+            assert all(m is None or is_plain_pair(m) for m in terms)
             for lead, tail in reducers:
-                assert type(lead) is Monomial
+                assert is_plain_pair(lead)
                 if tail is not None:
-                    assert type(tail) is Monomial and tail < lead
+                    assert is_plain_pair(tail) and tail < lead
         q, b = check.q, check.b
         lhs = (Monomial(q, 0), Monomial(b, q - b))
         relation = (Monomial(n, 0), Monomial(0, n))  # x^n - y^n
         predicted = [(Monomial(b, q - b), None), (Monomial(0, q), None), relation]
         assert (lhs, [relation]) in seen
         assert any(reducers == predicted for _, reducers in seen)
-        # the basis's pairs hold Monomials, which gb prints as FpPoly would
+        # the basis's pairs hold plain tuples, which gb prints as FpPoly would
         basis = groebner._colength(RingSpec(p, n), q)[0]
-        assert all(type(m) is Monomial for g in basis for m in g if m is not None)
+        assert all(is_plain_pair(lead) and (tail is None or is_plain_pair(tail) and tail < lead)
+                   for lead, tail in basis)
         assert _generators(p, basis) == [str(g) for g in as_polys(p, basis)[0]]
+
+
+class TestPlainPairBoundary:
+    """The oracle's engine runs on plain (i, j) tuples; Monomial is built at
+    the public boundary only, where a result holds one."""
+
+    @pytest.mark.parametrize("p, n, q", [(2, 7, 512), (3, 10, 9), (13, 60, 1), (2, 3, 2**70)])
+    def test_colength_returns_plain_tuples(self, p, n, q):
+        basis, _ = groebner._colength(RingSpec(p, n), q)
+        assert basis and all(is_plain_pair(lead) and (tail is None or is_plain_pair(tail))
+                             for lead, tail in basis)
+
+    def test_basis_check_staircases_are_monomials(self):
+        check = verify_closed_form_basis(RingSpec(2, 5), 3)
+        for staircase in (check.expected_staircase, check.computed_staircase):
+            assert type(staircase) is tuple
+            assert all(type(m) is Monomial for m in staircase)
+        monomials = "(Monomial(i=0, j=8), Monomial(i=3, j=5), Monomial(i=5, j=0))"
+        assert repr(check) == (
+            "BasisCheck(ok=True, telescoping_ok=True, spoly_ok=True, staircase_ok=True, "
+            f"expected_staircase={monomials}, computed_staircase={monomials}, q=8, b=3)")
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_count_under_staircase_reads_either_type(self, pairs):
+        assert count_under_staircase(pairs) == (
+            count_under_staircase([Monomial(*m) for m in pairs]))
 
 
 FORMULA_NAMES = {"hk_value", "phi_value", "residue_b", "hk_table", "period_of",

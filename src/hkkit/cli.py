@@ -18,6 +18,7 @@ import os
 import sys
 from collections.abc import Sequence
 from itertools import chain
+from math import log2
 from operator import itemgetter
 
 from .closed_form import HKRecord, RingSpec, _rows, _Value, hk_value
@@ -48,7 +49,10 @@ COMMANDS = {
 }
 FORMATS = ("plain", "csv", "json")
 _quote = None  # json.encoder's C string escaper, imported by the first _json call
-_EXACT = None  # table's exact decimal context, built by its first call
+_EXACT = None  # table's exact decimal context, built by its first long table
+# table's measured crossover, q = 2^830 (250 digits): below it the int walk is
+# the faster in every format, above it the exact Decimal walk (CHANGES.md)
+_INT_TABLE_BITS = 830
 
 
 def _cell(value, sep: str) -> str:
@@ -186,16 +190,20 @@ def _report(r: PeriodReport) -> dict:  # a view that prints the profile adds r i
 
 def cmd_table(args: argparse.Namespace) -> int:
     global _EXACT
-    import decimal  # only table needs it
     spec = RingSpec(args.p, args.n)
-    # q and HK(e) walk as Decimals in a context where every integer is exact
-    # (any rounding would raise Inexact): a row costs one multiplication by p,
-    # and its text is linear in its digits, where int-to-str is quadratic
-    if _EXACT is None:
-        _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                                 traps=[decimal.Inexact])
-    with decimal.localcontext(_EXACT):
-        records = _rows(spec, args.emax, decimal.Decimal(1))
+    # the last q = p^emax has emax * log2(p) bits: up to _INT_TABLE_BITS, q and
+    # HK(e) walk as ints; past it, as Decimals in a context where every integer is
+    # exact (any rounding would raise Inexact): a row costs one multiplication by
+    # p, and its text is linear in its digits, where int-to-str is quadratic
+    if args.emax <= _INT_TABLE_BITS / log2(spec.p):  # emax is never made a float
+        records = _rows(spec, args.emax, 1)
+    else:
+        import decimal  # only a long table needs it
+        if _EXACT is None:
+            _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                     traps=[decimal.Inexact])
+        with decimal.localcontext(_EXACT):
+            records = _rows(spec, args.emax, decimal.Decimal(1))
     doc = {"p": spec.p, "n": spec.n}
     _emit(args.format, lambda: {**doc, "rows": _Rows(records)},
           lambda: [HKRecord._fields, *records])

@@ -124,8 +124,9 @@ def hk_value(spec: RingSpec, e: int) -> int:
 
 def _rows(spec: RingSpec, e_max: int, q) -> list[HKRecord]:
     """Rows for e = 0..e_max.  q and HK(e) = n*q - phi take the number type of
-    the given q = p^0 (hk_table passes the int 1, the CLI an exact Decimal),
-    each q one multiplication by p from the last; e, b and phi are ints.
+    the given q = p^0 (hk_table and a short CLI table pass the int 1, a long
+    CLI table an exact Decimal), each q one multiplication by p from the last;
+    e, b and phi are ints.
 
     b = p^e mod n walks as an int, b = b * p mod n, until it returns to 1
     after the order of p mod n; that one cycle of b and phi serves every row,

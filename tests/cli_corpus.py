@@ -1,4 +1,4 @@
-"""The same-bytes corpus of `hkkit gb` and `hkkit verify`.
+"""The same-bytes corpus of `hkkit gb`, `hkkit verify` and `hkkit table`.
 
 A fixed list of argvs (ARGVS), and a digest file (cli_corpus.txt) with one
 line per argv: its exit code, the first 12 hex digits of the sha256 of its
@@ -19,19 +19,24 @@ argv of each command: bad input), in every format, at p = 2 and at p > 2:
   - verify at --emax 6 under the default cap (rows past it are skipped), and
     at --emax 60 under --qcap 2^4096 for a few n per p;
   - bad input (exit 2), an output too large to build (exit 4) and argvs
-    that argparse reads, refusing or accepting them.
+    that argparse reads, refusing or accepting them;
+  - table at --emax 0 and 1, and at the last --emax whose q = p^emax the
+    int walk takes and the first the exact Decimal walk takes (cli's
+    _INT_TABLE_BITS), at one n per p that p divides, at --emax -1, and at
+    p = 10007 with values past 4,300 digits.
 Exit 1 (a closed form the oracle refutes) and exit 3 (search exhausted) are
-not among them: the first takes a faulty library, and neither command
+not among them: the first takes a faulty library, and no command here
 searches.
 """
 
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 
-from hkkit.cli import LIMITS, main
+from hkkit.cli import _INT_TABLE_BITS, LIMITS, main
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 FORMATS = ("plain", "csv", "json")
@@ -40,6 +45,9 @@ CAP = "2^4096"
 MAX_E = {p: max(e for e in range(4097) if p**e <= 2**4096) for p in PRIMES}
 # the n per p that verify runs to e = 60: small, prime, composite, and q < n
 LONG_VERIFY_N = (2, 3, 10, 29)
+# table's --emax per p: 0, 1, the last the int walk takes and the first past it
+TABLE_EMAX = {p: (0, 1, last, last + 1) for p in PRIMES
+              for last in [int(_INT_TABLE_BITS / math.log2(p))]}
 
 
 def _argvs() -> list[str]:
@@ -79,6 +87,22 @@ def _argvs() -> list[str]:
         "gb --p=2 --n=3 --e=1 --form json", "verify --p=3 --n=5 --emax=4 --format=csv",
         "gb --format json --p 2 --n 3 --e 1 --e 2", "verify --qcap 4 --p 2 --n 7 --emax 4",
     ]
+    return argvs + _table_argvs()
+
+
+def _table_argvs() -> list[str]:
+    argvs = [f"table --p {p} --n {n} --emax {emax} --format {fmt}"
+             for p in PRIMES for n in range(2, 30) if n % p
+             for fmt in FORMATS for emax in TABLE_EMAX[p]]
+    argvs += [f"table --p {p} --n {p * 2} --emax 3 --format {FORMATS[k % 3]}"
+              for k, p in enumerate(PRIMES)]  # p divides n: bad input
+    for fmt in FORMATS:
+        argvs += [
+            f"table --p 2 --n 7 --emax -1 --format {fmt}",
+            # q = 10007^1100 has 4,401 digits, past CPython's int/str limit
+            f"table --p 10007 --n 7 --emax 1100 --format {fmt}",
+            f"table --p 10007 --n 29 --emax 1076 --format {fmt}",
+        ]
     return argvs
 
 

@@ -3,6 +3,7 @@ import contextlib
 import decimal
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import hkkit.cli
 import hkkit.groebner
 from hkkit.cli import main
+from hkkit.closed_form import HKRecord, RingSpec
 from hkkit.groebner import PairBudgetExceededError
 from test_cli_bytes import EXAMPLES, lifted_digit_limit
 
@@ -100,6 +102,33 @@ class TestTable:
                 last = payload["rows"][-1]
                 assert last["hk"] == 5 * 2**emax - 4
                 assert str(last["hk"]) in out  # exact decimal, no float collapse
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_int_and_decimal_walks_print_the_same_bytes(self, capsys, monkeypatch, p, fmt):
+        # table walks ints while q = p^emax has at most _INT_TABLE_BITS bits, and
+        # exact Decimals past that: at the emax either side of the crossover,
+        # _emit writes the same bytes from int rows and from Decimal rows, and
+        # main's table takes the walk its size names and writes them too
+        exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                traps=[decimal.Inexact])
+        spec, rows, walked = RingSpec(p, 7), hkkit.cli._rows, []
+        monkeypatch.setattr(hkkit.cli, "_rows",
+                            lambda spec, e_max, q: walked.append(type(q)) or rows(spec, e_max, q))
+        last_int = int(hkkit.cli._INT_TABLE_BITS / math.log2(p))
+        for emax in (last_int, last_int + 1):
+            with decimal.localcontext(exact):
+                decimals = rows(spec, emax, decimal.Decimal(1))
+            outs = []
+            for records in (rows(spec, emax, 1), decimals):
+                hkkit.cli._emit(fmt, lambda: {"p": p, "n": 7, "rows": hkkit.cli._Rows(records)},
+                                lambda: [HKRecord._fields, *records])
+                outs.append(capsys.readouterr().out)
+            code, out, err = run(capsys, "table", "--p", str(p), "--n", "7",
+                                 "--emax", str(emax), "--format", fmt)
+            assert (code, err) == (0, "")
+            assert outs[0] == outs[1] == out
+        assert walked == [int, decimal.Decimal]
 
 
 class TestPeriod:
@@ -572,6 +601,27 @@ class TestDriver:
         assert done.returncode == 0 and "hkkit.cli" in loaded, done.stderr
         assert not {"dataclasses", "inspect", "json", "decimal"} & set(loaded), loaded
 
+    def test_only_a_table_past_the_crossover_loads_decimal(self):
+        # a table whose q has at most _INT_TABLE_BITS bits walks in ints and never
+        # imports decimal, in any format; the first table past it does
+        child = ("import contextlib, io, sys\n"
+                 "from hkkit.cli import _INT_TABLE_BITS, main\n"
+                 "for emax in (20, _INT_TABLE_BITS, _INT_TABLE_BITS + 1):\n"
+                 "    for fmt in ('plain', 'csv', 'json'):\n"
+                 "        argv = f'table --p 2 --n 7 --emax {emax} --format {fmt}'.split()\n"
+                 "        with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "            code = main(argv)\n"
+                 "        print(emax, fmt, code, 'decimal' in sys.modules)")
+        src = str(Path(hkkit.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        bits = hkkit.cli._INT_TABLE_BITS
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == [
+            f"{emax} {fmt} 0 {emax > bits}" for emax in (20, bits, bits + 1)
+            for fmt in ("plain", "csv", "json")]
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no int/str digit limit before CPython 3.10.7")
     def test_digit_limit_is_the_callers_after_every_exit(self, capsys, monkeypatch):
@@ -599,11 +649,12 @@ class TestDriver:
             sys.set_int_max_str_digits(before)
 
     def test_decimal_context_is_the_callers_after_every_exit(self, capsys, monkeypatch):
-        # table computes in an exact context of its own: the caller's context, of
-        # 5 digits with Inexact untrapped and Rounded raised, rounds nothing main
-        # prints, and after each way out it is current again, settings and flags as they were
+        # a table past the walks' crossover computes in an exact context of its
+        # own: the caller's context, of 5 digits with Inexact untrapped and Rounded
+        # raised, rounds nothing main prints, and after each way out it is current
+        # again, settings and flags as they were; a shorter table walks in ints
         def broken(spec, e_max, q):
-            q * 3  # decimal arithmetic under main's context, then a library fault
+            q * 3  # arithmetic in q's type (a long table's under main's context), then a fault
             raise RuntimeError("library bug")
 
         def unchanged():
@@ -621,6 +672,12 @@ class TestDriver:
             assert unchanged()
             assert capsys.readouterr().out.endswith(
                 f"\n200,{2**200},{b},{7 * 2**200 - b * (7 - b)},{b * (7 - b)}\n")
+            long = hkkit.cli._INT_TABLE_BITS + 1  # the first --emax the Decimal walk takes
+            b = pow(2, long, 7)
+            assert main(f"table --p 2 --n 7 --emax {long} --format csv".split()) == 0
+            assert unchanged()
+            assert capsys.readouterr().out.endswith(
+                f"\n{long},{2**long},{b},{7 * 2**long - b * (7 - b)},{b * (7 - b)}\n")
             assert main("table --p 2 --n 7 --emax -1".split()) == 2
             assert unchanged()
             with pytest.raises(SystemExit):
@@ -628,6 +685,8 @@ class TestDriver:
             assert unchanged()
             monkeypatch.setattr(hkkit.cli, "_rows", broken)
             assert main("table --p 2 --n 7 --emax 3".split()) == 4
+            assert unchanged()
+            assert main(f"table --p 2 --n 7 --emax {long}".split()) == 4
             assert unchanged()
         finally:
             decimal.setcontext(before)

@@ -15,6 +15,11 @@ no code with _colength, public buchberger or count_under_staircase: a fault
 in any piece they share shows here.  The same components also check the
 basis _colength returns (basis_faults), which a fault that leaves the count
 alone, such as a divisible lead kept, still changes.
+
+The union-find costs O(q^2).  Its components are chains, one per
+antidiagonal and residue class, so colength_by_chains counts the same live
+components in O(q*n), which reaches q far past 512; it is checked against
+the union-find, and checks the count of _colength only, not its basis.
 """
 
 import pytest
@@ -51,6 +56,30 @@ def quotient(n: int, q: int) -> tuple[list[int], set[int]]:
 def colength_by_definition(n: int, q: int) -> int:
     """dim F[x,y]/(x^q, y^q, x^n - y^n), by a union-find over the q^2 monomials."""
     return len(quotient(n, q)[1])
+
+
+def colength_by_chains(n: int, q: int) -> int:
+    """dim F[x,y]/(x^q, y^q, x^n - y^n): the union-find's live components,
+    counted as chains in O(q*n).
+
+    A two-term product joins x^a y^b to x^(a-n) y^(b+n), both in the box, so a
+    component is the set of box monomials on one antidiagonal a + b = s whose
+    a lies in one class r mod n: those with lo <= a <= hi below.  A one-term
+    product hits x^a y^b exactly when a >= n and b >= q - n (its other term,
+    x^(a-n) y^(b+n), leaves the box), or a >= q - n and b >= n.  So a chain is
+    live when its class meets [lo, hi] and misses both intervals of hit a."""
+    count = 0
+    for s in range(2 * q - 1):
+        lo, hi = max(0, s - q + 1), min(q - 1, s)
+        # the hit a on this antidiagonal, b = s - a, as two intervals in [lo, hi]
+        lo1, hi1 = max(lo, n), min(hi, s - q + n)
+        lo2, hi2 = max(lo, q - n), min(hi, s - n)
+        for r in range(n):
+            # the least a == r (mod n) at or past an interval's start must pass its end
+            if (lo + (r - lo) % n <= hi and lo1 + (r - lo1) % n > hi1
+                    and lo2 + (r - lo2) % n > hi2):
+                count += 1
+    return count
 
 
 def basis_faults(p: int, n: int, q: int, basis) -> list[str]:
@@ -104,6 +133,7 @@ ROWS = [(p, n, p**e) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 30) if n % 
 ])
 def test_definition_on_hand_counted_rings(n, q, colength):
     assert colength_by_definition(n, q) == colength
+    assert colength_by_chains(n, q) == colength
 
 
 def test_colength_matches_the_definition():
@@ -116,4 +146,22 @@ def test_colength_matches_the_definition():
 def test_basis_is_the_reduced_basis_of_the_definition():
     wrong = [(p, n, q, faults) for p, n, q in ROWS
              if (faults := basis_faults(p, n, q, _colength(RingSpec(p, n), q)[0]))]
+    assert wrong == []
+
+
+def test_chain_count_matches_the_union_find():
+    wrong = [(p, n, q) for p, n, q in ROWS
+             if colength_by_chains(n, q) != colength_by_definition(n, q)]
+    assert wrong == []
+
+
+# past ROWS' q <= 128: q = 2^8..2^10 and 3^5..3^6, every 2 <= n < 30 coprime to p
+CHAIN_ROWS = [(p, n, p**e) for p, top in ((2, 10), (3, 6)) for e in range(top + 1)
+              if p**e > 128 for n in range(2, 30) if n % p]
+
+
+def test_colength_matches_the_chain_count_past_128():
+    assert len(CHAIN_ROWS) == 80
+    wrong = [(p, n, q) for p, n, q in CHAIN_ROWS
+             if _colength(RingSpec(p, n), q)[1] != colength_by_chains(n, q)]
     assert wrong == []

@@ -20,6 +20,7 @@ from collections.abc import Sequence
 from itertools import chain
 from math import log2
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .closed_form import HKRecord, RingSpec, _rows, _Value, hk_value
 from .groebner import Q_CAP_DEFAULT, Monomial, QCapExceededError, _check_basis, _colength, capped_q
@@ -48,6 +49,8 @@ COMMANDS = {
            {**_RING, "e": "Frobenius exponent"}, ("qcap",)),
 }
 FORMATS = ("plain", "csv", "json")
+# a command's arguments: _parse_table's namespace, or argparse's for other argvs
+_Args = SimpleNamespace | argparse.Namespace
 _quote = None  # json.encoder's C string escaper, imported by the first _json call
 _EXACT = None  # table's exact decimal context, built by its first long table
 # table's measured crossover, q = 2^830 (250 digits): below it the int walk is
@@ -188,7 +191,7 @@ def _report(r: PeriodReport) -> dict:  # a view that prints the profile adds r i
             "involution": r.involution_check}
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: _Args) -> int:
     global _EXACT
     spec = RingSpec(args.p, args.n)
     # the last q = p^emax has emax * log2(p) bits: up to _INT_TABLE_BITS, q and
@@ -210,14 +213,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_period(args: argparse.Namespace) -> int:
+def cmd_period(args: _Args) -> int:
     r = period_of(RingSpec(args.p, args.n))
     _emit_record(args.format, {"p": r.spec.p, "n": r.spec.n, **_report(r),
                                "phi_profile": r})
     return 0
 
 
-def cmd_realize(args: argparse.Namespace) -> int:
+def cmd_realize(args: _Args) -> int:
     result = realize(args.pi, args.nlimit, args.plimit)
     spec = {"p": result.spec.p, "n": result.spec.n}
     report = _report(result.report)
@@ -245,7 +248,7 @@ _VERIFY_CELLS = {"plain": ("basis", {None: "-", True: "ok", False: "FAIL"}, _STA
                  "json": ("basis_check", _LITERALS, _LITERALS)}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: _Args) -> int:
     spec = RingSpec(args.p, args.n)
     if args.emax < 0:
         # zero rows would report all_pass: a check that checked nothing
@@ -284,7 +287,7 @@ def _generators(p: int, basis: Sequence[tuple]) -> list[str]:
             else f"{text(lead)} + {unit}{text(tail)}" for lead, tail in basis]
 
 
-def cmd_gb(args: argparse.Namespace) -> int:
+def cmd_gb(args: _Args) -> int:
     """The basis _colength computes, printed from its pairs (_generators)."""
     spec = RingSpec(args.p, args.n)
     q = capped_q(spec.p, args.e, args.qcap)
@@ -305,7 +308,7 @@ def cmd_gb(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_limits(args: argparse.Namespace) -> None:
+def _resolve_limits(args: _Args) -> None:
     """Set each LIMITS dest the command takes: flag, else environment, else default."""
     for dest in COMMANDS[args.command][2]:
         var, value, _ = LIMITS[dest]
@@ -347,12 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_table(argv: Sequence[str]) -> argparse.Namespace | None:
-    """The namespace argparse would build from argv, read off COMMANDS, when
-    argv is a command and then (OPTION VALUE) pairs in their canonical form:
-    exact option strings, ints written as ASCII -?[0-9]+, listed formats, and
-    every required option given (a repeated one keeps its last value).  Else
-    None, and argparse reads argv."""
+def _parse_table(argv: Sequence[str]) -> SimpleNamespace | None:
+    """argparse's namespace for argv, read off COMMANDS into a SimpleNamespace
+    (its __init__ is C, argparse's Python), when argv is a command and then
+    (OPTION VALUE) pairs in their canonical form: exact option strings, ints
+    written as ASCII -?[0-9]+, listed formats, and every required option
+    given (a repeated one keeps its last value).  Else None, and argparse
+    reads argv."""
     if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
         return None
     _, options, limits = COMMANDS[argv[0]]
@@ -370,7 +374,7 @@ def _parse_table(argv: Sequence[str]) -> argparse.Namespace | None:
             return None
     if not options.keys() <= values.keys():
         return None
-    return argparse.Namespace(command=argv[0], **values)
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -22,12 +22,13 @@ a pair (lead, tail) of plain (i, j) int tuples, standing for lead - tail,
 reduces one monomial at a time by one walk down first-divisor rewrites
 (_reduce_term), and returns the basis as pairs, which the gb command prints:
 no field arithmetic, no FpPoly, and a Monomial (the public, printed type)
-only where a public result holds one.  Both engines return the same reduced
-basis, which the tests compare.
+only where a public result holds one.  A pair of two monomials is counted
+against the budget as buchberger counts it, but not reduced: its S-polynomial
+is lcm - lcm = 0.  Both engines return the same reduced basis, which the tests
+compare.
 """
 
 import heapq
-import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -421,15 +422,16 @@ def _binomial_nf(a: tuple | None, b: tuple | None, rules: Sequence[tuple]) -> tu
     return (a, b) if a > b else (b, a)
 
 
-def _binomial_s_pair(lcm: tuple, f: tuple, g: tuple) -> tuple:
-    """The S-polynomial of pairs f and g whose leads divide lcm, up to sign,
-    as (a, b) standing for a - b, each None for zero.  The leads cancel, so
-    only the tails are left, each shifted by lcm over its own lead."""
+def _binomial_s_pair(lcm: tuple, f: tuple, g: tuple, rules: Sequence[tuple]) -> tuple | None:
+    """The normal form modulo rules of the S-polynomial of pairs f and g whose
+    leads divide lcm, as _binomial_nf gives it.  The leads cancel, so only the
+    tails are left, each shifted by lcm over its own lead.  Two monomials (both
+    tails None) have S-polynomial lcm - lcm = 0, so no caller passes them."""
     lm, tail = f
     a = None if tail is None else (tail[0] + lcm[0] - lm[0], tail[1] + lcm[1] - lm[1])
     lm, tail = g
     b = None if tail is None else (tail[0] + lcm[0] - lm[0], tail[1] + lcm[1] - lm[1])
-    return a, b
+    return _binomial_nf(a, b, rules)
 
 
 class GroebnerBasis(_Value):
@@ -452,14 +454,15 @@ class GroebnerBasis(_Value):
 # leads, pairs with coprime leads skipped, every nonzero remainder appended,
 # and a budget on the pairs processed.  Both loops take the same pairs in the
 # same order, so both engines return the same basis or raise at the same
-# budget.
+# budget; the binomial loop counts a pair of two monomials but does not reduce
+# it, since its S-polynomial is zero, where buchberger reduces it to zero.
 
 
 def _binomial_pair_loop(gens: Sequence[tuple], pair_budget: int
                         ) -> tuple[list[tuple], list[tuple]]:
     """Every element the pair loop appends to the pairs gens, with their
-    leads; each S-polynomial is the difference of at most two monomials
-    (_binomial_s_pair), reduced by _binomial_nf."""
+    leads; each S-polynomial is the difference of at most two monomials,
+    reduced in _binomial_s_pair, except that of two monomials, which is zero."""
     basis: list[tuple] = []
     leads: list[tuple] = []
     rules: list[tuple] = []
@@ -482,8 +485,10 @@ def _binomial_pair_loop(gens: Sequence[tuple], pair_budget: int
             processed += 1
             if processed > pair_budget:
                 raise PairBudgetExceededError(f"more than {pair_budget} S-pairs processed")
-            if (reduced := _binomial_nf(*_binomial_s_pair(lcm, basis[a], basis[b]),
-                                        rules)) is not None:
+            f, g = basis[a], basis[b]
+            # two monomials: counted above, but their S-polynomial is zero
+            if (f[1] is not None or g[1] is not None) and (
+                    reduced := _binomial_s_pair(lcm, f, g, rules)) is not None:
                 todo.append(reduced)
     return basis, leads
 
@@ -520,15 +525,17 @@ def _binomial_buchberger(gens: Sequence[tuple], pair_budget: int) -> list[tuple]
     basis, leads = _binomial_pair_loop(gens, pair_budget)
     minimal = _minimal(basis, leads)
     # tail-reduce as buchberger does.  No other lead divides a survivor's
-    # lead, so of lead - tail only the tail moves: to a monomial, or to zero
+    # lead, so of lead - tail only the tail moves: to a monomial, or to zero.
+    # Its own rule cannot fire: the walk starts below the lead in lex and only
+    # moves down, and a monomial the lead divides is at or above it
     rules = _binomial_rules(minimal)
     final = minimal[:]
     for idx, (lead, tail) in enumerate(minimal):
         if tail is not None:
-            final[idx] = lead, _reduce_term(tail, rules[:idx] + rules[idx + 1:])
+            final[idx] = lead, _reduce_term(tail, rules)
     if final != minimal:
         rules = _binomial_rules(final)
-    _check_members(_binomial_nf(lead, tail, rules) for lead, tail in gens)
+    _check_members([_binomial_nf(lead, tail, rules) for lead, tail in gens])
     return final
 
 
@@ -719,7 +726,9 @@ def verify_closed_form_basis(
         so swapping x^q for x^b y^(q-b) leaves the ideal unchanged.  Checked
         by exact division (see _telescopes), at a cost independent of q;
     (b) all three S-polynomials of the predicted basis reduce to zero modulo
-        it (Buchberger's criterion, so the predicted set is a Groebner basis);
+        it (Buchberger's criterion, so the predicted set is a Groebner basis):
+        the two with x^n - y^n are reduced, and that of the monomials
+        x^b y^(q-b) and y^q is zero by definition;
     (c) Buchberger run on the raw generators lands on the staircase
         (y^q, x^b y^(q-b), x^n): pairwise indivisible because q > n > b >= 1,
         and listed in ascending lex order, as _colength returns the basis.
@@ -751,10 +760,10 @@ def _check_basis(spec: RingSpec, q: int, basis: Sequence[tuple]) -> tuple[bool, 
     n = spec.n
     b = q % n
     telescoping_ok = _telescopes(spec, q, b)
-    predicted = [((b, q - b), None), ((0, q), None), _relation(n)]
+    predicted = [((b, q - b), None), ((0, q), None), relation := _relation(n)]
     rules = _binomial_rules(predicted)
+    # the S-pairs with x^n - y^n; that of the two monomials is zero by definition
     spoly_ok = not any(
-        _binomial_nf(*_binomial_s_pair(_lcm(f[0], g[0]), f, g), rules)
-        for f, g in itertools.combinations(predicted, 2)
+        _binomial_s_pair(_lcm(f[0], relation[0]), f, relation, rules) for f in predicted[:2]
     )
     return telescoping_ok, spoly_ok, tuple([g[0] for g in basis]) == _predicted_staircase(n, q, b)

@@ -562,6 +562,48 @@ class TestBinomialPathMatchesDictPath:
         assert basis_or_error(binomial_engine, gens, budget) == (
             basis_or_error(general_engine, gens, budget))
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_own_rule_never_fires(self, data):
+        # _binomial_buchberger tail-reduces each survivor against every rule,
+        # its own included: the walk from the tail stays below the lead, so
+        # the result must be that against the other rules alone
+        p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)), label="p")
+        gens = data.draw(st.lists(unit_binomials(p, 8), min_size=1, max_size=4), label="gens")
+        basis, leads = groebner._binomial_pair_loop([pair(g) for g in gens],
+                                                    groebner.PAIR_BUDGET_DEFAULT)
+        minimal = groebner._minimal(basis, leads)
+        rules = groebner._binomial_rules(minimal)
+        for idx, (_, tail) in enumerate(minimal):
+            if tail is not None:
+                assert groebner._reduce_term(tail, rules) == (
+                    groebner._reduce_term(tail, rules[:idx] + rules[idx + 1:]))
+
+
+class TestMonomialPairsAreNotReduced:
+    """The S-polynomial of two monomials is lcm - lcm = 0, so neither the
+    pair loop nor _check_basis reduces one: no normal form over the
+    benchmark's oracle box (p <= 13, n <= 40 coprime to p, q <= 2^17) is
+    asked of two zeros.  test_same_basis_and_budget and
+    TestBuchbergerMatchesReference show that such pairs are still counted."""
+
+    def test_no_normal_form_of_two_zeros(self, monkeypatch):
+        honest, calls = groebner._binomial_nf, []
+
+        def recording_nf(a, b, rules):
+            calls.append((a, b))
+            return honest(a, b, rules)
+
+        monkeypatch.setattr(groebner, "_binomial_nf", recording_nf)
+        rows = [(RingSpec(p, n), p**e) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 41)
+                if n % p for e in range(18) if p**e <= 2**17]
+        for spec, q in rows:
+            basis = groebner._colength(spec, q)[0]
+            if q > spec.n:
+                assert groebner._check_basis(spec, q, basis) == (True, True, True)
+        assert len(rows) == 1474 and calls
+        assert (None, None) not in calls
+
 
 # the largest e with p^e <= 2^4096, per prime the oracle tests draw from
 MAX_E_4096 = {p: max(e for e in range(4097) if p**e <= 2**4096) for p in (2, 3, 5, 7, 11, 13)}

@@ -10,8 +10,9 @@ is only evidence because the routes share no code.
 Monomial order is lex with x > y throughout, which for exponent pairs (i, j)
 is plain tuple comparison.
 
-Two Buchberger engines take the same pairs in the same order and share the
-minimalization and the member check.  The public buchberger is the general
+Two Buchberger engines take the same pairs in the same order and share only
+the minimalization (_minimal), the chain-length bound (_chain_length) and the
+member check (_check_members).  The public buchberger is the general
 one: it takes FpPolys of any length and is built from the public primitives,
 s_polynomial and reduce.  The oracle (_colength) has its own,
 _binomial_buchberger.  Its generators are x^q, y^q and the difference

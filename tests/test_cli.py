@@ -24,12 +24,6 @@ from hkkit.groebner import PairBudgetExceededError
 from test_cli_bytes import EXAMPLES, lifted_digit_limit
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for name in ("HKKIT_QCAP", "HKKIT_NLIMIT", "HKKIT_PLIMIT"):
-        monkeypatch.delenv(name, raising=False)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

@@ -28,12 +28,6 @@ from hkkit.realize import realize
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for name in ("HKKIT_QCAP", "HKKIT_NLIMIT", "HKKIT_PLIMIT"):
-        monkeypatch.delenv(name, raising=False)
-
-
 @contextlib.contextmanager
 def lifted_digit_limit():
     """CPython's int/str digit limit lifted, as README tells JSON consumers to do."""

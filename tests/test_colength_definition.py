@@ -155,9 +155,15 @@ def test_chain_count_matches_the_union_find():
     assert wrong == []
 
 
+def chain_rows(tops) -> list[tuple[int, int, int]]:
+    """(p, n, p^e) for each (p, top) in tops: every 128 < p^e <= p^top, and
+    every 2 <= n < 30 coprime to p (CI's chain-count sweep reads them too)."""
+    return [(p, n, p**e) for p, top in tops for e in range(top + 1)
+            if p**e > 128 for n in range(2, 30) if n % p]
+
+
 # past ROWS' q <= 128: q = 2^8..2^10 and 3^5..3^6, every 2 <= n < 30 coprime to p
-CHAIN_ROWS = [(p, n, p**e) for p, top in ((2, 10), (3, 6)) for e in range(top + 1)
-              if p**e > 128 for n in range(2, 30) if n % p]
+CHAIN_ROWS = chain_rows(((2, 10), (3, 6)))
 
 
 def test_colength_matches_the_chain_count_past_128():

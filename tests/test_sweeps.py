@@ -1,0 +1,65 @@
+"""CI's evidence sweeps (sweeps.py) in tier-1: each sweep's first rows, its
+full row list's guard count, and the harness's summary and exit codes."""
+
+import math
+import sys
+from collections import Counter
+
+import pytest
+
+from sweeps import SWEEPS, Sweep, main, run_sweep
+
+# each sweep's first rows; q = 2^65536, the oracle's first row whose gb text
+# is past CPython's int/str limit of 4,300 digits, among them
+FIRST_ROWS = {"oracle": [*SWEEPS["oracle"].rows[:3], (2, 3, 65536)],
+              "definition": SWEEPS["definition"].rows[:1],
+              "chains": SWEEPS["chains"].rows[:3],
+              "enumerate": SWEEPS["enumerate"].rows[:1]}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int/str digit limit before CPython 3.10.7")
+def test_first_rows_pass_and_leave_the_digit_limit():
+    assert (2, 3, 65536) in SWEEPS["oracle"].rows
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        failed = [(name, row) for name, rows in FIRST_ROWS.items() for row in rows
+                  if not SWEEPS[name].check(row, Counter())]
+        assert failed == []
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_full_row_lists_have_their_guard_counts():
+    assert [(len(sweep.rows), sweep.count) for sweep in SWEEPS.values()] == [
+        (1512, 1512), (47, 47), (262, 262), (24, 11869)]
+    assert list(SWEEPS["enumerate"].rows) == list(range(1, 25))
+
+
+@pytest.mark.parametrize("bad, count, unit, limit, code", [
+    ((), 3, "rows", math.inf, 0),
+    ((2,), 3, "rows", math.inf, 1),
+    ((), 4, "rows", math.inf, 1),  # a changed row count
+    ((), 6, "hits", math.inf, 0),  # a count the check keeps in the tally
+    ((), 7, "hits", math.inf, 1),
+    ((), 3, "rows", -1, 1),  # past the time limit
+])
+def test_harness_names_failed_rows_and_exits_1_on_any_fault(capsys, bad, count, unit,
+                                                             limit, code):
+    def check(row, tally):
+        tally["hits"] += row
+        return row not in bad
+
+    sweep = Sweep("toy sweep: {rows} rows, {tally[hits]} hits, failed {failed}", [1, 2, 3],
+                  check, count, unit, limit)
+    assert run_sweep(sweep) == code
+    assert capsys.readouterr().out.startswith(f"toy sweep: 3 rows, 6 hits, failed {list(bad)}, ")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["oracle", "chains"], ["--help"]])
+def test_anything_but_one_sweep_name_exits_2_and_lists_the_names(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "usage: sweeps.py {oracle,definition,chains,enumerate}\n")

@@ -8,6 +8,7 @@ Orders come from the factored Carmichael function, so an order modulo any
 """
 
 import math
+import operator
 
 # Rows (psi_k, k) of OEIS A014233 where psi_k grows: Miller-Rabin on the first
 # k primes proves every m < psi_k (Jaeschke 1993; Sorenson-Webster 2017).  The
@@ -80,7 +81,9 @@ def prime_factors(m: int) -> dict[int, int]:
     is left, with is_prime deciding when to stop.  Perfect squares are split
     by isqrt first, since rho can cycle on them without finding a factor.
     Deterministic: rho tries the maps x**2 + c for c = 1, 2, ... in turn.
+    A non-integer m raises TypeError, as math.isqrt does.
     """
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"can only factor positive integers, got {m}")
     factors: dict[int, int] = {}
@@ -140,8 +143,10 @@ def is_prime(m: int) -> bool:
     k primes, the least k that A014233 proves exact for m: one base below
     2047, four below 3.2e9, all 13 below ~3.3e24 (well past 2**64).  m < 2
     is not prime.  Inputs past the certified bound raise rather than
-    silently degrade to a probabilistic answer.
+    silently degrade to a probabilistic answer, and a non-integer m raises
+    TypeError, as math.isqrt does.
     """
+    m = operator.index(m)
     if m >= _MR_CERTIFIED_BOUND:
         raise ValueError(
             f"{m} exceeds the certified deterministic range ({_MR_CERTIFIED_BOUND})"

@@ -1,4 +1,4 @@
-"""The same-bytes corpus of `hkkit gb`, `hkkit verify` and `hkkit table`.
+"""The same-bytes corpus of `hkkit gb`, `verify`, `table`, `period` and `realize`.
 
 A fixed list of argvs (ARGVS), and a digest file (cli_corpus.txt) with one
 line per argv: its exit code, the first 12 hex digits of the sha256 of its
@@ -23,10 +23,14 @@ argv of each command: bad input), in every format, at p = 2 and at p > 2:
   - table at --emax 0 and 1, and at the last --emax whose q = p^emax the
     int walk takes and the first the exact Decimal walk takes (cli's
     _INT_TABLE_BITS), at one n per p that p divides, at --emax -1, and at
-    p = 10007 with values past 4,300 digits.
-Exit 1 (a closed form the oracle refutes) and exit 3 (search exhausted) are
-not among them: the first takes a faulty library, and no command here
-searches.
+    p = 10007 with values past 4,300 digits;
+  - period at every such p and n, one that p divides included;
+  - realize at --pi 1 to 12, at --pi 0 (bad input), and two searches that
+    exhaust their limits (exit 3);
+  - README's five CLI examples, as written there.
+Exit 1 (a closed form the oracle refutes) is not among them: it takes a
+faulty library.  Neither is help, whose layout varies with the Python
+version and the terminal's width.
 """
 
 import contextlib
@@ -87,7 +91,7 @@ def _argvs() -> list[str]:
         "gb --p=2 --n=3 --e=1 --form json", "verify --p=3 --n=5 --emax=4 --format=csv",
         "gb --format json --p 2 --n 3 --e 1 --e 2", "verify --qcap 4 --p 2 --n 7 --emax 4",
     ]
-    return argvs + _table_argvs()
+    return argvs + _table_argvs() + _period_and_realize_argvs()
 
 
 def _table_argvs() -> list[str]:
@@ -104,6 +108,23 @@ def _table_argvs() -> list[str]:
             f"table --p 10007 --n 29 --emax 1076 --format {fmt}",
         ]
     return argvs
+
+
+def _period_and_realize_argvs() -> list[str]:
+    # at an n that p divides, period refuses the ring as bad input
+    argvs = [f"period --p {p} --n {n} --format {fmt}"
+             for p in PRIMES for n in range(2, 30) for fmt in FORMATS]
+    argvs += [f"realize --pi {pi} --format {fmt}" for pi in range(1, 13) for fmt in FORMATS]
+    for fmt in FORMATS:
+        argvs += [
+            f"realize --pi 0 --format {fmt}",
+            # search exhausted: no modulus, then no characteristic, within the limits
+            f"realize --pi 1000 --nlimit 10 --format {fmt}",
+            f"realize --pi 12 --nlimit 100 --plimit 5 --format {fmt}",
+        ]
+    # README's CLI examples, as written there
+    return argvs + ["table --p 2 --n 5 --emax 3", "period --p 2 --n 5", "realize --pi 6",
+                    "verify --p 2 --n 7 --emax 5", "gb --p 2 --n 3 --e 2"]
 
 
 ARGVS = _argvs()

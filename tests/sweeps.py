@@ -1,25 +1,38 @@
 """CI's evidence sweeps, each run by its name:
 
     PYTHONPATH=src python tests/sweeps.py oracle|definition|chains|enumerate
+    python tests/sweeps.py readme|exits|module|json|long-table|csv|startup|library
 
 run_sweep checks each row, prints a summary line that names the failed
 rows, and returns 1 on a failed row, a count other than the guard's, or a
-run past the time limit.  Any argument but one sweep's name exits 2.
+run past the time limit.  Any argument but one sweep's name exits 2, and so
+does one of the last eight, which check the installed script and package,
+while hkkit comes from the checkout: run those after `pip install .`.
 """
 
+import csv
+import difflib
+import io
+import json
 import math
+import os
+import re
+import shlex
+import subprocess
 import sys
 import time
 from collections import Counter
 from collections.abc import Callable, Sequence
+from pathlib import Path
 from typing import NamedTuple
 
+import hkkit
 from hkkit import RingSpec, hk_brute, verify_closed_form_basis
 from hkkit.cli import _generators
 from hkkit.groebner import (PairBudgetExceededError, _binomial_buchberger, _colength,
                             buchberger, frobenius_power_generators)
 from hkkit.realize import enumerate_realizations
-from test_cli_bytes import lifted_digit_limit
+from test_cli_bytes import EXAMPLES, README, lifted_digit_limit
 from test_colength_definition import (basis_faults, chain_rows, colength_by_chains,
                                       colength_by_definition)
 from test_groebner import ORACLE_BOX, as_poly
@@ -121,6 +134,171 @@ def enumerate_row(pi, tally) -> bool:
     return enumerate_realizations(pi, 300, 300, 10**6) == want
 
 
+# the installed script; tier-1 runs `python -m hkkit.cli` from src in its place
+HKKIT = ("hkkit",)
+CHECKOUT = Path(__file__).resolve().parent.parent
+
+# each command sweep's rows: (command, the exit code it wants, what else it must do)
+README_ROWS = [(f"hkkit {command}", 0, "README's stdout") for command, _ in EXAMPLES]
+EXIT_ROWS = [
+    # success, invalid input, search exhausted, internal fault: README's exit-code table
+    *[(f"hkkit {command}", expected, "error line") for command, expected in [
+        ("period --p 2 --n 5", 0),
+        ("period --p 4 --n 5", 2),
+        # a strong pseudoprime to the 12 prime bases 2..37 (A014233)
+        ("period --p 318665857834031151167461 --n 7", 2),
+        ("realize --pi 1000 --nlimit 10", 3),
+        # valid requests whose scan would pass n = 2^63 - 1
+        ("realize --pi 4611686018427387889 --nlimit 36893488147419103232 --plimit 1000", 3),
+        ("realize --pi 10000000000000000000000000 --nlimit 1000000000000000000000000000000", 3),
+        # cap exceeded, refused from bit lengths before p^e is built
+        ("gb --p 2 --n 5 --e 100000000000", 2),
+        # a phi cycle of 4.6 * 10^18 values cannot be rendered: out of memory
+        ("period --p 3 --n 9223372036854775783", 4),
+    ]],
+    # more skipped e than sys.maxsize, listed in JSON: out of memory too, after
+    # verify's note on the skipped range
+    ("hkkit verify --p 2 --n 5 --emax 100000000000000000000 --format json", 4, "note"),
+    # argparse rejections: exit 2 too, with a usage line before the error line;
+    # the script calls main with argv=None, so it parses sys.argv itself
+    *[(f"hkkit {command}", 2, "usage") for command in [
+        "", "gb --p 2", "table --p 2 --n 5 --emax 1 --bogus 1",
+        "--format json gb --p 2 --n 3 --e 1"]],
+    # an argument left over by the command's parser is reported by the top-level one
+    ("hkkit gb --p 2 --n 3 --e 1 extra", 2, "top-level usage"),
+    # `=` forms and an abbreviated option, read by the command's parser alone
+    ("hkkit gb --p=2 --n=3 --e=1 --form json", 0, "nothing"),
+    # the canonical argv is read off the option table, its `=` and abbreviated
+    # forms by argparse: the same stdout on this Python's argparse
+    *[(f"hkkit {command}", 0, "same stdout") for command in [
+        "gb --p 2 --n 3 --e 1 --format json",
+        "gb --p=2 --n=3 --e=1 --format=json",
+        "gb --p 2 --n 3 --e 1 --form json"]],
+]
+# the module entry point, `python -m hkkit.cli`, runs the same main as the script
+MODULE_ROWS = [("hkkit period --p 2 --n 5", 0, "same stdout"),
+               ("python -m hkkit.cli period --p 2 --n 5", 0, "same stdout"),
+               ("python -m hkkit.cli period --p 4 --n 5", 2, "error line")]
+# README's round-trip promise, on documents whose phi_profile, table rows
+# or skipped_e are filled in whole, and on ones of strings and nested lists;
+# the p = 10007 table has values of 4601 digits, so parse with the limit lifted
+JSON_ROWS = [(f"hkkit {command}", 0, "JSON round trip") for command in [
+    "period --p 2 --n 100003 --format json", "realize --pi 6 --format json",
+    "table --p 2 --n 7 --emax 300 --format json",
+    "table --p 10007 --n 7 --emax 1150 --format json",
+    "verify --p 3 --n 7 --emax 5 --format json",
+    "gb --p 13 --n 5 --e 2 --format json",
+    "verify --p 2 --n 7 --emax 3000 --format json"]]
+# verify notes the e past the q cap on stderr, and lists them in skipped_e
+JSON_NOTES = {"hkkit verify --p 2 --n 7 --emax 3000 --format json":
+              "skipped e = 10..3000: q = p^e exceeds the oracle cap 512\n"}
+# table prints q and HK(e) from an exact decimal walk, in linear time per
+# row, so 14,301 rows of up to 4306 digits take under 2 s on every Python
+# here; printed as ints, quadratic in their digits, they took 3.3-3.9 s
+LONG_TABLE_ROWS = [("hkkit table --p 2 --n 7 --emax 14300", 0, "nothing")]
+# no CSV cell needs quoting: csv.writer, under this version's rules,
+# writes back the rows it reads from each output byte for byte, and
+# every row has the header's width (no cell holds a comma)
+CSV_ROWS = [(f"hkkit {command} --format csv", 0, "CSV round trip") for command in [
+    "period --p 2 --n 100003", "gb --p 13 --n 5 --e 2",
+    "verify --p 3 --n 7 --emax 5", "table --p 2 --n 5 --emax 3", "realize --pi 6"]]
+
+
+def command_row(row, tally) -> bool:
+    """Whether the command, `hkkit` as HKKIT and `python` as this interpreter,
+    exits as wanted and does what want names; the tally keeps the first "same stdout"."""
+    command, expected, want = row
+    program, *args = shlex.split(command)
+    argv = [*HKKIT, *args] if program == "hkkit" else [sys.executable, *args]
+    run = subprocess.run(argv, stdout=subprocess.DEVNULL if want == "nothing" else subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True)
+    lines = run.stderr.splitlines()
+    print(f"{command}: exit {run.returncode} (want {expected}), stderr {run.stderr!r}")
+    if want == "README's stdout":
+        readme = dict(EXAMPLES)[command.removeprefix("hkkit ")]
+        diff = list(difflib.unified_diff(
+            readme.splitlines(True), run.stdout.splitlines(True), "README", command))
+        sys.stdout.writelines(diff)
+        clean = not (bool(diff) or run.stderr != "")
+    elif want == "error line":
+        # nothing on success, else a single `error:` line and no traceback
+        clean = not lines if expected == 0 else (
+            len(lines) == 1 and lines[0].startswith("error: "))
+    elif want == "note":
+        clean = run.stdout == "" and run.stderr.splitlines() == [
+            "skipped e = 10..100000000000000000000: q = p^e exceeds the oracle cap 512",
+            "error: internal fault: out of memory"]
+    elif want == "usage":
+        clean = bool(lines) and "error:" in lines[-1] and "Traceback" not in run.stderr
+    elif want == "top-level usage":
+        clean = lines[:1] == ["usage: hkkit [-h] {table,period,realize,verify,gb} ..."]
+    elif want == "JSON round trip":
+        with lifted_digit_limit():
+            again = json.dumps(json.loads(run.stdout), sort_keys=True, indent=2) + "\n"
+        clean = not (run.stderr != JSON_NOTES.get(command, "") or run.stdout != again)
+    elif want == "CSV round trip":
+        limit = csv.field_size_limit(sys.maxsize)  # period's profile is one long cell
+        try:
+            rows, out = list(csv.reader(io.StringIO(run.stdout))), io.StringIO()
+        finally:
+            csv.field_size_limit(limit)
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        same = run.stdout == out.getvalue() and {len(r) for r in rows} == {len(rows[0])}
+        clean = not (run.stderr != "" or not same)
+    else:
+        clean = run.stderr == "" and (
+            want == "nothing" or tally.setdefault("stdout", run.stdout) == run.stdout)
+    return not (run.returncode != expected or not clean)
+
+
+# start-up: the installed script, on a period call, imports none of the
+# modules hkkit loads only where it needs them (the import list is what
+# -X importtime writes to stderr, site's imports included)
+def startup_row(command, tally) -> bool:
+    run = subprocess.run([*HKKIT, *command.split()], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPROFILEIMPORTTIME": "1"})
+    loaded = re.findall(r"^import time:.*\|\s*(\S+)$", run.stderr, re.M)
+    heavy = sorted({"dataclasses", "inspect", "json", "decimal"} & set(loaded))
+    print(f"PYTHONPROFILEIMPORTTIME=1 hkkit {command}: exit {run.returncode}, "
+          f"{len(loaded)} modules imported, of them {heavy or 'none'} of the four")
+    return not (run.returncode != 0 or "hkkit.cli" not in loaded or bool(heavy))
+
+
+# README's library example against the installed package, which catches a
+# module that package discovery leaves out: each `expr  # value` line must
+# evaluate to a value whose repr the comment starts with (up to a comma or
+# its end); the lines before it run in the scope the tally keeps
+LIBRARY_ROWS = re.search(r"## Library use\n\n```python\n(.*?)```",
+                         README.read_text(), re.S)[1].splitlines()
+
+
+def library_row(line, tally) -> bool:
+    scope = tally.setdefault("scope", {})
+    code, _, comment = line.partition("  # ")
+    if not comment:
+        exec(code, scope)
+        return True
+    got = repr(eval(code, scope))
+    comment = comment.strip()
+    print(f"{code.strip()} -> {got}")
+    tally["checked"] += 1
+    return comment == got or comment.startswith(got + ",")
+
+
+INSTALLED = {
+    "readme": Sweep("README sweep: {rows} examples, failed {failed}", README_ROWS, command_row, 5),
+    "exits": Sweep("exit-code sweep: {rows} commands, failed {failed}", EXIT_ROWS, command_row, 18),
+    "module": Sweep("module sweep: {rows} commands, failed {failed}", MODULE_ROWS, command_row, 3),
+    "json": Sweep("JSON sweep: {rows} commands, failed {failed}", JSON_ROWS, command_row, 7),
+    "long-table": Sweep("long-table sweep: {rows} command, failed {failed}",
+                        LONG_TABLE_ROWS, command_row, 1, limit=2),
+    "csv": Sweep("CSV sweep: {rows} commands, failed {failed}", CSV_ROWS, command_row, 5),
+    "startup": Sweep("start-up sweep: {rows} command, failed {failed}",
+                     ["period --p 2 --n 5"], startup_row, 1),
+    "library": Sweep("library sweep: {tally[checked]} README lines checked, failed {failed}",
+                     LIBRARY_ROWS, library_row, 5, "checked"),
+}
+
 SWEEPS = {
     "oracle": Sweep("oracle sweep: {rows} rows, failed {failed}, "
                     "rows per smallest budget {tally}", ORACLE_ROWS, oracle_row, 1512),
@@ -133,12 +311,16 @@ SWEEPS = {
                     chain_rows(((2, 14), (3, 9), (5, 6))), chain_row, 262),
     "enumerate": Sweep("enumerate sweep: pi = 1..24, {tally[rings]} rings, failed {failed}",
                        range(1, 25), enumerate_row, 11869, "rings", 60),
+    **INSTALLED,
 }
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or argv[0] not in SWEEPS:
         print(f"usage: sweeps.py {{{','.join(SWEEPS)}}}", file=sys.stderr)
+        return 2
+    if argv[0] in INSTALLED and Path(hkkit.__file__).resolve().is_relative_to(CHECKOUT):
+        print(f"sweeps.py: {argv[0]} needs hkkit installed, not {hkkit.__file__}", file=sys.stderr)
         return 2
     return run_sweep(SWEEPS[argv[0]])
 

@@ -1,6 +1,6 @@
-"""gb, verify and table keep their bytes: every argv of the committed corpus
-gives the exit code, stdout and stderr digests of its line in cli_corpus.txt
-(see cli_corpus.py, which also writes that file)."""
+"""gb, verify, table, period and realize keep their bytes: every argv of the
+committed corpus gives the exit code, stdout and stderr digests of its line
+in cli_corpus.txt (see cli_corpus.py, which also writes that file)."""
 
 from pathlib import Path
 

@@ -1,5 +1,7 @@
 import math
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -304,6 +306,18 @@ class TestIsPrime:
             is_prime(_MR_CERTIFIED_BOUND + 2)
         # just below the bound is still answered (even, so composite)
         assert not is_prime(_MR_CERTIFIED_BOUND - 1)
+
+
+@pytest.mark.parametrize("function", [is_prime, prime_factors])
+@pytest.mark.parametrize("m", [2.5, 12.0, Fraction(7, 2), Fraction(7), Decimal(7), "7"],
+                         ids=repr)
+def test_non_integers_raise_type_error(function, m):
+    with pytest.raises(TypeError):  # as math.isqrt does
+        function(m)
+
+
+def test_a_bool_is_an_int():
+    assert not is_prime(True) and prime_factors(True) == {}
 
 
 class TestFindPrimeInClass:

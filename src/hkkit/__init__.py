@@ -15,21 +15,16 @@ from .closed_form import (
     hk_value,
     phi_value,
     residue_b,
+    _lazy,
 )
 from .groebner import (
     BasisCheck,
-    CharacteristicMismatchError,
-    FpPoly,
-    GroebnerBasis,
     Monomial,
     PairBudgetExceededError,
     Q_CAP_DEFAULT,
     QCapExceededError,
-    buchberger,
     count_under_staircase,
-    frobenius_power_generators,
     hk_brute,
-    s_polynomial,
     verify_closed_form_basis,
 )
 from .numtheory import (
@@ -41,20 +36,25 @@ from .numtheory import (
 )
 from .period import (
     Branch,
-    PeriodCheck,
     PeriodReport,
     period_of,
-    verify_minimal_period,
 )
 from .realize import (
     RealizationResult,
     SearchExhausted,
     SearchStats,
-    enumerate_realizations,
     realize,
 )
 
 __version__ = "0.1.0"
+
+# library-only code, which no command runs, is imported on first use
+__getattr__ = _lazy(__name__, {
+    "groebner_general": "CharacteristicMismatchError FpPoly GroebnerBasis buchberger "
+                        "frobenius_power_generators s_polynomial",
+    "period_verify": "PeriodCheck verify_minimal_period",
+    "realize_census": "enumerate_realizations",
+})
 
 __all__ = [
     "BasisCheck",

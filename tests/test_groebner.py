@@ -2,6 +2,7 @@ import heapq
 import importlib
 import itertools
 import json
+import sys
 import time
 
 import pytest
@@ -1011,15 +1012,18 @@ class TestVerifyClosedFormBasis:
 
 @pytest.fixture
 def is_prime_calls(monkeypatch):
-    """Count the calls the groebner module makes to is_prime from here on."""
+    """Count the calls that the oracle's module and the general engine's make
+    to is_prime from here on: neither holds it, and the engine's checking
+    constructor looks it up in numtheory at each call."""
     calls = []
-    honest = groebner.is_prime
 
     def counting(m):
         calls.append(m)
-        return honest(m)
+        return is_prime(m)
 
-    monkeypatch.setattr(groebner, "is_prime", counting)
+    general = importlib.import_module("hkkit.groebner_general")
+    assert "is_prime" not in vars(groebner) and "is_prime" not in vars(general)
+    monkeypatch.setattr(general.numtheory, "is_prime", counting)
     return calls
 
 
@@ -1165,14 +1169,23 @@ class TestOracleIndependence:
 
 
 def refuse_all(monkeypatch, names, caller):
-    """Set each groebner function in names to raise when called."""
+    """Set each function in names to raise when called, in every hkkit module
+    that holds it: the general engine's module, where groebner looks each up
+    (so groebner.<name> is the refusal too), and any that imported it."""
     def refuse(name):
         def refused(*args):
             raise AssertionError(f"{caller} called {name}")
         return refused
 
+    importlib.import_module("hkkit.groebner_general")
     for name in names:
-        monkeypatch.setattr(groebner, name, refuse(name))
+        holders = [module for key, module in list(sys.modules.items())
+                   if key.startswith("hkkit.") and name in vars(module)]
+        assert holders, name
+        refusal = refuse(name)
+        for module in holders:
+            monkeypatch.setattr(module, name, refusal)
+        assert getattr(groebner, name) is refusal
 
 
 class TestOracleTakesTheBinomialPath:

@@ -172,7 +172,7 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
 
     reduce works on a dict of waiting terms, whatever the inputs: each basis
     element's rewrite rule (_rule) is built once per call, and every rewrite
-    merges into that dict.  buchberger reduces every S-polynomial with it;
+    merges into that dict (_normal_form, which buchberger calls directly);
     the oracle's engine reduces one monomial at a time (_reduce_term).
 
     A binomial g = lc*lm + ct*tail rewrites c*mono into -(ct/lc)*c times
@@ -188,14 +188,19 @@ def reduce(f: FpPoly, basis: Sequence[FpPoly]) -> FpPoly:
     oracle's ideals, whose reducers are all monomials or binomials, the jump
     turns the O(q/n) rewrites of a chain by x^n - y^n into one.
     """
-    rules: list[tuple] = []
-    leads: list[Monomial] = []
     for g in basis:
         if g.is_zero():
             raise ValueError("basis elements must be nonzero")
         f._check_char(g)
-        rules.append(rule := _rule(g, leads))
-        leads.append(rule[0])
+    return _normal_form(f, _rules(basis))
+
+
+def _rules(basis: Sequence[FpPoly]) -> list[tuple]:
+    leads = [g.leading_term()[0] for g in basis]
+    return [_rule(g, leads[:idx]) for idx, g in enumerate(basis)]
+
+
+def _normal_form(f: FpPoly, rules: Sequence[tuple]) -> FpPoly:  # see reduce
     p, work, out = f.p, dict(f.terms), {}
     while work:
         mono = max(work)
@@ -252,10 +257,10 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = PAIR_BUDGET_DEFAULT) -
     PairBudgetExceededError rather than returning anything partial.
 
     Every element is a monic FpPoly, and every remainder is
-    reduce(s_polynomial(f, g), basis): the public primitives, which work for
-    generators of any length.  The final pass reduces each survivor of
-    _minimal against the others with reduce, and the member check reduces
-    each generator modulo the result.
+    reduce(s_polynomial(f, g), basis), from rules built once per element
+    (_normal_form): the public primitives, which work for generators of any
+    length.  The final pass reduces each survivor of _minimal against the
+    others, and the member check reduces each generator modulo the result.
 
     The oracle does not come through here: _colength runs
     _binomial_buchberger on pairs (see the module docstring).  The two
@@ -270,6 +275,7 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = PAIR_BUDGET_DEFAULT) -
             raise ValueError("generators must be nonzero")
     basis: list[FpPoly] = []
     leads: list[Monomial] = []
+    rules: list[tuple] = []
     heap: list[tuple[Monomial, int, int]] = []
 
     def append(g: FpPoly) -> None:
@@ -278,6 +284,7 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = PAIR_BUDGET_DEFAULT) -
             if (lm_k.i == 0 or lm.i == 0) and (lm_k.j == 0 or lm.j == 0):
                 continue  # coprime leading monomials: S-poly reduces to zero
             heapq.heappush(heap, (lm_k.lcm(lm), k, len(basis)))
+        rules.append(_rule(g, leads))
         basis.append(g)
         leads.append(lm)
 
@@ -289,12 +296,15 @@ def buchberger(gens: Sequence[FpPoly], pair_budget: int = PAIR_BUDGET_DEFAULT) -
         processed += 1
         if processed > pair_budget:
             raise PairBudgetExceededError(f"more than {pair_budget} S-pairs processed")
-        remainder = reduce(s_polynomial(basis[a], basis[b]), basis)
+        remainder = _normal_form(s_polynomial(basis[a], basis[b]), rules)
         if not remainder.is_zero():
             append(remainder.monic())
     minimal = _minimal(basis, leads)
-    final = [reduce(g, minimal[:idx] + minimal[idx + 1:]) for idx, g in enumerate(minimal)]
-    _check_members(reduce(g, final).terms for g in gens)
+    # a survivor's lead, left in the chains of later rules, only splits a jump
+    rules = _rules(minimal)
+    final = [_normal_form(g, rules[:idx] + rules[idx + 1:]) for idx, g in enumerate(minimal)]
+    rules = _rules(final)
+    _check_members(_normal_form(g, rules).terms for g in gens)
     return GroebnerBasis(tuple(final), tuple(g.leading_term()[0] for g in final))
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -668,6 +669,38 @@ class TestColengthMatchesBuchberger:
 
 
 class TestBuchberger:
+    @pytest.mark.parametrize("gens", [
+        # three generators with a trinomial over F_5, and the Frobenius ones
+        [FpPoly(5, {(3, 0): 1, (1, 1): 2, (0, 2): 3}), FpPoly(5, {(0, 4): 1, (2, 0): 4}),
+         FpPoly(5, {(2, 2): 1, (0, 1): 1})],
+        frobenius_power_generators(RingSpec(3, 10), 6)])
+    def test_each_rule_built_once_per_run(self, monkeypatch, gens):
+        # one rule per element the basis gains, one more per survivor of
+        # _minimal for the final pass, and one per element of the result for
+        # the member check; none per S-pair
+        general = importlib.import_module("hkkit.groebner_general")
+        honest_rule, honest_s = general._rule, general.s_polynomial
+        made, pairs = [], []  # made keeps each polynomial alive, so ids stay unique
+
+        def counted_rule(g, earlier):
+            made.append(g)
+            return honest_rule(g, earlier)
+
+        def counted_s(f, g):
+            pairs.append((f, g))
+            return honest_s(f, g)
+
+        expected = buchberger(gens)
+        monkeypatch.setattr(general, "_rule", counted_rule)
+        monkeypatch.setattr(general, "s_polynomial", counted_s)
+        gb = buchberger(gens)
+        assert gb == expected
+        times = Counter(id(g) for g in made)
+        assert [times[id(g)] for g in gb.generators] == [1] * len(gb.generators)
+        assert set(times.values()) == {1, 2}
+        assert len(made) == len(times) + len(gb.generators)
+        assert pairs
+
     def test_frobenius_generators_give_predicted_staircase(self):
         gb = buchberger(frobenius_power_generators(RingSpec(2, 3), 2))
         assert gb.staircase == (Monomial(0, 4), Monomial(1, 3), Monomial(3, 0))

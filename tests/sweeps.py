@@ -36,6 +36,7 @@ from test_cli_bytes import EXAMPLES, README, lifted_digit_limit
 from test_colength_definition import (basis_faults, chain_rows, colength_by_chains,
                                       colength_by_definition)
 from test_groebner import ORACLE_BOX, as_poly
+from test_cli import NOT_AT_STARTUP
 from test_realize import enumerate_by_sweep
 
 
@@ -214,6 +215,8 @@ def command_row(row, tally) -> bool:
                          stderr=subprocess.PIPE, text=True)
     lines = run.stderr.splitlines()
     print(f"{command}: exit {run.returncode} (want {expected}), stderr {run.stderr!r}")
+    if run.returncode != expected:  # before any output is parsed
+        return False
     if want == "README's stdout":
         readme = dict(EXAMPLES)[command.removeprefix("hkkit ")]
         diff = list(difflib.unified_diff(
@@ -248,19 +251,20 @@ def command_row(row, tally) -> bool:
     else:
         clean = run.stderr == "" and (
             want == "nothing" or tally.setdefault("stdout", run.stdout) == run.stdout)
-    return not (run.returncode != expected or not clean)
+    return clean
 
 
 # start-up: the installed script, on a period call, imports none of the
-# modules hkkit loads only where it needs them (the import list is what
-# -X importtime writes to stderr, site's imports included)
+# modules hkkit loads only where it needs them, NOT_AT_STARTUP (the import
+# list is what -X importtime writes to stderr, site's imports included)
 def startup_row(command, tally) -> bool:
     run = subprocess.run([*HKKIT, *command.split()], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPROFILEIMPORTTIME": "1"})
     loaded = re.findall(r"^import time:.*\|\s*(\S+)$", run.stderr, re.M)
-    heavy = sorted({"dataclasses", "inspect", "json", "decimal"} & set(loaded))
+    heavy = sorted(NOT_AT_STARTUP & set(loaded))
     print(f"PYTHONPROFILEIMPORTTIME=1 hkkit {command}: exit {run.returncode}, "
-          f"{len(loaded)} modules imported, of them {heavy or 'none'} of the four")
+          f"{len(loaded)} modules imported, of them {heavy or 'none'} of the "
+          f"{len(NOT_AT_STARTUP)}")
     return not (run.returncode != 0 or "hkkit.cli" not in loaded or bool(heavy))
 
 

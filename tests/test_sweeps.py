@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import hkkit
-from sweeps import CHECKOUT, INSTALLED, SWEEPS, Sweep, main, run_sweep
+from sweeps import CHECKOUT, INSTALLED, SWEEPS, Sweep, command_row, main, run_sweep
 
 # each sweep's first rows; q = 2^65536, the oracle's first row whose gb text
 # is past CPython's int/str limit of 4,300 digits, among them; the installed-
@@ -78,3 +78,12 @@ def test_anything_but_one_sweep_name_exits_2_and_lists_the_names(capsys, argv):
 def test_installed_sweeps_refuse_hkkit_from_the_checkout(capsys):
     assert [main([name]) for name in INSTALLED] == [2] * 8
     assert capsys.readouterr().err.count(f"needs hkkit installed, not {hkkit.__file__}\n") == 8
+
+
+@pytest.mark.parametrize("want", ["JSON round trip", "CSV round trip"])
+def test_a_failed_command_fails_its_row_before_its_output_is_parsed(monkeypatch, capsys, want):
+    # realize exhausts its search (exit 3) and prints nothing on stdout
+    monkeypatch.setenv("PYTHONPATH", str(CHECKOUT / "src"))
+    monkeypatch.setattr("sweeps.HKKIT", (sys.executable, "-m", "hkkit.cli"))
+    assert not command_row(("hkkit realize --pi 6 --nlimit 3", 0, want), Counter())
+    assert "exit 3 (want 0)" in capsys.readouterr().out

@@ -18,10 +18,11 @@ from pathlib import Path
 
 import hkkit
 import hkkit.cli
+from test_cli import NOT_AT_STARTUP
 
 SRC = Path(hkkit.__file__).resolve().parents[1]
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-LAZY = {"hkkit.groebner_general", "hkkit.period_verify", "hkkit.realize_census"}
+LAZY = {name for name in NOT_AT_STARTUP if name.startswith("hkkit.")}
 
 
 def fresh(code: str, *argv: str) -> str:

@@ -24,6 +24,7 @@ from types import SimpleNamespace
 
 from .closed_form import HKRecord, RingSpec, _rows, _Value, hk_value
 from .groebner import Q_CAP_DEFAULT, Monomial, QCapExceededError, _check_basis, _colength, capped_q
+from . import period
 from .period import PeriodReport, period_of
 from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, realize
 
@@ -56,18 +57,30 @@ _EXACT = None  # table's exact decimal context, built by its first long table
 # table's measured crossover, q = 2^830 (250 digits): below it the int walk is
 # the faster in every format, above it the exact Decimal walk (CHANGES.md)
 _INT_TABLE_BITS = 830
+# a profile prints phi(0), ..., phi(m - 1), m = min(omega, _PROFILE_CAP): the
+# smallest power of two above every omega the tests and the benchmark print
+_PROFILE_CAP = 1 << 20
+_FULL_BLOCK = {}  # separator -> the template of one full block of period._phi_blocks
 
 
 def _cell(value, sep: str) -> str:
     """The text of one record value: a bool as true/false, a report as its
-    phi_profile joined by sep (one cycle rendered by one % call, then repeated),
-    the rest by str.  _json writes a report's list through it, sep being a comma
-    and the list's indent."""
+    phi_profile's first _PROFILE_CAP values joined by sep, the rest by str.
+    _json writes a report's list through it, sep being a comma and the list's
+    indent."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, PeriodReport):
-        cycle = sep.join(["%d"] * value.pi) % value.cycle
-        return sep.join([cycle] * (value.omega // value.pi))
+        # one % call per block of the cycle, then its text repeated while the
+        # copies fit, and then the prefix that reaches the cap
+        count = min(value.omega, _PROFILE_CAP)
+        walked, size = min(value.pi, count), period._BLOCK
+        full = _FULL_BLOCK.get(sep) or _FULL_BLOCK.setdefault(sep, sep.join(["%d"] * size))
+        texts = [(full if len(block) == size else sep.join(["%d"] * len(block))) % tuple(block)
+                 for block in period._phi_blocks(value.spec, walked)]
+        blocks, rest = divmod(count % walked, size)
+        cut = [sep.join(texts[blocks].split(sep, rest)[:rest])] if rest else []
+        return sep.join(texts * (count // walked) + texts[:blocks] + cut)
     return str(value)
 
 
@@ -84,8 +97,9 @@ class _Rows(_Value):
 
 def _json(doc) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) and a newline, each report as its
-    phi_profile list, each _Rows as its list of objects and each range as its
-    list, written by one walk into one list of pieces that is joined once.
+    phi_profile list (cut as _cell cuts it), each _Rows as its list of objects
+    and each range as its list, written by one walk into one list of pieces
+    that is joined once.
     Keys are str and values str, int, bool, None, dict, list, range, tuple (of
     strs or int pairs), PeriodReport or _Rows; others raise json's TypeError."""
     global _quote

@@ -6,12 +6,16 @@ p^(omega/2) == -1 (mod n).
 """
 
 import enum
+from collections.abc import Iterator
+from itertools import chain, repeat
 
 from .closed_form import RingSpec, _lazy, _Value
 from .numtheory import multiplicative_order
 
 __getattr__ = _lazy(__name__, {"period_verify": "PeriodCheck verify_minimal_period "
                                                  "_check_claimed_period _first_mismatch"})
+
+_BLOCK = 4096  # values per list that _phi_blocks yields
 
 
 class Branch(enum.Enum):
@@ -40,18 +44,13 @@ class PeriodReport(_Value):
     @property
     def cycle(self) -> tuple[int, ...]:
         """phi(0), ..., phi(pi - 1), one period, rebuilt on each read (no cache): O(pi)."""
-        # values b(n-b), b = p^e mod n; phi repeats after pi, since on the
-        # halved branch p^pi == -1 maps b to n - b
-        n, p, b, cycle = self.spec.n, self.spec.p, 1, []
-        for _ in range(self.pi):
-            cycle.append(b * (n - b))
-            b = b * p % n
-        return tuple(cycle)
+        # phi repeats after pi, since on the halved branch p^pi == -1 maps b to n - b
+        return tuple(chain.from_iterable(_phi_blocks(self.spec, self.pi)))
 
     @property
     def phi_profile(self) -> tuple[int, ...]:
         """phi(0), ..., phi(omega - 1): the cycle repeated omega/pi times, O(omega).
-        cli._cell prints this same layout from the cycle's text."""
+        cli._cell prints its first 2^20 values from the cycle's text."""
         return self.cycle * (self.omega // self.pi)
 
 
@@ -69,3 +68,17 @@ def _classify(p: int, n: int, omega: int) -> tuple[int, Branch, bool]:
     involution = omega % 2 == 0 and pow(p, omega // 2, n) == n - 1
     pi, branch = (omega // 2, Branch.HALF) if involution else (omega, Branch.FULL)
     return pi, branch, involution
+
+
+def _phi_blocks(spec: RingSpec, count: int) -> Iterator[list[int]]:
+    """phi(0), ..., phi(count - 1) in lists of _BLOCK values, the last one shorter.
+
+    The one walk of b = p^e mod n, one multiplication per value; b starts one
+    step before 1, at the inverse of p (a unit mod n), and each value steps it
+    before reading it.
+    """
+    n, p = spec.n, spec.p
+    b = pow(p, -1, n)
+    for start in range(0, count, _BLOCK):
+        # repeat, not range: range makes an int per step
+        yield [(b := b * p % n) * (n - b) for _ in repeat(None, min(_BLOCK, count - start))]

@@ -7,6 +7,11 @@ from . import period  # period_of is looked up at each call (see closed_form._la
 from .closed_form import RingSpec, _Value
 from .numtheory import prime_factors
 
+# steps of phi a check may walk: window_multiplier * omega must not exceed it
+# (a full budget took 2.2 s on CPython 3.11; the largest call the tests make
+# walks about 2 * 10^6 steps)
+_STEP_BUDGET = 1 << 24
+
 
 class PeriodCheck(_Value):
     """Outcome of a direct periodicity-and-minimality check.
@@ -41,11 +46,16 @@ def verify_minimal_period(spec: RingSpec, window_multiplier: int) -> PeriodCheck
       (b) every proper divisor d of pi has a witness e < omega with
           phi(e + d) != phi(e).  The minimal period of a periodic sequence
           divides every period, so testing divisors of pi suffices.
+
+    A window past _STEP_BUDGET steps raises ValueError before the first step.
     """
     if window_multiplier < 2:
         raise ValueError(f"window_multiplier must be at least 2, "
                          f"got {window_multiplier}")
     report = period.period_of(spec)
+    if window_multiplier * report.omega > _STEP_BUDGET:
+        raise ValueError(f"window_multiplier * omega = {window_multiplier * report.omega} "
+                         f"exceeds the step budget of {_STEP_BUDGET} steps")
     return _check_claimed_period(spec, report.pi, report.omega, window_multiplier)
 
 

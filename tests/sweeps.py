@@ -1,12 +1,12 @@
 """CI's evidence sweeps, each run by its name:
 
     PYTHONPATH=src python tests/sweeps.py oracle|definition|chains|enumerate
-    python tests/sweeps.py readme|exits|module|json|long-table|csv|startup|library
+    python tests/sweeps.py readme|exits|module|json|long-table|long-profile|csv|startup|library
 
 run_sweep checks each row, prints a summary line that names the failed
 rows, and returns 1 on a failed row, a count other than the guard's, or a
 run past the time limit.  Any argument but one sweep's name exits 2, and so
-does one of the last eight, which check the installed script and package,
+does one of the last nine, which check the installed script and package,
 while hkkit comes from the checkout: run those after `pip install .`.
 """
 
@@ -154,8 +154,8 @@ EXIT_ROWS = [
         ("realize --pi 10000000000000000000000000 --nlimit 1000000000000000000000000000000", 3),
         # cap exceeded, refused from bit lengths before p^e is built
         ("gb --p 2 --n 5 --e 100000000000", 2),
-        # a phi cycle of 4.6 * 10^18 values cannot be rendered: out of memory
-        ("period --p 3 --n 9223372036854775783", 4),
+        # a phi cycle of 4.6 * 10^18 values, printed as its first 2^20 (long-profile)
+        ("period --p 3 --n 9223372036854775783", 0),
     ]],
     # more skipped e than sys.maxsize, listed in JSON: out of memory too, after
     # verify's note on the skipped range
@@ -197,6 +197,12 @@ JSON_NOTES = {"hkkit verify --p 2 --n 7 --emax 3000 --format json":
 # row, so 14,301 rows of up to 4306 digits take under 2 s on every Python
 # here; printed as ints, quadratic in their digits, they took 3.3-3.9 s
 LONG_TABLE_ROWS = [("hkkit table --p 2 --n 7 --emax 14300", 0, "nothing")]
+# a profile prints at most 2^20 values, so a cycle of 4.6 * 10^18 prints at
+# once: each format's row must print 2^20 values (every 4093rd checked) within
+# the long-table limit, 2 s; the walk and the text took 0.3-0.4 s
+LONG_PROFILE_ROWS = [(f"hkkit period --p 3 --n 9223372036854775783 --format {fmt}", 0,
+                      "2^20 values") for fmt in ("plain", "csv", "json")]
+LONG_PROFILE_LIMIT = 2  # seconds, per row
 # no CSV cell needs quoting: csv.writer, under this version's rules,
 # writes back the rows it reads from each output byte for byte, and
 # every row has the header's width (no cell holds a comma)
@@ -211,10 +217,13 @@ def command_row(row, tally) -> bool:
     command, expected, want = row
     program, *args = shlex.split(command)
     argv = [*HKKIT, *args] if program == "hkkit" else [sys.executable, *args]
+    start = time.perf_counter()
     run = subprocess.run(argv, stdout=subprocess.DEVNULL if want == "nothing" else subprocess.PIPE,
                          stderr=subprocess.PIPE, text=True)
+    elapsed = time.perf_counter() - start
     lines = run.stderr.splitlines()
-    print(f"{command}: exit {run.returncode} (want {expected}), stderr {run.stderr!r}")
+    print(f"{command}: exit {run.returncode} (want {expected}), stderr {run.stderr!r}, "
+          f"{elapsed:.2f} s")
     if run.returncode != expected:  # before any output is parsed
         return False
     if want == "README's stdout":
@@ -248,6 +257,16 @@ def command_row(row, tally) -> bool:
         csv.writer(out, lineterminator="\n").writerows(rows)
         same = run.stdout == out.getvalue() and {len(r) for r in rows} == {len(rows[0])}
         clean = not (run.stderr != "" or not same)
+    elif want == "2^20 values":
+        # the profile: the plain line's, the CSV row's last cell, or the JSON list
+        profile = {"plain": lambda: re.search(r"^phi_profile  (.*)$", run.stdout, re.M)[1].split(),
+                   "csv": lambda: run.stdout.splitlines()[1].rpartition(",")[2].split(";"),
+                   "json": lambda: json.loads(run.stdout)["phi_profile"],
+                   }[args[-1]]()
+        p, n = (int(args[args.index(option) + 1]) for option in ("--p", "--n"))
+        clean = not (run.stderr != "" or len(profile) != 2**20 or elapsed > LONG_PROFILE_LIMIT
+                     or any(int(profile[e]) != pow(p, e, n) * (n - pow(p, e, n))
+                            for e in range(0, 2**20, 4093)))
     else:
         clean = run.stderr == "" and (
             want == "nothing" or tally.setdefault("stdout", run.stdout) == run.stdout)
@@ -296,6 +315,8 @@ INSTALLED = {
     "json": Sweep("JSON sweep: {rows} commands, failed {failed}", JSON_ROWS, command_row, 7),
     "long-table": Sweep("long-table sweep: {rows} command, failed {failed}",
                         LONG_TABLE_ROWS, command_row, 1, limit=2),
+    "long-profile": Sweep("long-profile sweep: {rows} commands, failed {failed}",
+                          LONG_PROFILE_ROWS, command_row, 3),
     "csv": Sweep("CSV sweep: {rows} commands, failed {failed}", CSV_ROWS, command_row, 5),
     "startup": Sweep("start-up sweep: {rows} command, failed {failed}",
                      ["period --p 2 --n 5"], startup_row, 1),

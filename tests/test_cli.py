@@ -21,6 +21,7 @@ import hkkit.groebner
 from hkkit.cli import main
 from hkkit.closed_form import HKRecord, RingSpec
 from hkkit.groebner import PairBudgetExceededError
+from hkkit.period import Branch, PeriodReport
 from test_cli_bytes import EXAMPLES, lifted_digit_limit
 
 # modules that a call pays to import but that no CLI path needs at start-up:
@@ -550,11 +551,43 @@ class TestDriver:
         assert (code, out) == (4, "")
         assert err == "error: internal fault: staircase misses a pure power: library bug\n"
 
-    def test_out_of_memory_exits_4(self, capsys):
-        # pi = 4.6 * 10^18: CPython refuses a list of pi cycle templates on its
-        # size check, before anything is allocated; exit 1 would claim a mismatch
-        code, out, err = run(capsys, "period", "--p", "3", "--n", "9223372036854775783")
-        assert (code, out, err) == (4, "", "error: internal fault: out of memory\n")
+    def test_largest_modulus_prints_a_capped_profile(self, capsys):
+        # omega = 2^63 - 26: the profile stops at its first 2^20 values, whose
+        # walk and text are bounded whatever omega is; it exited 4 (out of
+        # memory) when the whole cycle's template was built first
+        p, n = 3, 2**63 - 25
+        for fmt in ("plain", "csv", "json"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "period", "--p", str(p), "--n", str(n), "--format", fmt)
+            assert time.perf_counter() - start < 1, fmt
+            assert (code, err) == (0, "")
+            profile = {"plain": lambda: re.search(r"^phi_profile  (.*)$", out, re.M)[1].split(" "),
+                       "csv": lambda: out.splitlines()[1].rpartition(",")[2].split(";"),
+                       "json": lambda: json.loads(out)["phi_profile"]}[fmt]()
+            assert len(profile) == 2**20
+            for e in (0, 1, 4095, 4096, 2**20 - 1):
+                b = pow(p, e, n)
+                assert int(profile[e]) == b * (n - b)
+
+    def test_block_templates_stay_one_per_separator(self, monkeypatch):
+        # a template cached per block length held one per profile length:
+        # search's peak RSS rose by 18%; only the full block's is kept.  The
+        # last 100 lengths run traced, and templates kept per length would
+        # hold about 1.5 MB of them
+        monkeypatch.setattr(hkkit.cli, "_FULL_BLOCK", {})
+        spec, seps = RingSpec(2, 1000003), (" ", ";", ",\n    ")
+        try:
+            for length in range(1, 1001):  # the first length values of the ring's phi
+                if length == 901:
+                    tracemalloc.start()
+                report = PeriodReport(spec, length, length, Branch.FULL, False)
+                for sep in seps:
+                    assert hkkit.cli._cell(report, sep).count(sep) == length - 1
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert hkkit.cli._FULL_BLOCK == {sep: sep.join(["%d"] * 4096) for sep in seps}
+        assert kept < 10**5
 
     def test_skipped_range_past_maxsize_exits_4(self, capsys):
         # JSON lists every skipped e, and len() of a range of 10^20 of them

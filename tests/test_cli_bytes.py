@@ -8,6 +8,7 @@ drift from the program either.
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import re
@@ -19,6 +20,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hkkit.cli
+import hkkit.period
 from hkkit.cli import _json, _Rows, main
 from hkkit.closed_form import RingSpec, hk_table, hk_value
 from hkkit.groebner import Q_CAP_DEFAULT
@@ -446,3 +449,70 @@ def test_json_splices_table_rows_and_profiles_alike():
         "rows": [r._asdict() for r in records],
         "z": [{"profile": list(report.phi_profile), "rows": [records[0]._asdict()]}],
     })
+
+
+# Profiles printed at most 2^20 values long: the rings' phi(0), ..., phi(m - 1),
+# m = min(omega, 2^20), from b = pow(p, e, n), in each format's writer; the
+# rings as (p, n, omega, pi)
+PROFILE_CAP = 2**20
+CAPPED_RINGS = [
+    (2, 1048589, 1048588, 524294),  # HALF, pi < 2^20 < omega: cut inside the second copy
+    (2, 2097983, 1048991, 1048991),  # FULL: cut inside the cycle
+    (5, 7340033, 1048576, 524288),  # omega = 2^20: nothing cut
+]
+
+
+def phi_prefix(p: int, n: int, omega: int) -> list[int]:
+    return [b * (n - b) for b in (pow(p, e, n) for e in range(min(omega, PROFILE_CAP)))]
+
+
+@pytest.mark.parametrize("p, n, omega, pi", CAPPED_RINGS)
+def test_profile_is_capped_in_every_format(capsys, p, n, omega, pi):
+    r = period_of(RingSpec(p, n))
+    assert (r.omega, r.pi) == (omega, pi)
+    fields = {"p": p, "n": n, "omega": omega, "pi": pi, "branch": r.branch.value,
+              "involution": r.involution_check, "phi_profile": phi_prefix(p, n, omega)}
+    assert len(fields["phi_profile"]) == min(omega, PROFILE_CAP)
+    for fmt in ("plain", "csv", "json"):
+        if fmt == "json":
+            expected = canonical(fields)
+        else:
+            sep = ";" if fmt == "csv" else " "
+            cells = {**fields, "involution": str(r.involution_check).lower(),
+                     "phi_profile": sep.join(map(str, fields["phi_profile"]))}
+            expected = (csv_text([list(cells), cells.values()]) if fmt == "csv" else
+                        "".join(f"{k:<11}  {v}\n" for k, v in cells.items()))
+        assert stdout_of(capsys, f"period --p {p} --n {n} --format {fmt}") == expected, fmt
+
+
+def test_realize_json_profile_is_capped(capsys):
+    # omega = 2 * 600000 > 2^20: the second copy of the cycle is cut
+    result = realize(600000, 2400001, 2)
+    r = result.report
+    assert (result.spec.p, result.spec.n, r.omega, r.pi) == (2, 2400001, 1200000, 600000)
+    expected = canonical({
+        "target_pi": 600000,
+        "spec": {"p": 2, "n": 2400001},
+        "report": {"omega": r.omega, "pi": r.pi, "branch": r.branch.value,
+                   "involution": r.involution_check,
+                   "phi_profile": phi_prefix(2, 2400001, r.omega)},
+        "residue_used": result.residue_used,
+        "search_stats": {"n_candidates": result.search_stats.n_candidates,
+                         "p_candidates": result.search_stats.p_candidates},
+    })
+    assert stdout_of(
+        capsys, "realize --pi 600000 --nlimit 2400001 --plimit 2 --format json") == expected
+
+
+def test_block_edges_change_no_capped_profile(capsys, monkeypatch):
+    # one % call per block, the cut inside a block or on its edge: the same
+    # bytes at every block size, the cycle's blocks of 1 and 3 values included
+    argvs = [f"period --p 2 --n 1048589 --format {fmt}" for fmt in ("plain", "csv", "json")]
+    argvs += ["period --p 2 --n 2097983 --format json", "period --p 5 --n 7340033 --format csv"]
+    digests = {argv: set() for argv in argvs}
+    for size in (1, 3, 4096):
+        monkeypatch.setattr(hkkit.period, "_BLOCK", size)
+        monkeypatch.setattr(hkkit.cli, "_FULL_BLOCK", {})
+        for argv in argvs:
+            digests[argv].add(hashlib.sha256(stdout_of(capsys, argv).encode()).digest())
+    assert {argv: len(found) for argv, found in digests.items()} == dict.fromkeys(argvs, 1)

@@ -4,6 +4,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+import hkkit.period
+import hkkit.period_verify
 from hkkit.closed_form import RingSpec, phi_value
 from hkkit.numtheory import multiplicative_order
 from hkkit.period import (
@@ -133,6 +135,24 @@ class TestPeriodOf:
             assert report.branch is Branch.FULL
             assert report.pi == omega
 
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(2, 20000),
+           st.sampled_from([1, 2, 3, 4096]))
+    def test_cycle_is_the_naive_walk(self, p, n, block):
+        # at any block size, pi past 4,096 included: one list per block, then chained
+        if n % p == 0:
+            n += 1
+        spec = RingSpec(p, n)
+        report, saved = period_of(spec), hkkit.period._BLOCK
+        b, naive = 1, []
+        for _ in range(report.pi):
+            naive.append(b * (n - b))
+            b = b * p % n
+        hkkit.period._BLOCK = block
+        try:
+            assert report.cycle == tuple(naive)
+        finally:
+            hkkit.period._BLOCK = saved
+
     @given(VALID_SPECS)
     def test_pi_is_the_minimal_period(self, pn):
         p, n = pn
@@ -163,6 +183,23 @@ class TestVerifyMinimalPeriod:
             verify_minimal_period(RingSpec(2, 5), window_multiplier=1)
         with pytest.raises(ValueError):
             verify_minimal_period(RingSpec(2, 5), window_multiplier=0)
+
+    def test_refuses_a_walk_past_the_step_budget_at_once(self):
+        # 2 * (2^63 - 26) steps would never end; the check raises before the first
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the step budget of 16777216 steps"):
+            verify_minimal_period(RingSpec(3, 2**63 - 25), 2)
+        assert time.perf_counter() - start < 0.01
+        assert hkkit.period_verify._STEP_BUDGET == 2**24
+
+    def test_step_budget_edge(self, monkeypatch):
+        # window * omega = 2 * 286 for (2, 2003): refused one step under it, run at it
+        spec = RingSpec(2, 2003)
+        monkeypatch.setattr(hkkit.period_verify, "_STEP_BUDGET", 571)
+        with pytest.raises(ValueError, match="window_multiplier \\* omega = 572 exceeds"):
+            verify_minimal_period(spec, 2)
+        monkeypatch.setattr(hkkit.period_verify, "_STEP_BUDGET", 572)
+        assert verify_minimal_period(spec, 2).ok
 
     def test_detects_non_period_claim(self):
         # 3 is not a period of the (2, 5) profile 4,6,4,6

@@ -43,7 +43,7 @@ def test_first_rows_pass_and_leave_the_digit_limit(monkeypatch):
 def test_full_row_lists_have_their_guard_counts():
     assert [(len(sweep.rows), sweep.count) for sweep in SWEEPS.values()] == [
         (1512, 1512), (47, 47), (262, 262), (24, 11869), (5, 5), (18, 18), (3, 3), (7, 7),
-        (1, 1), (5, 5), (1, 1), (8, 5)]  # 8 library lines, of them 5 checked
+        (1, 1), (3, 3), (5, 5), (1, 1), (8, 5)]  # 8 library lines, of them 5 checked
     assert list(SWEEPS["enumerate"].rows) == list(range(1, 25))
 
 
@@ -72,12 +72,12 @@ def test_anything_but_one_sweep_name_exits_2_and_lists_the_names(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "usage: sweeps.py {oracle,definition,chains,enumerate,readme,exits,module,json,"
-        "long-table,csv,startup,library}\n")
+        "long-table,long-profile,csv,startup,library}\n")
 
 
 def test_installed_sweeps_refuse_hkkit_from_the_checkout(capsys):
-    assert [main([name]) for name in INSTALLED] == [2] * 8
-    assert capsys.readouterr().err.count(f"needs hkkit installed, not {hkkit.__file__}\n") == 8
+    assert [main([name]) for name in INSTALLED] == [2] * 9
+    assert capsys.readouterr().err.count(f"needs hkkit installed, not {hkkit.__file__}\n") == 9
 
 
 @pytest.mark.parametrize("want", ["JSON round trip", "CSV round trip"])

@@ -10,22 +10,13 @@ The `hkkit` console script exposes all of it.
 from .closed_form import (
     HKRecord,
     InvalidRingError,
+    Q_CAP_DEFAULT,
     RingSpec,
     hk_table,
     hk_value,
     phi_value,
     residue_b,
     _lazy,
-)
-from .groebner import (
-    BasisCheck,
-    Monomial,
-    PairBudgetExceededError,
-    Q_CAP_DEFAULT,
-    QCapExceededError,
-    count_under_staircase,
-    hk_brute,
-    verify_closed_form_basis,
 )
 from .numtheory import (
     NoPrimesInClassError,
@@ -48,8 +39,11 @@ from .realize import (
 
 __version__ = "0.1.0"
 
-# library-only code, which no command runs, is imported on first use
+# the oracle, which only gb and verify run, and library-only code, which no
+# command runs, are imported on first use
 __getattr__ = _lazy(__name__, {
+    "groebner": "BasisCheck Monomial PairBudgetExceededError QCapExceededError "
+                "count_under_staircase hk_brute verify_closed_form_basis",
     "groebner_general": "CharacteristicMismatchError FpPoly GroebnerBasis buchberger "
                         "frobenius_power_generators s_polynomial",
     "period_verify": "PeriodCheck verify_minimal_period",

@@ -12,7 +12,6 @@ by one walk, as json.dumps(doc, sort_keys=True, indent=2) writes it, so
 identical invocations are byte-identical and parse/re-render round-trips.
 """
 
-import argparse
 import functools
 import os
 import sys
@@ -22,8 +21,7 @@ from math import log2
 from operator import itemgetter
 from types import SimpleNamespace
 
-from .closed_form import HKRecord, RingSpec, _rows, _Value, hk_value
-from .groebner import Q_CAP_DEFAULT, Monomial, QCapExceededError, _check_basis, _colength, capped_q
+from .closed_form import Q_CAP_DEFAULT, HKRecord, RingSpec, _rows, _Value, hk_value
 from . import period
 from .period import PeriodReport, period_of
 from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, realize
@@ -51,7 +49,9 @@ COMMANDS = {
 }
 FORMATS = ("plain", "csv", "json")
 # a command's arguments: _parse_table's namespace, or argparse's for other argvs
-_Args = SimpleNamespace | argparse.Namespace
+# (a string: argparse is imported by build_parser, which a well-formed argv never runs)
+_Args = "SimpleNamespace | argparse.Namespace"
+_oracle = None  # hkkit.groebner, imported by the first gb or verify call (_groebner)
 _quote = None  # json.encoder's C string escaper, imported by the first _json call
 _EXACT = None  # table's exact decimal context, built by its first long table
 # table's measured crossover, q = 2^830 (250 digits): below it the int walk is
@@ -190,7 +190,10 @@ def _emit(fmt: str, doc, table, plain=None) -> None:
         else:  # each column right-aligned to its widest cell
             cells = tuple(map(str, cells))
             line = "  ".join([f"%{max(map(len, cells[k::width]))}s" for k in range(width)])
-        sys.stdout.write((line + "\n") * len(rows) % cells)
+        text = (line + "\n") * len(rows) % cells
+        # a profile's cell is as long as the text: drop it before the text is encoded
+        del rows, cells
+        sys.stdout.write(text)
 
 
 def _emit_record(fmt: str, fields: dict, doc=None) -> None:
@@ -203,6 +206,14 @@ def _emit_record(fmt: str, fields: dict, doc=None) -> None:
 def _report(r: PeriodReport) -> dict:  # a view that prints the profile adds r itself
     return {"omega": r.omega, "pi": r.pi, "branch": r.branch.value,
             "involution": r.involution_check}
+
+
+def _groebner():
+    """The oracle's module, bound once in _oracle: only gb and verify load it."""
+    global _oracle
+    if _oracle is None:
+        from . import groebner as _oracle
+    return _oracle
 
 
 def cmd_table(args: _Args) -> int:
@@ -268,16 +279,17 @@ def cmd_verify(args: _Args) -> int:
         # zero rows would report all_pass: a check that checked nothing
         raise ValueError(f"e_max must be nonnegative, got {args.emax}")
     name, basis_cell, status_cell = _VERIFY_CELLS[args.format]
+    groebner = _groebner()
     rows, all_pass = [], True
     for e in range(args.emax + 1):
         try:
-            q = capped_q(spec.p, e, args.qcap)
-        except QCapExceededError:
+            q = groebner.capped_q(spec.p, e, args.qcap)
+        except groebner.QCapExceededError:
             break  # q only grows with e: every later row is past the cap too
         closed = hk_value(spec, e)
         # one Buchberger run serves both the oracle count and the basis check
-        basis, oracle = _colength(spec, q)
-        basis_ok = all(_check_basis(spec, q, basis)) if q > spec.n else None
+        basis, oracle = groebner._colength(spec, q)
+        basis_ok = all(groebner._check_basis(spec, q, basis)) if q > spec.n else None
         ok = closed == oracle and basis_ok is not False
         all_pass &= ok
         rows.append((e, q, closed, oracle, basis_cell[basis_ok], status_cell[ok]))
@@ -296,7 +308,7 @@ def cmd_verify(args: _Args) -> int:
 def _generators(p: int, basis: Sequence[tuple]) -> list[str]:
     """Each pair (lead, tail) as str(FpPoly) gives lead - tail over F_p, by
     Monomial.__str__: lead, or lead + (p-1)*tail, 1 left out, a constant tail as p - 1."""
-    unit, text = "" if p == 2 else f"{p - 1}*", Monomial.__str__
+    unit, text = "" if p == 2 else f"{p - 1}*", _groebner().Monomial.__str__
     return [text(lead) if tail is None else f"{text(lead)} + {p - 1}" if tail == (0, 0)
             else f"{text(lead)} + {unit}{text(tail)}" for lead, tail in basis]
 
@@ -304,8 +316,9 @@ def _generators(p: int, basis: Sequence[tuple]) -> list[str]:
 def cmd_gb(args: _Args) -> int:
     """The basis _colength computes, printed from its pairs (_generators)."""
     spec = RingSpec(args.p, args.n)
-    q = capped_q(spec.p, args.e, args.qcap)
-    basis, count = _colength(spec, q)
+    groebner = _groebner()
+    q = groebner.capped_q(spec.p, args.e, args.qcap)
+    basis, count = groebner._colength(spec, q)
     gens = _generators(spec.p, basis)
     head = {"p": spec.p, "n": spec.n, "e": args.e, "q": q, "count": count}
 
@@ -341,9 +354,11 @@ def _resolve_limits(args: _Args) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     """The process's shared parser, one subparser per COMMANDS entry, built for
     the first argv that _parse_table refuses; callers must not mutate it."""
+    import argparse  # with gettext: only an argv that _parse_table refuses needs it
+
     parser = argparse.ArgumentParser(
         prog="hkkit",
         description=(

@@ -18,6 +18,9 @@ from .numtheory import is_prime
 
 # n must fit in a machine word; only q = p^e is allowed to grow without bound.
 _N_MAX = 2**63 - 1
+# the Groebner oracle's default cap on q = p^e (groebner.capped_q); it lives here
+# so that the CLI's option help reads it without loading the oracle
+Q_CAP_DEFAULT = 512
 
 
 class InvalidRingError(ValueError):

@@ -29,9 +29,8 @@ import heapq
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .closed_form import RingSpec, _lazy, _Value
+from .closed_form import Q_CAP_DEFAULT, RingSpec, _lazy, _Value
 
-Q_CAP_DEFAULT = 512
 PAIR_BUDGET_DEFAULT = 100_000
 __getattr__ = _lazy(__name__, {"groebner_general": "CharacteristicMismatchError FpPoly "
                                "GroebnerBasis buchberger frobenius_power_generators reduce "

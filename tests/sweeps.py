@@ -273,18 +273,24 @@ def command_row(row, tally) -> bool:
     return clean
 
 
-# start-up: the installed script, on a period call, imports none of the
-# modules hkkit loads only where it needs them, NOT_AT_STARTUP (the import
-# list is what -X importtime writes to stderr, site's imports included)
-def startup_row(command, tally) -> bool:
+# start-up: the installed script imports none of the modules hkkit loads only
+# where it needs them, NOT_AT_STARTUP, nor argparse, which only a refused argv
+# needs; the oracle, hkkit.groebner, loads for gb alone (the import list is
+# what -X importtime writes to stderr, site's imports included)
+STARTUP_ROWS = [("period --p 2 --n 5", ()), ("gb --p 2 --n 5 --e 3", ("hkkit.groebner",))]
+
+
+def startup_row(row, tally) -> bool:
+    command, wanted = row
     run = subprocess.run([*HKKIT, *command.split()], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPROFILEIMPORTTIME": "1"})
-    loaded = re.findall(r"^import time:.*\|\s*(\S+)$", run.stderr, re.M)
-    heavy = sorted(NOT_AT_STARTUP & set(loaded))
+    loaded = set(re.findall(r"^import time:.*\|\s*(\S+)$", run.stderr, re.M))
+    heavy = sorted((NOT_AT_STARTUP | {"hkkit.groebner", "argparse"}) - set(wanted) & loaded)
+    missing = sorted({"hkkit.cli", *wanted} - loaded)
     print(f"PYTHONPROFILEIMPORTTIME=1 hkkit {command}: exit {run.returncode}, "
-          f"{len(loaded)} modules imported, of them {heavy or 'none'} of the "
-          f"{len(NOT_AT_STARTUP)}")
-    return not (run.returncode != 0 or "hkkit.cli" not in loaded or bool(heavy))
+          f"{len(loaded)} modules imported, of them {heavy or 'none'} unwanted, "
+          f"{missing or 'none'} missing")
+    return not (run.returncode != 0 or missing or heavy)
 
 
 # README's library example against the installed package, which catches a
@@ -318,8 +324,8 @@ INSTALLED = {
     "long-profile": Sweep("long-profile sweep: {rows} commands, failed {failed}",
                           LONG_PROFILE_ROWS, command_row, 3),
     "csv": Sweep("CSV sweep: {rows} commands, failed {failed}", CSV_ROWS, command_row, 5),
-    "startup": Sweep("start-up sweep: {rows} command, failed {failed}",
-                     ["period --p 2 --n 5"], startup_row, 1),
+    "startup": Sweep("start-up sweep: {rows} commands, failed {failed}",
+                     STARTUP_ROWS, startup_row, 2),
     "library": Sweep("library sweep: {tally[checked]} README lines checked, failed {failed}",
                      LIBRARY_ROWS, library_row, 5, "checked"),
 }

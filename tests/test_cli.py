@@ -569,6 +569,33 @@ class TestDriver:
                 b = pow(p, e, n)
                 assert int(profile[e]) == b * (n - b)
 
+    def test_a_csv_profile_peaks_as_the_plain_one_does(self):
+        # _emit drops the rows, whose one cell is as long as the text, before it
+        # writes: the CSV text was held three times at once, 131 MB against 92.
+        # Each child reads its own ru_maxrss, with stdout to /dev/null; it is
+        # spawned by a small launcher, as a child's ru_maxrss starts at its
+        # spawner's high-water mark
+        child = ("import resource, sys\n"
+                 "from hkkit.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+        launcher = ("import subprocess, sys\n"
+                    "for fmt in ('plain', 'csv'):\n"
+                    "    argv = ['period', '--p', '3', '--n', str(2**63 - 25), '--format', fmt]\n"
+                    "    done = subprocess.run([sys.executable, '-c', sys.argv[1], *argv],\n"
+                    "                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,\n"
+                    "                          text=True, timeout=60)\n"
+                    "    print(done.stderr, end='')\n")
+        src = str(Path(hkkit.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", launcher, child], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        (plain_code, plain), (csv_code, csv) = [map(int, line.split())
+                                                 for line in done.stdout.splitlines()]
+        assert (plain_code, csv_code) == (0, 0)
+        assert csv <= 1.05 * plain, (plain, csv)
+
     def test_block_templates_stay_one_per_separator(self, monkeypatch):
         # a template cached per block length held one per profile length:
         # search's peak RSS rose by 18%; only the full block's is kept.  The
@@ -623,7 +650,8 @@ class TestDriver:
 
     def test_startup_loads_no_heavy_module(self):
         # every hkkit call pays for what importing the CLI loads: see NOT_AT_STARTUP.
-        # It still loads every hkkit module that bench/trace.py reads
+        # The oracle loads with the first gb or verify call (bench/trace.py
+        # imports it itself); every other hkkit module loads here
         child = ("import sys; before = set(sys.modules); import hkkit.cli; "
                  "hkkit.cli.build_parser(); print(*sorted(set(sys.modules) - before))")
         src = str(Path(hkkit.cli.__file__).resolve().parents[1])
@@ -633,8 +661,9 @@ class TestDriver:
         loaded = done.stdout.split()
         assert done.returncode == 0 and "hkkit.cli" in loaded, done.stderr
         assert not NOT_AT_STARTUP & set(loaded), loaded
+        assert "hkkit.groebner" not in loaded
         assert {f"hkkit.{m}" for m in ("numtheory", "closed_form", "period", "realize",
-                                       "groebner", "cli")} <= set(loaded)
+                                       "cli")} <= set(loaded)
 
     def test_only_a_table_past_the_crossover_loads_decimal(self):
         # a table whose q has at most _INT_TABLE_BITS bits walks in ints and never

@@ -944,29 +944,36 @@ class TestPowerBuiltOnce:
         assert (check.ok, check.q, check.b) == (True, self.Q, self.Q % self.SPEC.n)
 
     def test_gb_command(self, monkeypatch, capsys):
+        # the cli reads capped_q off hkkit.groebner, which it loads on first use
         from hkkit import cli
 
-        monkeypatch.setattr(cli, "capped_q", self.stand_in)
+        monkeypatch.setattr(groebner, "capped_q", self.stand_in)
         assert cli.main(["gb", "--p", "2", "--n", "7", "--e", "3", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert (doc["q"], doc["count"]) == (self.Q, self.COLENGTH)
         assert doc["staircase"] == [[0, self.Q], [4, self.Q - 4], [7, 0]]
 
     def test_verify_command(self, monkeypatch, capsys):
-        # each row's q, from the cli's own capped_q, serves both of its oracle
-        # paths: the count below n and the basis check above it
+        # each row's q, from the cli's one capped_q call per row, serves both of
+        # its oracle paths: the count below n and the basis check above it
         from hkkit import cli
 
-        def refuse(p, e, q_cap):
-            raise AssertionError(f"a verify row built {p}^{e} again")
+        built, capped_q = [], groebner.capped_q
 
-        monkeypatch.setattr(groebner, "capped_q", refuse)
+        def count(p, e, q_cap):
+            if (p, e) in built:
+                raise AssertionError(f"a verify row built {p}^{e} again")
+            built.append((p, e))
+            return capped_q(p, e, q_cap)
+
+        monkeypatch.setattr(groebner, "capped_q", count)
         argv = ["verify", "--p", "2", "--n", "7", "--emax", "5", "--format", "json"]
         assert cli.main(argv) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [(r["q"], r["basis_check"], r["pass"]) for r in rows] == [
             (1, None, True), (2, None, True), (4, None, True),
             (8, True, True), (16, True, True), (32, True, True)]
+        assert built == [(2, e) for e in range(6)]
 
 
 class TestVerifyClosedFormBasis:

@@ -3,10 +3,12 @@
 Library-only code (the general Buchberger engine, verify_minimal_period,
 enumerate_realizations) lives in modules that hkkit, hkkit.groebner,
 hkkit.period and hkkit.realize import on the first use of one of their names
-(PEP 562), so importing the CLI never compiles it.  These tests pin that the
-CLI path stays clear of them, that every import path still reaches every
-name, and that bench/trace.py, which this file reads but never edits, still
-finds and restores everything it wraps.
+(PEP 562), so importing the CLI never compiles it.  The oracle, hkkit.groebner,
+loads with the first gb or verify call or the first use of one of its names
+on hkkit, and argparse with the first argv that the CLI's own reader refuses.
+These tests pin that the CLI path stays clear of them, that every import path
+still reaches every name, and that bench/trace.py, which this file reads but
+never edits, still finds and restores everything it wraps.
 """
 
 import ast
@@ -15,6 +17,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hkkit
 import hkkit.cli
@@ -62,6 +66,48 @@ def test_the_oracle_never_loads_the_general_engine():
         "print(lazy, codes, after, sorted(m for m in sys.modules if m in sys.argv[1:]))\n",
         *sorted(LAZY))
     assert out == "[] [0, 0] [] ['hkkit.groebner_general']\n"
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    ("table --p 2 --n 5 --emax 3", 0, []),
+    ("period --p 2 --n 11", 0, []),
+    ("period --p 2 --n 11 --format csv", 0, []),
+    ("realize --pi 6 --format json", 0, []),
+    ("gb --p 3 --n 5 --e 4", 0, ["hkkit.groebner"]),
+    ("verify --p 2 --n 7 --emax 6 --format json", 0, ["hkkit.groebner"]),
+    ("period --p x --n 11", 2, ["argparse"]),  # refused: argparse reads it
+])
+def test_each_call_loads_the_oracle_and_argparse_only_where_it_runs_them(argv, code, loaded):
+    # import hkkit.cli loads neither; a call loads what it runs, in a new interpreter
+    out = fresh(
+        "import contextlib, io, sys\n"
+        "import hkkit.cli\n"
+        "watched = ['hkkit.groebner', 'argparse']\n"
+        "before = [m for m in watched if m in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        code = hkkit.cli.main(sys.argv[1:])\n"
+        "    except SystemExit as exc:  # argparse refused the argv\n"
+        "        code = exc.code\n"
+        "print(before, code, [m for m in watched if m in sys.modules])\n",
+        *argv.split())
+    assert out == f"[] {code} {loaded}\n"
+
+
+@pytest.mark.parametrize("use", ["hkkit.hk_brute", "from hkkit import Monomial"])
+def test_an_oracle_name_on_hkkit_loads_the_oracle(use):
+    out = fresh(
+        "import sys\n"
+        "import hkkit\n"
+        "before = 'hkkit.groebner' in sys.modules\n"
+        f"{use}\n"
+        "after = 'hkkit.groebner' in sys.modules\n"
+        "import hkkit.groebner as oracle\n"
+        "names = [n for n in hkkit.__all__ if n in vars(oracle)]\n"
+        "print(before, after, names, all(getattr(hkkit, n) is vars(oracle)[n] for n in names))\n")
+    assert out == ("False True ['BasisCheck', 'Monomial', 'PairBudgetExceededError', "
+                   "'Q_CAP_DEFAULT', 'QCapExceededError', 'RingSpec', 'count_under_staircase', "
+                   "'hk_brute', 'verify_closed_form_basis'] True\n")
 
 
 def test_every_traced_name_resolves_after_the_cli_import():

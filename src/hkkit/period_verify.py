@@ -7,11 +7,6 @@ from . import period  # period_of is looked up at each call (see closed_form._la
 from .closed_form import RingSpec, _Value
 from .numtheory import prime_factors
 
-# steps of phi a check may walk: window_multiplier * omega must not exceed it
-# (a full budget took 2.2 s on CPython 3.11; the largest call the tests make
-# walks about 2 * 10^6 steps)
-_STEP_BUDGET = 1 << 24
-
 
 class PeriodCheck(_Value):
     """Outcome of a direct periodicity-and-minimality check.
@@ -47,15 +42,13 @@ def verify_minimal_period(spec: RingSpec, window_multiplier: int) -> PeriodCheck
           phi(e + d) != phi(e).  The minimal period of a periodic sequence
           divides every period, so testing divisors of pi suffices.
 
-    A window past _STEP_BUDGET steps raises ValueError before the first step.
+    Each check is decided at e = 0 (see _first_mismatch), so the result does
+    not depend on window_multiplier, and every accepted n is answered.
     """
     if window_multiplier < 2:
         raise ValueError(f"window_multiplier must be at least 2, "
                          f"got {window_multiplier}")
     report = period.period_of(spec)
-    if window_multiplier * report.omega > _STEP_BUDGET:
-        raise ValueError(f"window_multiplier * omega = {window_multiplier * report.omega} "
-                         f"exceeds the step budget of {_STEP_BUDGET} steps")
     return _check_claimed_period(spec, report.pi, report.omega, window_multiplier)
 
 
@@ -81,14 +74,9 @@ def _check_claimed_period(
 def _first_mismatch(spec: RingSpec, d: int, count: int) -> int | None:
     """Least e < count with phi(e + d) != phi(e), or None.
 
-    Walks b = p^e and c = p^(e+d) mod n side by side, one multiplication
-    each per index, in constant memory.
+    With b = p^e and c = p^(e+d) mod n, both in 0 < b, c < n,
+    b(n - b) - c(n - c) = (b - c)(n - b - c), so phi(e + d) == phi(e) exactly
+    when c == +-b, that is when p^d == +-1 (mod n), for every e at once: the
+    first mismatch is at e = 0 or nowhere.
     """
-    n, p = spec.n, spec.p
-    b, c = 1, pow(p, d, n)
-    for e in range(count):
-        if b * (n - b) != c * (n - c):
-            return e
-        b = b * p % n
-        c = c * p % n
-    return None
+    return 0 if count and pow(spec.p, d, spec.n) not in (1, spec.n - 1) else None

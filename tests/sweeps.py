@@ -1,6 +1,6 @@
 """CI's evidence sweeps, each run by its name:
 
-    PYTHONPATH=src python tests/sweeps.py oracle|definition|chains|enumerate
+    PYTHONPATH=src python tests/sweeps.py oracle|definition|chains|enumerate|periods
     python tests/sweeps.py readme|exits|module|json|long-table|long-profile|csv|startup|library
 
 run_sweep checks each row, prints a summary line that names the failed
@@ -31,12 +31,14 @@ from hkkit import RingSpec, hk_brute, verify_closed_form_basis
 from hkkit.cli import _generators
 from hkkit.groebner import (PairBudgetExceededError, _binomial_buchberger, _colength,
                             buchberger, frobenius_power_generators)
+from hkkit.period import period_of, verify_minimal_period
 from hkkit.realize import enumerate_realizations
 from test_cli_bytes import EXAMPLES, README, lifted_digit_limit
 from test_colength_definition import (basis_faults, chain_rows, colength_by_chains,
                                       colength_by_definition)
 from test_groebner import ORACLE_BOX, as_poly
 from test_cli import NOT_AT_STARTUP
+from test_period import check_claimed_period_by_pow, check_with_evidence, largest_prime_below
 from test_realize import enumerate_by_sweep
 
 
@@ -133,6 +135,29 @@ def enumerate_row(pi, tally) -> bool:
     want = enumerate_by_sweep(pi, 300, 300, 10**6)
     tally["rings"] += len(want)
     return enumerate_realizations(pi, 300, 300, 10**6) == want
+
+
+# verify_minimal_period at n up to 2^63 - 1: p = 2 and 3 at the largest prime
+# below 2^k, and p = 2, 3 and 5 at 2^k - 1 and 2^k + 1, for k = 2..63; each
+# answer against test_period's evidence, which shares only pow with numtheory
+# (pi's factors multiplied back and proved prime, p^pi == +-1 and
+# p^(pi/r) != +-1 mod n), and where omega <= 2^16 against the reference that
+# takes one pow per index of the window too
+PERIOD_ROWS = sorted({(p, n) for k in range(2, 64) for ps, ns in (
+    ((2, 3), (largest_prime_below(2**k),)), ((2, 3, 5), (2**k - 1, 2**k + 1)))
+    for p in ps for n in ns if n % p and n < 2**63}, key=lambda pn: (pn[1], pn[0]))
+
+
+def period_row(row, tally) -> bool:
+    spec = RingSpec(*row)
+    report = period_of(spec)
+    tally[report.branch.value] += 1
+    ok = check_with_evidence(spec)
+    if report.omega <= 2**16:
+        tally["by pow"] += 1
+        ok = ok and verify_minimal_period(spec, 2) == check_claimed_period_by_pow(
+            spec, report.pi, report.omega, 2)
+    return ok
 
 
 # the installed script; tier-1 runs `python -m hkkit.cli` from src in its place
@@ -342,6 +367,8 @@ SWEEPS = {
                     chain_rows(((2, 14), (3, 9), (5, 6))), chain_row, 262),
     "enumerate": Sweep("enumerate sweep: pi = 1..24, {tally[rings]} rings, failed {failed}",
                        range(1, 25), enumerate_row, 11869, "rings", 60),
+    "periods": Sweep("period sweep: {rows} rings, failed {failed}, rings per kind {tally}",
+                     PERIOD_ROWS, period_row, 383, limit=60),
     **INSTALLED,
 }
 

@@ -1,5 +1,7 @@
+import math
 import time
 import tracemalloc
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 import hkkit.period
 import hkkit.period_verify
 from hkkit.closed_form import RingSpec, phi_value
-from hkkit.numtheory import multiplicative_order
+from hkkit.numtheory import multiplicative_order, prime_factors
 from hkkit.period import (
     Branch,
     PeriodCheck,
@@ -184,22 +186,15 @@ class TestVerifyMinimalPeriod:
         with pytest.raises(ValueError):
             verify_minimal_period(RingSpec(2, 5), window_multiplier=0)
 
-    def test_refuses_a_walk_past_the_step_budget_at_once(self):
-        # 2 * (2^63 - 26) steps would never end; the check raises before the first
+    def test_answers_near_the_word_limit_at_once(self):
+        # 2 * (2^63 - 26) + 1 values of phi, decided at e = 0 by one pow per divisor
+        spec = RingSpec(3, 2**63 - 25)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="exceeds the step budget of 16777216 steps"):
-            verify_minimal_period(RingSpec(3, 2**63 - 25), 2)
-        assert time.perf_counter() - start < 0.01
-        assert hkkit.period_verify._STEP_BUDGET == 2**24
-
-    def test_step_budget_edge(self, monkeypatch):
-        # window * omega = 2 * 286 for (2, 2003): refused one step under it, run at it
-        spec = RingSpec(2, 2003)
-        monkeypatch.setattr(hkkit.period_verify, "_STEP_BUDGET", 571)
-        with pytest.raises(ValueError, match="window_multiplier \\* omega = 572 exceeds"):
-            verify_minimal_period(spec, 2)
-        monkeypatch.setattr(hkkit.period_verify, "_STEP_BUDGET", 572)
-        assert verify_minimal_period(spec, 2).ok
+        check = verify_minimal_period(spec, 2)
+        assert time.perf_counter() - start < 0.1
+        assert check.ok
+        assert check == _check_claimed_period(spec, 2**62 - 13, 2**63 - 26, 2)
+        assert not hasattr(hkkit.period_verify, "_STEP_BUDGET")
 
     def test_detects_non_period_claim(self):
         # 3 is not a period of the (2, 5) profile 4,6,4,6
@@ -272,18 +267,50 @@ class TestVerifyMinimalPeriod:
         ) == check_claimed_period_by_pow(spec, pi, omega, window)
 
 
+def first_mismatch_by_walk(spec: RingSpec, d: int, count: int) -> int | None:
+    # _first_mismatch as it was: b = p^e and c = p^(e+d) mod n walked side by
+    # side, one multiplication each per index, up to count indices
+    n, p = spec.n, spec.p
+    b, c = 1, pow(p, d, n)
+    for e in range(count):
+        if b * (n - b) != c * (n - c):
+            return e
+        b = b * p % n
+        c = c * p % n
+    return None
+
+
+# rings near 2^63: p = 2 has order 63 at 2^63 - 1 (FULL) and 124 at 2^62 + 1
+# (HALF), so multiples of pi reach the None answer; the rest have huge orders
+NEAR_WORD_LIMIT = st.sampled_from([(2, 2**63 - 1), (2, 2**62 + 1), (3, 2**63 - 1),
+                                   (3, 2**63 - 25), (5, 2**63 - 25), (7, 2**63 - 2)])
+
+
+class TestFirstMismatch:
+    """_first_mismatch decides at e = 0 what the walk over count indices finds."""
+
+    @given(st.one_of(WIDER_SPECS, NEAR_WORD_LIMIT), st.integers(1, 10**6),
+           st.integers(0, 64), st.booleans())
+    def test_matches_the_walk(self, pn, d, count, onto_a_period):
+        spec = RingSpec(*pn)
+        pi = period_of(spec).pi
+        if onto_a_period and pi <= d:  # a multiple of pi, where phi never mismatches
+            d -= d % pi
+        assert _first_mismatch(spec, d, count) == first_mismatch_by_walk(spec, d, count)
+
+
 def check_claimed_period_by_scan(
     spec: RingSpec, pi: int, omega: int, window_multiplier: int
 ) -> PeriodCheck:
     # _check_claimed_period with its divisors found by scanning 1..pi-1, as it
-    # was before it took them from prime_factors(pi)
-    failing = _first_mismatch(spec, pi, window_multiplier * omega + 1)
+    # was before it took them from prime_factors(pi), and its walk as it was
+    failing = first_mismatch_by_walk(spec, pi, window_multiplier * omega + 1)
     if failing is not None:
         return PeriodCheck(ok=False, failing_distance=pi, failing_index=failing)
     witnesses: dict[int, int] = {}
     for d in range(1, pi):
         if pi % d == 0:
-            witness = _first_mismatch(spec, d, omega)
+            witness = first_mismatch_by_walk(spec, d, omega)
             if witness is None:
                 return PeriodCheck(ok=False, failing_distance=d, divisor_witnesses=witnesses)
             witnesses[d] = witness
@@ -321,3 +348,93 @@ class TestDivisorsFromFactors:
             for k in (2, 6, 12):
                 check = self.assert_same(spec, k * report.pi, report.omega, 2)
                 assert (check.ok, check.failing_distance) == (False, report.pi)
+
+
+# Miller-Rabin on J. Sinclair's seven bases (2011), deterministic below 2^64;
+# a base that the candidate divides proves nothing and is skipped
+SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
+def is_prime_by_sinclair(m: int) -> bool:
+    assert m < 2**64
+    if m < 2 or m % 2 == 0:
+        return m == 2
+    t, s = m - 1, 0
+    while t % 2 == 0:
+        t, s = t // 2, s + 1
+    for a in SINCLAIR_BASES:
+        if a % m == 0:
+            continue
+        x = pow(a, t, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def has_period_evidence(spec: RingSpec, pi: int, factors: Mapping[int, int]) -> bool:
+    # pi is the least d >= 1 with p^d == +-1 (mod n), so the minimal period of
+    # phi from e = 0 on (the identity in _first_mismatch); such d are the
+    # multiples of the least one, so p^pi == +-1 and p^(pi/r) != +-1 for each
+    # prime r | pi leave pi itself.  The factors of pi are multiplied back and
+    # proved prime here: the evidence shares only pow with numtheory
+    n, p = spec.n, spec.p
+    return (math.prod(r**k for r, k in factors.items()) == pi
+            and all(k >= 1 and is_prime_by_sinclair(r) for r, k in factors.items())
+            and pow(p, pi, n) in (1, n - 1)
+            and all(pow(p, pi // r, n) not in (1, n - 1) for r in factors))
+
+
+def check_with_evidence(spec: RingSpec) -> bool:
+    """verify_minimal_period(spec, 2) accepts pi, with witness 0 for each
+    proper divisor, and pi has the evidence above."""
+    pi = period_of(spec).pi
+    factors = prime_factors(pi)
+    divisors = {1}
+    for r, k in factors.items():
+        divisors = {d * r**j for d in divisors for j in range(k + 1)}
+    want = PeriodCheck(ok=True, divisor_witnesses=dict.fromkeys(divisors - {pi}, 0))
+    return has_period_evidence(spec, pi, factors) and verify_minimal_period(spec, 2) == want
+
+
+def largest_prime_below(m: int) -> int:
+    m -= 1
+    while not is_prime_by_sinclair(m):
+        m -= 1
+    return m
+
+
+class TestPeriodEvidence:
+    def test_sinclair_bases_against_trial_division(self):
+        for m in range(10**4):
+            divisors = [k for k in range(2, math.isqrt(m) + 1) if m % k == 0]
+            assert is_prime_by_sinclair(m) == (m > 1 and not divisors)
+        # strong pseudoprimes to base 2, to the bases 2..7 and to the primes 2..23
+        assert not any(map(is_prime_by_sinclair, (2047, 3215031751, 3825123056546413051)))
+        assert is_prime_by_sinclair(2**61 - 1) and is_prime_by_sinclair(2**63 - 25)
+        assert not is_prime_by_sinclair(2**63 - 1)
+
+    def test_evidence_refuses_a_wrong_period_or_factorization(self):
+        spec = RingSpec(3, 2**63 - 25)
+        pi = period_of(spec).pi
+        assert has_period_evidence(spec, pi, prime_factors(pi))
+        assert not has_period_evidence(spec, 2 * pi, prime_factors(2 * pi))  # not minimal
+        assert not has_period_evidence(spec, pi - 1, prime_factors(pi - 1))  # no period
+        assert not has_period_evidence(spec, pi, {pi: 1})  # a composite "prime"
+        assert not has_period_evidence(spec, pi, {**prime_factors(pi), 5: 1})  # product
+
+    def test_evidence_at_every_word_size(self):
+        # p = 3 at the largest prime below 2^k, k = 40..63; that of 2^63 is 2^63 - 25
+        moduli = [largest_prime_below(2**k) for k in range(40, 64)]
+        assert moduli[-1] == 2**63 - 25
+        branches = set()
+        for n in moduli:
+            spec = RingSpec(3, n)
+            assert check_with_evidence(spec), n
+            branches.add(period_of(spec).branch)
+        assert branches == {Branch.HALF, Branch.FULL}

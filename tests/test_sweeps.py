@@ -11,13 +11,15 @@ import hkkit
 from sweeps import CHECKOUT, INSTALLED, SWEEPS, Sweep, command_row, main, run_sweep
 
 # each sweep's first rows; q = 2^65536, the oracle's first row whose gb text
-# is past CPython's int/str limit of 4,300 digits, among them; the installed-
+# is past CPython's int/str limit of 4,300 digits, among them, and the period
+# sweep's largest prime and largest modulus; the installed-
 # script sweeps run `python -m hkkit.cli` from src in place of the script, so
 # none of startup's, as only the script lists hkkit.cli among its imports
 FIRST_ROWS = {"oracle": [*SWEEPS["oracle"].rows[:3], (2, 3, 65536)],
               "definition": SWEEPS["definition"].rows[:1],
               "chains": SWEEPS["chains"].rows[:3],
               "enumerate": SWEEPS["enumerate"].rows[:1],
+              "periods": [*SWEEPS["periods"].rows[:3], (3, 2**63 - 25), (2, 2**63 - 1)],
               **{name: sweep.rows[:1] for name, sweep in INSTALLED.items() if name != "startup"},
               "module": SWEEPS["module"].rows[:2], "library": SWEEPS["library"].rows}
 
@@ -28,6 +30,7 @@ def test_first_rows_pass_and_leave_the_digit_limit(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", str(CHECKOUT / "src"))
     monkeypatch.setattr("sweeps.HKKIT", (sys.executable, "-m", "hkkit.cli"))
     assert (2, 3, 65536) in SWEEPS["oracle"].rows
+    assert {(3, 2**63 - 25), (2, 2**63 - 1)} <= set(SWEEPS["periods"].rows)
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     tallies = {name: Counter() for name in FIRST_ROWS}  # one per sweep, as in run_sweep
@@ -42,8 +45,8 @@ def test_first_rows_pass_and_leave_the_digit_limit(monkeypatch):
 
 def test_full_row_lists_have_their_guard_counts():
     assert [(len(sweep.rows), sweep.count) for sweep in SWEEPS.values()] == [
-        (1512, 1512), (47, 47), (262, 262), (24, 11869), (5, 5), (18, 18), (3, 3), (7, 7),
-        (1, 1), (3, 3), (5, 5), (2, 2), (8, 5)]  # 8 library lines, of them 5 checked
+        (1512, 1512), (47, 47), (262, 262), (24, 11869), (383, 383), (5, 5), (18, 18), (3, 3),
+        (7, 7), (1, 1), (3, 3), (5, 5), (2, 2), (8, 5)]  # 8 library lines, of them 5 checked
     assert list(SWEEPS["enumerate"].rows) == list(range(1, 25))
 
 
@@ -71,7 +74,7 @@ def test_harness_names_failed_rows_and_exits_1_on_any_fault(capsys, bad, count, 
 def test_anything_but_one_sweep_name_exits_2_and_lists_the_names(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "usage: sweeps.py {oracle,definition,chains,enumerate,readme,exits,module,json,"
+        "usage: sweeps.py {oracle,definition,chains,enumerate,periods,readme,exits,module,json,"
         "long-table,long-profile,csv,startup,library}\n")
 
 

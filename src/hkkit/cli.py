@@ -61,15 +61,16 @@ _INT_TABLE_BITS = 830
 # smallest power of two above every omega the tests and the benchmark print
 _PROFILE_CAP = 1 << 20
 _FULL_BLOCK = {}  # separator -> the template of one full block of period._phi_blocks
+_LITERALS = {None: "null", True: "true", False: "false"}  # as JSON writes them
 
 
 def _cell(value, sep: str) -> str:
-    """The text of one record value: a bool as true/false, a report as its
+    """The text of one record value: a bool as JSON writes it, a report as its
     phi_profile's first _PROFILE_CAP values joined by sep, the rest by str.
     _json writes a report's list through it, sep being a comma and the list's
     indent."""
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _LITERALS[value]
     if isinstance(value, PeriodReport):
         # one % call per block of the cycle, then its text repeated while the
         # copies fit, and then the prefix that reaches the cap
@@ -117,9 +118,9 @@ def _write(obj, pad: str, out: list) -> None:
     if isinstance(obj, str):
         out.append(_quote(obj))
     elif obj is None:
-        out.append("null")
+        out.append(_LITERALS[None])
     elif isinstance(obj, int):
-        out.append(_cell(obj, "") if isinstance(obj, bool) else int.__repr__(obj))
+        out.append(_LITERALS[obj] if isinstance(obj, bool) else int.__repr__(obj))
     elif isinstance(obj, dict):
         inner = pad + "  "
         out.append("{")
@@ -267,7 +268,7 @@ class _Check(tuple):  # a verify row: no namedtuple field can be `pass`
 
 
 # verify by format: the basis column's name, its cells, and the status cells
-_STATUS, _LITERALS = {True: "PASS", False: "FAIL"}, {None: "null", True: "true", False: "false"}
+_STATUS = {True: "PASS", False: "FAIL"}
 _VERIFY_CELLS = {"plain": ("basis", {None: "-", True: "ok", False: "FAIL"}, _STATUS),
                  "csv": ("basis_check", {None: "na", True: "pass", False: "fail"}, _STATUS),
                  "json": ("basis_check", _LITERALS, _LITERALS)}
@@ -414,8 +415,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
         if (args := _parse_table(argv)) is None:
-            # argparse reads every other argv, and writes its messages and exits
-            args = build_parser().parse_args(argv)
+            # argparse reads every other argv; its exit (help, a refusal) is the code
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                return exc.code
         _resolve_limits(args)
         # looked up per call, not bound in the shared parser, so a rebound cmd_* runs
         return globals()[f"cmd_{args.command}"](args)
@@ -432,6 +436,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def run(argv: Sequence[str]) -> tuple[int, str, str]:
+    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
+    import contextlib, io  # here, so that a call of main alone imports neither
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .closed_form import Q_CAP_DEFAULT, RingSpec, _lazy, _Value
 PAIR_BUDGET_DEFAULT = 100_000
 __getattr__ = _lazy(__name__, {"groebner_general": "CharacteristicMismatchError FpPoly "
                                "GroebnerBasis buchberger frobenius_power_generators reduce "
-                               "s_polynomial _rule"})
+                               "s_polynomial"})
 
 # Monomial(i, j) runs namedtuple's Python-level __new__; _new(Monomial, (i, j))
 # builds the same object in C.  The oracle's engine makes none: its monomials

@@ -12,8 +12,7 @@ from itertools import chain, repeat
 from .closed_form import RingSpec, _lazy, _Value
 from .numtheory import multiplicative_order
 
-__getattr__ = _lazy(__name__, {"period_verify": "PeriodCheck verify_minimal_period "
-                                                 "_check_claimed_period _first_mismatch"})
+__getattr__ = _lazy(__name__, {"period_verify": "PeriodCheck verify_minimal_period"})
 
 _BLOCK = 4096  # values per list that _phi_blocks yields
 

@@ -48,14 +48,11 @@ def verify_minimal_period(spec: RingSpec, window_multiplier: int) -> PeriodCheck
     if window_multiplier < 2:
         raise ValueError(f"window_multiplier must be at least 2, "
                          f"got {window_multiplier}")
-    report = period.period_of(spec)
-    return _check_claimed_period(spec, report.pi, report.omega, window_multiplier)
+    return _check_claimed_period(spec, period.period_of(spec).pi)
 
 
-def _check_claimed_period(
-    spec: RingSpec, pi: int, omega: int, window_multiplier: int
-) -> PeriodCheck:
-    failing = _first_mismatch(spec, pi, window_multiplier * omega + 1)
+def _check_claimed_period(spec: RingSpec, pi: int) -> PeriodCheck:
+    failing = _first_mismatch(spec, pi)
     if failing is not None:
         return PeriodCheck(ok=False, failing_distance=pi, failing_index=failing)
     witnesses: dict[int, int] = {}
@@ -63,7 +60,7 @@ def _check_claimed_period(
     for prime, k in prime_factors(pi).items():
         divisors = [d * prime**j for d in divisors for j in range(k + 1)]
     for d in sorted(divisors)[:-1]:  # the proper divisors of pi, ascending
-        witness = _first_mismatch(spec, d, omega)
+        witness = _first_mismatch(spec, d)
         if witness is None:
             return PeriodCheck(ok=False, failing_distance=d,
                                divisor_witnesses=witnesses)
@@ -71,12 +68,12 @@ def _check_claimed_period(
     return PeriodCheck(ok=True, divisor_witnesses=witnesses)
 
 
-def _first_mismatch(spec: RingSpec, d: int, count: int) -> int | None:
-    """Least e < count with phi(e + d) != phi(e), or None.
+def _first_mismatch(spec: RingSpec, d: int) -> int | None:
+    """Least e >= 0 with phi(e + d) != phi(e), or None.
 
     With b = p^e and c = p^(e+d) mod n, both in 0 < b, c < n,
     b(n - b) - c(n - c) = (b - c)(n - b - c), so phi(e + d) == phi(e) exactly
     when c == +-b, that is when p^d == +-1 (mod n), for every e at once: the
     first mismatch is at e = 0 or nowhere.
     """
-    return 0 if count and pow(spec.p, d, spec.n) not in (1, spec.n - 1) else None
+    return 0 if pow(spec.p, d, spec.n) not in (1, spec.n - 1) else None

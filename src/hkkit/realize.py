@@ -14,8 +14,7 @@ from .numtheory import _order_dividing, find_prime_in_class, is_prime, prime_fac
 from .period import PeriodReport, period_of
 
 SEARCH_LIMIT_DEFAULT = 10_000
-__getattr__ = _lazy(__name__, {"realize_census": "_WINDOW _moduli _primes_to "
-                                                  "enumerate_realizations"})
+__getattr__ = _lazy(__name__, {"realize_census": "enumerate_realizations"})
 
 
 class SearchStats(_Value):

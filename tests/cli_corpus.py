@@ -33,14 +33,12 @@ faulty library.  Neither is help, whose layout varies with the Python
 version and the terminal's width.
 """
 
-import contextlib
 import hashlib
-import io
 import math
 import os
 import sys
 
-from hkkit.cli import _INT_TABLE_BITS, LIMITS, main
+from hkkit.cli import _INT_TABLE_BITS, LIMITS, run
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 FORMATS = ("plain", "csv", "json")
@@ -146,24 +144,19 @@ def _digest(text: str) -> str:
 def line(argv: str) -> str:
     """argv's line of the digest file, from one in-process run of main.
 
-    The limit variables are unset for the run.  When argparse reads the argv
-    and exits, only the last line of its stderr, the error, is digested: its
-    usage lines wrap at the terminal's width and their layout varies between
-    Python versions.
+    The limit variables are unset for the run.  When argparse refuses the
+    argv, its stderr starts with `usage: ` and only its last line, the error,
+    is digested: the usage lines wrap at the terminal's width and their layout
+    varies between Python versions.
     """
     saved = {var: os.environ.pop(var) for var, _, _ in LIMITS.values() if var in os.environ}
-    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(expand(argv))
-                stderr = err.getvalue()
-            except SystemExit as exc:
-                code = exc.code
-                stderr = (err.getvalue().splitlines(True) or [""])[-1]
+        code, out, err = run(expand(argv))
     finally:
         os.environ.update(saved)
-    return f"{code} {_digest(out.getvalue())} {_digest(stderr)} {argv}".rstrip(" ")
+    if err.startswith("usage: "):
+        err = err.splitlines(True)[-1]
+    return f"{code} {_digest(out)} {_digest(err)} {argv}".rstrip(" ")
 
 
 if __name__ == "__main__":

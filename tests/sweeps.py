@@ -192,6 +192,8 @@ EXIT_ROWS = [
         "--format json gb --p 2 --n 3 --e 1"]],
     # an argument left over by the command's parser is reported by the top-level one
     ("hkkit gb --p 2 --n 3 --e 1 extra", 2, "top-level usage"),
+    # help, which main returns as exit 0 from argparse's exit
+    *[(f"hkkit {command}", 0, "help") for command in ["--help", "gb --help"]],
     # `=` forms and an abbreviated option, read by the command's parser alone
     ("hkkit gb --p=2 --n=3 --e=1 --form json", 0, "nothing"),
     # the canonical argv is read off the option table, its `=` and abbreviated
@@ -267,6 +269,8 @@ def command_row(row, tally) -> bool:
             "error: internal fault: out of memory"]
     elif want == "usage":
         clean = bool(lines) and "error:" in lines[-1] and "Traceback" not in run.stderr
+    elif want == "help":
+        clean = run.stderr == "" and run.stdout.startswith("usage: hkkit")
     elif want == "top-level usage":
         clean = lines[:1] == ["usage: hkkit [-h] {table,period,realize,verify,gb} ..."]
     elif want == "JSON round trip":
@@ -341,7 +345,7 @@ def library_row(line, tally) -> bool:
 
 INSTALLED = {
     "readme": Sweep("README sweep: {rows} examples, failed {failed}", README_ROWS, command_row, 5),
-    "exits": Sweep("exit-code sweep: {rows} commands, failed {failed}", EXIT_ROWS, command_row, 18),
+    "exits": Sweep("exit-code sweep: {rows} commands, failed {failed}", EXIT_ROWS, command_row, 20),
     "module": Sweep("module sweep: {rows} commands, failed {failed}", MODULE_ROWS, command_row, 3),
     "json": Sweep("JSON sweep: {rows} commands, failed {failed}", JSON_ROWS, command_row, 7),
     "long-table": Sweep("long-table sweep: {rows} command, failed {failed}",

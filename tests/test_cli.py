@@ -14,7 +14,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hkkit.cli
 import hkkit.groebner
@@ -508,14 +508,10 @@ class TestDriver:
         assert first == second
 
     def test_unknown_flag_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["table", "--p", "2", "--n", "5", "--bogus", "1"])
-        assert info.value.code == 2
+        assert main(["table", "--p", "2", "--n", "5", "--bogus", "1"]) == 2
 
     def test_missing_subcommand_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main([])
-        assert info.value.code == 2
+        assert main([]) == 2
 
     def test_negative_emax_is_invalid_input(self, capsys):
         # zero rows must not let verify report a pass it never checked
@@ -668,13 +664,12 @@ class TestDriver:
     def test_only_a_table_past_the_crossover_loads_decimal(self):
         # a table whose q has at most _INT_TABLE_BITS bits walks in ints and never
         # imports decimal, in any format; the first table past it does
-        child = ("import contextlib, io, sys\n"
-                 "from hkkit.cli import _INT_TABLE_BITS, main\n"
+        child = ("import sys\n"
+                 "from hkkit.cli import _INT_TABLE_BITS, run\n"
                  "for emax in (20, _INT_TABLE_BITS, _INT_TABLE_BITS + 1):\n"
                  "    for fmt in ('plain', 'csv', 'json'):\n"
                  "        argv = f'table --p 2 --n 7 --emax {emax} --format {fmt}'.split()\n"
-                 "        with contextlib.redirect_stdout(io.StringIO()):\n"
-                 "            code = main(argv)\n"
+                 "        code = run(argv)[0]\n"
                  "        print(emax, fmt, code, 'decimal' in sys.modules)")
         src = str(Path(hkkit.cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -703,8 +698,7 @@ class TestDriver:
                 assert main(command.split()) == code
                 assert sys.get_int_max_str_digits() == 4300, command.split()[0]
             assert re.search(r"^q +\d{4305}$", capsys.readouterr().out, re.M)
-            with pytest.raises(SystemExit):
-                main(["gb", "--p", "2"])
+            assert main(["gb", "--p", "2"]) == 2
             assert sys.get_int_max_str_digits() == 4300
             monkeypatch.setattr(hkkit.cli, "cmd_period", broken)
             assert main(["period", "--p", "2", "--n", "5"]) == 4
@@ -744,8 +738,7 @@ class TestDriver:
                 f"\n{long},{2**long},{b},{7 * 2**long - b * (7 - b)},{b * (7 - b)}\n")
             assert main("table --p 2 --n 7 --emax -1".split()) == 2
             assert unchanged()
-            with pytest.raises(SystemExit):
-                main(["table", "--p", "2"])
+            assert main(["table", "--p", "2"]) == 2
             assert unchanged()
             monkeypatch.setattr(hkkit.cli, "_rows", broken)
             assert main("table --p 2 --n 7 --emax 3".split()) == 4
@@ -845,7 +838,7 @@ class TestParserReuse:
         assert run(capsys, *argv) == first
         assert seen == ["period"]
 
-    def test_reuse_leaves_no_state_behind(self, capsys, monkeypatch):
+    def test_reuse_leaves_no_state_behind(self, monkeypatch):
         """Every call of a mixed sequence answers as a fresh `python -m hkkit.cli`."""
         verify = ["verify", "--p", "2", "--n", "7", "--emax", "12"]
         sequence = [
@@ -869,18 +862,13 @@ class TestParserReuse:
                 monkeypatch.delenv("HKKIT_QCAP", raising=False)
             else:
                 monkeypatch.setenv("HKKIT_QCAP", qcap)
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse: --help, or rejected arguments
-                code = exc.code
-            captured = capsys.readouterr()
+            ran = hkkit.cli.run(argv)
             fresh = subprocess.run(
                 [sys.executable, "-m", "hkkit.cli", *argv], capture_output=True,
                 text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
             )
-            assert (code, captured.out, captured.err) == (
-                fresh.returncode, fresh.stdout, fresh.stderr), (qcap, argv)
-            codes.append(code)
+            assert ran == (fresh.returncode, fresh.stdout, fresh.stderr), (qcap, argv)
+            codes.append(ran[0])
         assert codes == [2, 0, 0, 2, 0, 0, 2, *[0] * len(EXAMPLES)]
 
 
@@ -905,41 +893,42 @@ class TestParseOnce:
     ]
 
     @staticmethod
-    def outcome(capsys, call, argv):
+    def parse(argv):
+        """argparse's namespace for argv, or its exit code where it prints
+        help or refuses argv."""
         try:
-            code = call(argv)
-        except SystemExit as exc:  # argparse: help, or rejected arguments
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
+            return hkkit.cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
 
-    @staticmethod
-    def parsed_twice(argv):
+    @classmethod
+    def parsed_twice(cls, argv):
         """main's work through the top-level parser, which hands argv[1:] on."""
-        args = hkkit.cli.build_parser().parse_args(argv)
+        args = cls.parse(argv)
+        if isinstance(args, int):
+            return args
         hkkit.cli._resolve_limits(args)
         return getattr(hkkit.cli, f"cmd_{args.command}")(args)
 
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
     def test_same_bytes_as_parsing_twice(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
-        once = self.outcome(capsys, main, argv)
-        assert once == self.outcome(capsys, self.parsed_twice, argv)
+        once = hkkit.cli.run(argv)
+        assert once == (self.parsed_twice(argv), *capsys.readouterr())
         assert once[0] in (0, 2)
 
-    def test_error_cases_read_as_argparse_writes_them(self, capsys):
-        code, out, err = self.outcome(capsys, main, self.ARGVS[3])
+    def test_error_cases_read_as_argparse_writes_them(self):
+        code, out, err = hkkit.cli.run(self.ARGVS[3])
         assert (code, out) == (2, "")
         assert "invalid choice: 'json'" in err
-        code, out, err = self.outcome(capsys, main, self.ARGVS[9])
+        code, out, err = hkkit.cli.run(self.ARGVS[9])
         assert (code, out) == (2, "")
         assert err.splitlines() == [
             "usage: hkkit [-h] {table,period,realize,verify,gb} ...",
             "hkkit: error: unrecognized arguments: extra",
         ]
 
-    def test_top_level_parser_reads_exactly_the_argvs_the_table_refuses(self, capsys,
-                                                                         monkeypatch):
+    def test_top_level_parser_reads_exactly_the_argvs_the_table_refuses(self, monkeypatch):
         parser, seen = hkkit.cli.build_parser(), []
         parse_known_args = parser.parse_known_args
 
@@ -949,7 +938,7 @@ class TestParseOnce:
 
         monkeypatch.setattr(parser, "parse_known_args", recording)
         for argv in self.ARGVS:
-            self.outcome(capsys, main, argv)
+            hkkit.cli.run(argv)
         refused = [argv for argv in self.ARGVS if hkkit.cli._parse_table(argv) is None]
         assert seen == refused
         # all but the repeated --p, which the table reads, keeping the last value
@@ -982,6 +971,20 @@ def command_argvs(draw) -> list[str]:
         argv += [option, draw(fitting | values)]
     return argv + draw(st.lists(options | values | st.builds("{}={}".format, options, values),
                                 max_size=2))
+
+
+@given(st.one_of(command_argvs(), st.sampled_from(TestParseOnce.ARGVS)))
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_returns_every_exit_code(capsys, argv):
+    # help and argparse's refusals included: main returns the code that argparse
+    # exits with, and run captures what the same call writes
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert hkkit.cli.run(argv) == (code, captured.out, captured.err)
+    parsed = TestParseOnce.parse(argv)
+    capsys.readouterr()
+    if isinstance(parsed, int):
+        assert code == parsed
 
 
 class TestOptionTable:

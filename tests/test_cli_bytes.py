@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import hkkit.cli
 import hkkit.period
-from hkkit.cli import _json, _Rows, main
+from hkkit.cli import _json, _Rows, main, run
 from hkkit.closed_form import RingSpec, hk_table, hk_value
 from hkkit.groebner import Q_CAP_DEFAULT
 from hkkit.period import period_of
@@ -317,12 +317,10 @@ def test_csv_output_is_what_csv_writer_writes(command):
     # no cell needs quoting: csv.writer, on any version, writes the rows it reads back
     # byte for byte, each row has the header's width (no stray comma), and every cell
     # is letters, digits, spaces and _^*+;
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(shlex.split(command))
-    assert (code, err.getvalue()) == (0, "")
-    rows = list(csv.reader(io.StringIO(out.getvalue())))
-    assert csv_text(rows) == out.getvalue()
+    code, out, err = run(shlex.split(command))
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert csv_text(rows) == out
     assert {len(row) for row in rows} == {len(rows[0])}
     assert all(re.fullmatch(r"[A-Za-z0-9 _^*+;]+", cell) for row in rows for cell in row)
 
@@ -434,11 +432,9 @@ def rendered_commands(draw) -> str:
 # but 2 and 5 in the last row (b = 49, phi = 46599)
 @example("table --p 3 --n 1000 --emax 10 --format plain")
 def test_stdout_is_the_stdlib_rendering(command):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(shlex.split(command))
-    assert code == 0, err.getvalue()
-    assert out.getvalue() == stdlib_rendering(command)
+    code, out, err = run(shlex.split(command))
+    assert code == 0, err
+    assert out == stdlib_rendering(command)
 
 
 def test_json_splices_table_rows_and_profiles_alike():

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hkkit import groebner
+from hkkit import cli, groebner
 from hkkit.cli import _generators
 from hkkit.closed_form import RingSpec, hk_value
 from hkkit.groebner import (
@@ -945,8 +945,6 @@ class TestPowerBuiltOnce:
 
     def test_gb_command(self, monkeypatch, capsys):
         # the cli reads capped_q off hkkit.groebner, which it loads on first use
-        from hkkit import cli
-
         monkeypatch.setattr(groebner, "capped_q", self.stand_in)
         assert cli.main(["gb", "--p", "2", "--n", "7", "--e", "3", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -956,8 +954,6 @@ class TestPowerBuiltOnce:
     def test_verify_command(self, monkeypatch, capsys):
         # each row's q, from the cli's one capped_q call per row, serves both of
         # its oracle paths: the count below n and the basis check above it
-        from hkkit import cli
-
         built, capped_q = [], groebner.capped_q
 
         def count(p, e, q_cap):
@@ -1210,8 +1206,9 @@ class TestOracleIndependence:
 
 def refuse_all(monkeypatch, names, caller):
     """Set each function in names to raise when called, in every hkkit module
-    that holds it: the general engine's module, where groebner looks each up
-    (so groebner.<name> is the refusal too), and any that imported it."""
+    that holds it: the general engine's module, where groebner looks up each
+    name it serves (so groebner.<name> is the refusal too), and any that
+    imported it."""
     def refuse(name):
         def refused(*args):
             raise AssertionError(f"{caller} called {name}")
@@ -1225,7 +1222,7 @@ def refuse_all(monkeypatch, names, caller):
         refusal = refuse(name)
         for module in holders:
             monkeypatch.setattr(module, name, refusal)
-        assert getattr(groebner, name) is refusal
+        assert getattr(groebner, name, refusal) is refusal
 
 
 class TestOracleTakesTheBinomialPath:
@@ -1259,13 +1256,6 @@ class TestOracleTakesTheBinomialPath:
         assert [(r["oracle"], r["basis_check"], r["pass"]) for r in rows] == [
             (1, None, True), (9, None, True), (41, True, True), (129, True, True),
             (401, True, True)]
-
-
-def cli_run(capsys, argv):
-    from hkkit.cli import main
-
-    code = main(argv.split())
-    return (code, *capsys.readouterr())
 
 
 class TestNoCliPathBuildsPolynomials:
@@ -1312,12 +1302,12 @@ class TestNoCliPathBuildsPolynomials:
         assert [want for argv, want in committed() if line(argv) != want] == []
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    def test_other_commands_keep_their_bytes(self, monkeypatch, capsys, fmt):
-        argvs = [f"{argv} --format {fmt}" for argv in
+    def test_other_commands_keep_their_bytes(self, monkeypatch, fmt):
+        argvs = [f"{argv} --format {fmt}".split() for argv in
                  ("table --p 3 --n 5 --emax 6", "period --p 2 --n 7", "realize --pi 6")]
-        expected = [cli_run(capsys, argv) for argv in argvs]
+        expected = [cli.run(argv) for argv in argvs]
         self.refuse(monkeypatch)
-        assert [cli_run(capsys, argv) for argv in argvs] == expected
+        assert [cli.run(argv) for argv in argvs] == expected
 
 
 class TestPairPrinter:

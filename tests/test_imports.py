@@ -51,16 +51,15 @@ def test_the_oracle_never_loads_the_general_engine():
     # import hkkit.groebner alone, the oracle's library calls and gb and
     # verify load no library-only module; the first FpPoly does
     out = fresh(
-        "import contextlib, io, sys\n"
+        "import sys\n"
         "import hkkit.groebner\n"
         "from hkkit import RingSpec, hk_brute, verify_closed_form_basis\n"
-        "from hkkit.cli import main\n"
+        "from hkkit.cli import run\n"
         "lazy = sorted(m for m in sys.modules if m in sys.argv[1:])\n"
         "hk_brute(RingSpec(3, 5), 4)\n"
         "verify_closed_form_basis(RingSpec(2, 7), 5)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(['gb', '--p', '3', '--n', '5', '--e', '4']),\n"
-        "             main(['verify', '--p', '2', '--n', '7', '--emax', '6'])]\n"
+        "codes = [run(['gb', '--p', '3', '--n', '5', '--e', '4'])[0],\n"
+        "         run(['verify', '--p', '2', '--n', '7', '--emax', '6'])[0]]\n"
         "after = sorted(m for m in sys.modules if m in sys.argv[1:])\n"
         "hkkit.groebner.FpPoly\n"
         "print(lazy, codes, after, sorted(m for m in sys.modules if m in sys.argv[1:]))\n",
@@ -80,15 +79,11 @@ def test_the_oracle_never_loads_the_general_engine():
 def test_each_call_loads_the_oracle_and_argparse_only_where_it_runs_them(argv, code, loaded):
     # import hkkit.cli loads neither; a call loads what it runs, in a new interpreter
     out = fresh(
-        "import contextlib, io, sys\n"
+        "import sys\n"
         "import hkkit.cli\n"
         "watched = ['hkkit.groebner', 'argparse']\n"
         "before = [m for m in watched if m in sys.modules]\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    try:\n"
-        "        code = hkkit.cli.main(sys.argv[1:])\n"
-        "    except SystemExit as exc:  # argparse refused the argv\n"
-        "        code = exc.code\n"
+        "code = hkkit.cli.run(sys.argv[1:])[0]\n"
         "print(before, code, [m for m in watched if m in sys.modules])\n",
         *argv.split())
     assert out == f"[] {code} {loaded}\n"

@@ -10,14 +10,8 @@ import hkkit.period
 import hkkit.period_verify
 from hkkit.closed_form import RingSpec, phi_value
 from hkkit.numtheory import multiplicative_order, prime_factors
-from hkkit.period import (
-    Branch,
-    PeriodCheck,
-    _check_claimed_period,
-    _first_mismatch,
-    period_of,
-    verify_minimal_period,
-)
+from hkkit.period import Branch, PeriodCheck, period_of, verify_minimal_period
+from hkkit.period_verify import _check_claimed_period, _first_mismatch
 
 VALID_SPECS = st.sampled_from(
     [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 40) if n % p != 0]
@@ -193,13 +187,13 @@ class TestVerifyMinimalPeriod:
         check = verify_minimal_period(spec, 2)
         assert time.perf_counter() - start < 0.1
         assert check.ok
-        assert check == _check_claimed_period(spec, 2**62 - 13, 2**63 - 26, 2)
+        assert check == _check_claimed_period(spec, 2**62 - 13)
         assert not hasattr(hkkit.period_verify, "_STEP_BUDGET")
 
     def test_detects_non_period_claim(self):
         # 3 is not a period of the (2, 5) profile 4,6,4,6
         spec = RingSpec(2, 5)
-        check = _check_claimed_period(spec, 3, 4, window_multiplier=4)
+        check = _check_claimed_period(spec, 3)
         assert not check.ok
         assert check.failing_distance == 3
         assert check.failing_index is not None
@@ -208,7 +202,7 @@ class TestVerifyMinimalPeriod:
 
     def test_detects_non_minimal_claim(self):
         # 4 is a period of the (2, 5) profile but not the smallest one
-        check = _check_claimed_period(RingSpec(2, 5), 4, 4, window_multiplier=4)
+        check = _check_claimed_period(RingSpec(2, 5), 4)
         assert not check.ok
         assert check.failing_distance == 2  # divisor with no witness
         assert check.failing_index is None
@@ -250,9 +244,8 @@ class TestVerifyMinimalPeriod:
     def test_matches_pow_per_index_reference(self, p, n, pi, omega):
         spec = RingSpec(p, n)
         for window in (2, 4):
-            assert _check_claimed_period(
-                spec, pi, omega, window
-            ) == check_claimed_period_by_pow(spec, pi, omega, window)
+            assert _check_claimed_period(spec, pi) == check_claimed_period_by_pow(
+                spec, pi, omega, window)
 
     @given(
         VALID_SPECS,
@@ -262,9 +255,8 @@ class TestVerifyMinimalPeriod:
     )
     def test_matches_reference_on_any_claim(self, pn, pi, omega, window):
         spec = RingSpec(*pn)
-        assert _check_claimed_period(
-            spec, pi, omega, window
-        ) == check_claimed_period_by_pow(spec, pi, omega, window)
+        assert _check_claimed_period(spec, pi) == check_claimed_period_by_pow(
+            spec, pi, omega, window)
 
 
 def first_mismatch_by_walk(spec: RingSpec, d: int, count: int) -> int | None:
@@ -287,16 +279,17 @@ NEAR_WORD_LIMIT = st.sampled_from([(2, 2**63 - 1), (2, 2**62 + 1), (3, 2**63 - 1
 
 
 class TestFirstMismatch:
-    """_first_mismatch decides at e = 0 what the walk over count indices finds."""
+    """_first_mismatch decides at e = 0 what the walk over any count >= 1 of
+    indices finds."""
 
     @given(st.one_of(WIDER_SPECS, NEAR_WORD_LIMIT), st.integers(1, 10**6),
-           st.integers(0, 64), st.booleans())
+           st.integers(1, 64), st.booleans())
     def test_matches_the_walk(self, pn, d, count, onto_a_period):
         spec = RingSpec(*pn)
         pi = period_of(spec).pi
         if onto_a_period and pi <= d:  # a multiple of pi, where phi never mismatches
             d -= d % pi
-        assert _first_mismatch(spec, d, count) == first_mismatch_by_walk(spec, d, count)
+        assert _first_mismatch(spec, d) == first_mismatch_by_walk(spec, d, count)
 
 
 def check_claimed_period_by_scan(
@@ -326,7 +319,7 @@ class TestDivisorsFromFactors:
 
     @staticmethod
     def assert_same(spec, pi, omega, window):
-        got = _check_claimed_period(spec, pi, omega, window)
+        got = _check_claimed_period(spec, pi)
         want = check_claimed_period_by_scan(spec, pi, omega, window)
         assert got == want
         assert list(got.divisor_witnesses) == list(want.divisor_witnesses)
@@ -337,8 +330,7 @@ class TestDivisorsFromFactors:
             spec = RingSpec(p, n)
             report = period_of(spec)
             assert self.assert_same(spec, report.pi, report.omega, 2).ok
-            assert verify_minimal_period(spec, 2) == _check_claimed_period(
-                spec, report.pi, report.omega, 2)
+            assert verify_minimal_period(spec, 2) == _check_claimed_period(spec, report.pi)
 
     def test_multiples_fail_at_the_first_divisor(self):
         # k*pi is a period; of its divisors, the true pi is the first that is one

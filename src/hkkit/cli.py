@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from .closed_form import Q_CAP_DEFAULT, HKRecord, RingSpec, _rows, _Value, hk_value
 from . import period
 from .period import PeriodReport, period_of
-from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, realize
+from .realize import SEARCH_LIMIT_DEFAULT, SearchExhausted, SearchStats, realize
 
 # Limit options: dest -> (env variable, default, help); flag > env > default.
 LIMITS = {
@@ -86,14 +86,15 @@ def _cell(value, sep: str) -> str:
 
 
 class _Rows(_Value):
-    """Tuples whose _fields name their cells, which _json writes as a list of
-    sorted-key objects: one row template, filled over all rows by one % call.
-    Cells are ints, integral Decimals, and JSON literals given as their text."""
+    """Records, tuples whose cells fields names in order, which _json writes as
+    a list of sorted-key objects: one row template, filled over all rows by
+    one % call.  Cells are ints, integral Decimals, and JSON literals given as
+    their text."""
 
-    __match_args__ = ("records",)
+    __match_args__ = ("fields", "records")
 
-    def __init__(self, records: Sequence[tuple]) -> None:
-        self.__dict__["records"] = records
+    def __init__(self, fields: Sequence[str], records: Sequence[tuple]) -> None:
+        self.__dict__["fields"], self.__dict__["records"] = fields, records
 
 
 def _json(doc) -> str:
@@ -101,8 +102,8 @@ def _json(doc) -> str:
     phi_profile list (cut as _cell cuts it), each _Rows as its list of objects
     and each range as its list, written by one walk into one list of pieces
     that is joined once.
-    Keys are str and values str, int, bool, None, dict, list, range, tuple (of
-    strs or int pairs), PeriodReport or _Rows; others raise json's TypeError."""
+    Keys are str and values str, int, bool, None, dict, list, range,
+    PeriodReport or _Rows; others (a tuple too) raise json's TypeError."""
     global _quote
     if _quote is None:
         from json.encoder import encode_basestring_ascii as _quote
@@ -139,19 +140,14 @@ def _write(obj, pad: str, out: list) -> None:
         out[-1] = pad + "]" if obj else "[]"
     else:  # a flat list, rendered whole
         inner = pad + "  "
-        if isinstance(obj, (range, tuple)):
-            item, values = "%d", obj
-            if obj and isinstance(obj[0], str):
-                item, values = "%s", map(_quote, obj)
-            elif obj and isinstance(obj[0], tuple):
-                item, values = f"[{inner}  %d,{inner}  %d{inner}]", chain.from_iterable(obj)
+        if isinstance(obj, range):
             # the template's size is checked before anything is built: a range
             # too long to list fails at once, with no memory taken
-            text = ("," + inner).join([item] * len(obj)) % tuple(values)
+            text = ("," + inner).join(["%d"] * len(obj)) % tuple(obj)
         elif isinstance(obj, PeriodReport):
             text = _cell(obj, "," + inner)
         elif isinstance(obj, _Rows):
-            fields = obj.records[0]._fields
+            fields = obj.fields
             keys = sorted(fields)
             row = "{" + ",".join([f"{inner}  {_quote(k)}: %s" for k in keys]) + inner + "}"
             values = chain.from_iterable(map(itemgetter(*map(fields.index, keys)), obj.records))
@@ -234,7 +230,7 @@ def cmd_table(args: _Args) -> int:
         with decimal.localcontext(_EXACT):
             records = _rows(spec, args.emax, decimal.Decimal(1))
     doc = {"p": spec.p, "n": spec.n}
-    _emit(args.format, lambda: {**doc, "rows": _Rows(records)},
+    _emit(args.format, lambda: {**doc, "rows": _Rows(HKRecord._fields, records)},
           lambda: [HKRecord._fields, *records])
     return 0
 
@@ -250,8 +246,7 @@ def cmd_realize(args: _Args) -> int:
     result = realize(args.pi, args.nlimit, args.plimit)
     spec = {"p": result.spec.p, "n": result.spec.n}
     report = _report(result.report)
-    stats = {"n_candidates": result.search_stats.n_candidates,
-             "p_candidates": result.search_stats.p_candidates}
+    stats = {k: getattr(result.search_stats, k) for k in SearchStats.__match_args__}
     doc = {"target_pi": result.target_pi, "spec": spec,
            "residue_used": result.residue_used, "search_stats": stats}
     brief = {k: report[k] for k in ("omega", "pi", "branch")}
@@ -263,10 +258,8 @@ def cmd_realize(args: _Args) -> int:
     return 0
 
 
-class _Check(tuple):  # a verify row: no namedtuple field can be `pass`
-    _fields = ("e", "q", "closed_form", "oracle", "basis_check", "pass")
-
-
+# a verify row's fields: a tuple, as no namedtuple field can be `pass`
+_VERIFY_FIELDS = ("e", "q", "closed_form", "oracle", "basis_check", "pass")
 # verify by format: the basis column's name, its cells, and the status cells
 _STATUS = {True: "PASS", False: "FAIL"}
 _VERIFY_CELLS = {"plain": ("basis", {None: "-", True: "ok", False: "FAIL"}, _STATUS),
@@ -301,8 +294,8 @@ def cmd_verify(args: _Args) -> int:
     # only JSON lists every skipped e; plain and csv print the range's ends
     _emit(args.format, lambda: {"p": spec.p, "n": spec.n, "q_cap": args.qcap,
                                 "all_pass": all_pass, "skipped_e": skipped,
-                                "rows": _Rows([*map(_Check, rows)])},
-          lambda: [(*_Check._fields[:4], name, "status"), *rows])
+                                "rows": _Rows(_VERIFY_FIELDS, rows)},
+          lambda: [(*_VERIFY_FIELDS[:4], name, "status"), *rows])
     return 0 if all_pass else 1
 
 
@@ -330,7 +323,7 @@ def cmd_gb(args: _Args) -> int:
         return text % (*head.values(), staircase, *gens)
 
     _emit(args.format,
-          lambda: {**head, "generators": tuple(gens), "staircase": tuple([g[0] for g in basis])},
+          lambda: {**head, "generators": gens, "staircase": [[*lead] for lead, _ in basis]},
           lambda: [("generator", "lead_i", "lead_j"), *[(g, *m) for g, (m, _) in zip(gens, basis)]],
           plain)
     return 0

@@ -24,9 +24,9 @@ class FpPoly:
     each coefficient mod p.  Stored coefficients are least nonnegative
     representatives in [1, p-1]; the zero polynomial is the empty map.
     Instances are immutable by convention, so the leading term is found on
-    its first read and kept.  The operations are the ones the oracle uses:
-    leading_term, subtraction, mul_monomial, monic, equality and str; there
-    is no addition, product or hash.
+    its first read and kept.  The operations are the ones buchberger,
+    s_polynomial and reduce use: leading_term, subtraction, mul_monomial,
+    monic, equality and str; there is no addition, product or hash.
     """
 
     __slots__ = ("p", "terms", "_lead")

@@ -4,14 +4,12 @@ import decimal
 import io
 import json
 import math
-import os
 import re
+import resource
 import shlex
-import subprocess
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -22,6 +20,7 @@ from hkkit.cli import main
 from hkkit.closed_form import HKRecord, RingSpec
 from hkkit.groebner import PairBudgetExceededError
 from hkkit.period import Branch, PeriodReport
+from measure import child, fresh, peak_rss, traced
 from test_cli_bytes import EXAMPLES, lifted_digit_limit
 
 # modules that a call pays to import but that no CLI path needs at start-up:
@@ -123,7 +122,8 @@ class TestTable:
                 decimals = rows(spec, emax, decimal.Decimal(1))
             outs = []
             for records in (rows(spec, emax, 1), decimals):
-                hkkit.cli._emit(fmt, lambda: {"p": p, "n": 7, "rows": hkkit.cli._Rows(records)},
+                hkkit.cli._emit(fmt, lambda: {"p": p, "n": 7,
+                                              "rows": hkkit.cli._Rows(HKRecord._fields, records)},
                                 lambda: [HKRecord._fields, *records])
                 outs.append(capsys.readouterr().out)
             code, out, err = run(capsys, "table", "--p", str(p), "--n", "7",
@@ -183,12 +183,7 @@ class TestPeriod:
         # the traced peak was 117 MB (json) and 126 MB (csv), 55 MB from one
         # rendered cycle, and is 53 MB (json) and 51 MB (csv) with the cycle
         # rendered by one % call
-        tracemalloc.start()
-        try:
-            code = main(["period", "--p", "2", "--n", "1000003", "--format", fmt])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, _, peak = traced(main, ["period", "--p", "2", "--n", "1000003", "--format", fmt])
         assert code == 0
         assert peak < 80 * 10**6
         assert len(capsys.readouterr().out) > 10**7
@@ -369,17 +364,9 @@ class TestVerify:
     @pytest.mark.parametrize("fmt", ["plain", "csv"])
     def test_skipped_range_is_never_listed_outside_json(self, capsys, fmt):
         # a list of every skipped e would hold 10^9 entries, about 40 GB
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            code, out, err = run(
-                capsys, "verify", "--p", "2", "--n", "5", "--emax", "1000000000",
-                "--format", fmt,
-            )
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out, err), elapsed, peak = traced(
+            run, capsys, "verify", "--p", "2", "--n", "5", "--emax", "1000000000",
+            "--format", fmt)
         assert code == 0
         assert peak < 10**6
         assert len(out.splitlines()) == 11  # header and rows e = 0..9
@@ -453,14 +440,9 @@ class TestGb:
 
     def test_huge_exponent_fails_fast_without_building_q(self, capsys):
         # 2^100000000000 would take 12.5 GB
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            code, out, err = run(capsys, "gb", "--p", "2", "--n", "5", "--e", "100000000000")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert time.perf_counter() - start < 1
+        (code, out, err), elapsed, peak = traced(
+            run, capsys, "gb", "--p", "2", "--n", "5", "--e", "100000000000")
+        assert elapsed < 1
         assert peak < 10**6
         assert code == 2
         assert out == ""
@@ -567,28 +549,10 @@ class TestDriver:
 
     def test_a_csv_profile_peaks_as_the_plain_one_does(self):
         # _emit drops the rows, whose one cell is as long as the text, before it
-        # writes: the CSV text was held three times at once, 131 MB against 92.
-        # Each child reads its own ru_maxrss, with stdout to /dev/null; it is
-        # spawned by a small launcher, as a child's ru_maxrss starts at its
-        # spawner's high-water mark
-        child = ("import resource, sys\n"
-                 "from hkkit.cli import main\n"
-                 "code = main(sys.argv[1:])\n"
-                 "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
-        launcher = ("import subprocess, sys\n"
-                    "for fmt in ('plain', 'csv'):\n"
-                    "    argv = ['period', '--p', '3', '--n', str(2**63 - 25), '--format', fmt]\n"
-                    "    done = subprocess.run([sys.executable, '-c', sys.argv[1], *argv],\n"
-                    "                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,\n"
-                    "                          text=True, timeout=60)\n"
-                    "    print(done.stderr, end='')\n")
-        src = str(Path(hkkit.cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", launcher, child], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
-        assert (done.returncode, done.stderr) == (0, "")
-        (plain_code, plain), (csv_code, csv) = [map(int, line.split())
-                                                 for line in done.stdout.splitlines()]
+        # writes: the CSV text was held three times at once, 131 MB against 92
+        (plain_code, plain), (csv_code, csv) = [
+            peak_rss("-m", "hkkit.cli", "period", "--p", "3", "--n", str(2**63 - 25),
+                     "--format", fmt) for fmt in ("plain", "csv")]
         assert (plain_code, csv_code) == (0, 0)
         assert csv <= 1.05 * plain, (plain, csv)
 
@@ -631,15 +595,12 @@ class TestDriver:
         # JSON lists every skipped e, and a template of 10^12 "%d"s asks
         # malloc for about 8 TB; the child limits its own address space to
         # 1 GiB, so the request fails there whatever this machine's memory
-        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
-                 "from hkkit.cli import main; sys.exit(main(sys.argv[1:]))")
-        src = str(Path(hkkit.cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         argv = "verify --p 2 --n 5 --emax 1000000000000 --format json".split()
-        done = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
-        assert (done.returncode, done.stdout) == (4, "")
-        assert done.stderr.splitlines() == [
+        limit = resource.getrlimit(resource.RLIMIT_AS)
+        code, out, err = child("-m", "hkkit.cli", *argv, address_space=2**30)
+        assert resource.getrlimit(resource.RLIMIT_AS) == limit  # this process's is unchanged
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
             "skipped e = 10..1000000000000: q = p^e exceeds the oracle cap 512",
             "error: internal fault: out of memory",
         ]
@@ -648,14 +609,11 @@ class TestDriver:
         # every hkkit call pays for what importing the CLI loads: see NOT_AT_STARTUP.
         # The oracle loads with the first gb or verify call (bench/trace.py
         # imports it itself); every other hkkit module loads here
-        child = ("import sys; before = set(sys.modules); import hkkit.cli; "
-                 "hkkit.cli.build_parser(); print(*sorted(set(sys.modules) - before))")
-        src = str(Path(hkkit.cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
-        loaded = done.stdout.split()
-        assert done.returncode == 0 and "hkkit.cli" in loaded, done.stderr
+        code, out, err = child("-c", "import sys; before = set(sys.modules); import hkkit.cli; "
+                               "hkkit.cli.build_parser(); "
+                               "print(*sorted(set(sys.modules) - before))")
+        loaded = out.split()
+        assert code == 0 and "hkkit.cli" in loaded, err
         assert not NOT_AT_STARTUP & set(loaded), loaded
         assert "hkkit.groebner" not in loaded
         assert {f"hkkit.{m}" for m in ("numtheory", "closed_form", "period", "realize",
@@ -664,20 +622,15 @@ class TestDriver:
     def test_only_a_table_past_the_crossover_loads_decimal(self):
         # a table whose q has at most _INT_TABLE_BITS bits walks in ints and never
         # imports decimal, in any format; the first table past it does
-        child = ("import sys\n"
-                 "from hkkit.cli import _INT_TABLE_BITS, run\n"
-                 "for emax in (20, _INT_TABLE_BITS, _INT_TABLE_BITS + 1):\n"
-                 "    for fmt in ('plain', 'csv', 'json'):\n"
-                 "        argv = f'table --p 2 --n 7 --emax {emax} --format {fmt}'.split()\n"
-                 "        code = run(argv)[0]\n"
-                 "        print(emax, fmt, code, 'decimal' in sys.modules)")
-        src = str(Path(hkkit.cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        out = fresh("import sys\n"
+                    "from hkkit.cli import _INT_TABLE_BITS, run\n"
+                    "for emax in (20, _INT_TABLE_BITS, _INT_TABLE_BITS + 1):\n"
+                    "    for fmt in ('plain', 'csv', 'json'):\n"
+                    "        argv = f'table --p 2 --n 7 --emax {emax} --format {fmt}'.split()\n"
+                    "        code = run(argv)[0]\n"
+                    "        print(emax, fmt, code, 'decimal' in sys.modules)")
         bits = hkkit.cli._INT_TABLE_BITS
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines() == [
+        assert out.splitlines() == [
             f"{emax} {fmt} 0 {emax > bits}" for emax in (20, bits, bits + 1)
             for fmt in ("plain", "csv", "json")]
 
@@ -854,8 +807,6 @@ class TestParserReuse:
         # help text wraps at the terminal width, and its layout varies by Python
         # version, so it is pinned against the same interpreter, not literal bytes
         monkeypatch.setenv("COLUMNS", "80")
-        src = str(Path(hkkit.cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         codes = []
         for qcap, argv in sequence:
             if qcap is None:
@@ -863,11 +814,7 @@ class TestParserReuse:
             else:
                 monkeypatch.setenv("HKKIT_QCAP", qcap)
             ran = hkkit.cli.run(argv)
-            fresh = subprocess.run(
-                [sys.executable, "-m", "hkkit.cli", *argv], capture_output=True,
-                text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-            )
-            assert ran == (fresh.returncode, fresh.stdout, fresh.stderr), (qcap, argv)
+            assert ran == child("-m", "hkkit.cli", *argv), (qcap, argv)
             codes.append(ran[0])
         assert codes == [2, 0, 0, 2, 0, 0, 2, *[0] * len(EXAMPLES)]
 

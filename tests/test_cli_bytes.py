@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 import hkkit.cli
 import hkkit.period
 from hkkit.cli import _json, _Rows, main, run
-from hkkit.closed_form import RingSpec, hk_table, hk_value
+from hkkit.closed_form import HKRecord, RingSpec, hk_table, hk_value
 from hkkit.groebner import Q_CAP_DEFAULT
 from hkkit.period import period_of
 from hkkit.realize import realize
@@ -332,6 +332,8 @@ def test_json_splices_every_profile_and_refuses_other_types():
          "b": [list(full.phi_profile), {"c": list(half.phi_profile)}]})
     with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
         _json({"a": half, "x": Fraction(1, 2)})
+    with pytest.raises(TypeError, match="tuple is not JSON serializable"):
+        _json({"a": half, "x": (1, 2)})
 
 
 def plain_json(doc):
@@ -440,10 +442,12 @@ def test_stdout_is_the_stdlib_rendering(command):
 def test_json_splices_table_rows_and_profiles_alike():
     # both marks, at two depths, rendered by the one splice loop
     report, records = period_of(RingSpec(3, 7)), hk_table(RingSpec(3, 1000), 10)
-    doc = {"rows": _Rows(records), "z": [{"profile": report, "rows": _Rows(records[:1])}]}
+    fields = HKRecord._fields
+    doc = {"rows": _Rows(fields, records),
+           "z": [{"profile": report, "rows": _Rows(fields, records[:1])}, _Rows(fields, [])]}
     assert _json(doc) == canonical({
         "rows": [r._asdict() for r in records],
-        "z": [{"profile": list(report.phi_profile), "rows": [records[0]._asdict()]}],
+        "z": [{"profile": list(report.phi_profile), "rows": [records[0]._asdict()]}, []],
     })
 
 

@@ -13,8 +13,6 @@ never edits, still finds and restores everything it wraps.
 
 import ast
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -22,20 +20,12 @@ import pytest
 
 import hkkit
 import hkkit.cli
+from measure import fresh
 from test_cli import NOT_AT_STARTUP
 
 SRC = Path(hkkit.__file__).resolve().parents[1]
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 LAZY = {name for name in NOT_AT_STARTUP if name.startswith("hkkit.")}
-
-
-def fresh(code: str, *argv: str) -> str:
-    """stdout of code run in a new interpreter with hkkit from the checkout."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
-    assert (done.returncode, done.stderr) == (0, ""), done.stderr
-    return done.stdout
 
 
 def traced_pairs() -> list[tuple[str, str]]:

@@ -1,6 +1,5 @@
 import math
 import time
-import tracemalloc
 from collections.abc import Mapping
 
 import pytest
@@ -12,6 +11,7 @@ from hkkit.closed_form import RingSpec, phi_value
 from hkkit.numtheory import multiplicative_order, prime_factors
 from hkkit.period import Branch, PeriodCheck, period_of, verify_minimal_period
 from hkkit.period_verify import _check_claimed_period, _first_mismatch
+from measure import traced
 
 VALID_SPECS = st.sampled_from(
     [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 40) if n % p != 0]
@@ -209,12 +209,7 @@ class TestVerifyMinimalPeriod:
 
     def test_builds_no_profile(self):
         # period_of used to build the 100002-entry profile and drop it
-        tracemalloc.start()
-        try:
-            check = verify_minimal_period(RingSpec(2, 100003), 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        check, _, peak = traced(verify_minimal_period, RingSpec(2, 100003), 2)
         assert check.ok
         assert peak < 10**6
 

@@ -2,7 +2,6 @@ import importlib
 import math
 import sys
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +16,7 @@ from hkkit.realize import (
     enumerate_realizations,
     realize,
 )
+from measure import traced
 from test_numtheory import naive_order
 
 
@@ -154,14 +154,7 @@ class TestRealize:
 
     def test_large_period_builds_no_profile(self):
         # building the 10^7-entry phi_profile took 0.89 s and a 324 MB peak
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            result = realize(5 * 10**6, 10**12, 10**12)
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, elapsed, peak = traced(realize, 5 * 10**6, 10**12, 10**12)
         assert elapsed < 0.1
         assert peak < 10**6
         assert result.spec == RingSpec(7, 30000001)
@@ -335,12 +328,7 @@ class TestEnumerateRealizations:
     def test_sweep_memory_is_not_linear_in_n_limit(self):
         # one window of 2^14 moduli at a time: about 4.5 MB traced at any
         # n_limit; one window over all 2*10^5 moduli peaks at about 33 MB
-        tracemalloc.start()
-        try:
-            results = enumerate_realizations(6, 2 * 10**5, 3, 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        results, _, peak = traced(enumerate_realizations, 6, 2 * 10**5, 3, 10**6)
         assert peak < 8 * 10**6
         assert len(results) == 15
 

@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from hkkit.cli import _Rows
-from hkkit.closed_form import RingSpec, hk_table
+from hkkit.closed_form import HKRecord, RingSpec, hk_table
 from hkkit.groebner import (
     BasisCheck,
     GroebnerBasis,
@@ -48,7 +48,8 @@ CASES = {
                   "computed_staircase", "q", "b"),
                  tuple(getattr(CHECK, f) for f in CHECK.__match_args__),
                  (*(getattr(CHECK, f) for f in CHECK.__match_args__[:-1]), 4), True),
-    _Rows: (("records",), (tuple(hk_table(SPEC, 3)),), (tuple(hk_table(SPEC, 2)),), True),
+    _Rows: (("fields", "records"), (HKRecord._fields, tuple(hk_table(SPEC, 3))),
+            (HKRecord._fields, tuple(hk_table(SPEC, 2))), True),
 }
 FROZEN = [cls for cls in CASES if cls is not SearchStats]
 TYPES = pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)

@@ -27,27 +27,28 @@ from .numtheory import (
 )
 from .period import (
     Branch,
+    PeriodCheck,
     PeriodReport,
     period_of,
+    verify_minimal_period,
 )
 from .realize import (
     RealizationResult,
     SearchExhausted,
     SearchStats,
+    enumerate_realizations,
     realize,
 )
 
 __version__ = "0.1.0"
 
-# the oracle, which only gb and verify run, and library-only code, which no
+# the oracle, which only gb and verify run, and the general engine, which no
 # command runs, are imported on first use
 __getattr__ = _lazy(__name__, {
     "groebner": "BasisCheck Monomial PairBudgetExceededError QCapExceededError "
                 "count_under_staircase hk_brute verify_closed_form_basis",
     "groebner_general": "CharacteristicMismatchError FpPoly GroebnerBasis buchberger "
                         "frobenius_power_generators s_polynomial",
-    "period_verify": "PeriodCheck verify_minimal_period",
-    "realize_census": "enumerate_realizations",
 })
 
 __all__ = [

@@ -66,14 +66,17 @@ def _lazy(owner: str, modules: dict[str, str]):
     """A module __getattr__ (PEP 562) for owner: each name listed under a module
     comes from hkkit.<module>, imported on first use.  Nothing is cached, so a
     name rebound there (as by bench/trace.py) shows through; and as the module
-    may load while names are rebound, it looks up is_prime and period_of per call."""
+    may load while names are rebound, it looks up per call what it borrows."""
     where = {name: f"hkkit.{m}" for m, names in modules.items() for name in names.split()}
 
     def __getattr__(name: str):
         if name not in where:
             raise AttributeError(f"module {owner!r} has no attribute {name!r}")
-        __import__(where[name])
-        return getattr(sys.modules[where[name]], name)
+        module = sys.modules.get(where[name])
+        if module is None:  # first use
+            __import__(where[name])
+            module = sys.modules[where[name]]
+        return getattr(module, name)
 
     return __getattr__
 

@@ -142,20 +142,21 @@ def is_prime(m: int) -> bool:
     Trial division by the primes through 41, then Miller-Rabin on the first
     k primes, the least k that A014233 proves exact for m: one base below
     2047, four below 3.2e9, all 13 below ~3.3e24 (well past 2**64).  m < 2
-    is not prime.  Inputs past the certified bound raise rather than
-    silently degrade to a probabilistic answer, and a non-integer m raises
+    is not prime.  Trial division answers every m with a prime factor up to
+    41, however large; any other m past the certified bound raises rather
+    than silently degrade to a probabilistic answer.  A non-integer m raises
     TypeError, as math.isqrt does.
     """
     m = operator.index(m)
-    if m >= _MR_CERTIFIED_BOUND:
-        raise ValueError(
-            f"{m} exceeds the certified deterministic range ({_MR_CERTIFIED_BOUND})"
-        )
     if m < 2:
         return False
     for w in _MR_WITNESSES:
         if m % w == 0:
             return m == w
+    if m >= _MR_CERTIFIED_BOUND:
+        raise ValueError(
+            f"{m} exceeds the certified deterministic range ({_MR_CERTIFIED_BOUND})"
+        )
     if m < 41 * 41:  # no prime factor up to 41, so none at all
         return True
     d, s = m - 1, 0

@@ -305,8 +305,10 @@ def command_row(row, tally) -> bool:
 # start-up: the installed script imports none of the modules hkkit loads only
 # where it needs them, NOT_AT_STARTUP, nor argparse, which only a refused argv
 # needs; the oracle, hkkit.groebner, loads for gb alone (the import list is
-# what -X importtime writes to stderr, site's imports included)
-STARTUP_ROWS = [("period --p 2 --n 5", ()), ("gb --p 2 --n 5 --e 3", ("hkkit.groebner",))]
+# what -X importtime writes to stderr, site's imports included).  realize runs
+# in plain format, since --format json loads json, which NOT_AT_STARTUP lists
+STARTUP_ROWS = [("period --p 2 --n 5", ()), ("realize --pi 6", ()),
+                ("gb --p 2 --n 5 --e 3", ("hkkit.groebner",))]
 
 
 def startup_row(row, tally) -> bool:
@@ -354,7 +356,7 @@ INSTALLED = {
                           LONG_PROFILE_ROWS, command_row, 3),
     "csv": Sweep("CSV sweep: {rows} commands, failed {failed}", CSV_ROWS, command_row, 5),
     "startup": Sweep("start-up sweep: {rows} commands, failed {failed}",
-                     STARTUP_ROWS, startup_row, 2),
+                     STARTUP_ROWS, startup_row, 3),
     "library": Sweep("library sweep: {tally[checked]} README lines checked, failed {failed}",
                      LIBRARY_ROWS, library_row, 5, "checked"),
 }

@@ -26,9 +26,8 @@ from test_cli_bytes import EXAMPLES, lifted_digit_limit
 # modules that a call pays to import but that no CLI path needs at start-up:
 # dataclasses (with inspect), json and decimal, imported only on the paths
 # that use them (a frozen-field error, a JSON document, a long table), and
-# hkkit's library-only modules, imported on the first use of their names
-NOT_AT_STARTUP = frozenset({"dataclasses", "inspect", "json", "decimal", "hkkit.groebner_general",
-                            "hkkit.period_verify", "hkkit.realize_census"})
+# hkkit's general Buchberger engine, imported on the first use of its names
+NOT_AT_STARTUP = frozenset({"dataclasses", "inspect", "json", "decimal", "hkkit.groebner_general"})
 
 
 def run(capsys, *argv):
@@ -176,6 +175,13 @@ class TestPeriod:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_composite_characteristic_past_certified_range_is_not_prime(self, capsys):
+        # 3 divides this p, one past the certified primality bound: trial
+        # division answers it, so it is refused as composite, not as too large
+        code, out, err = run(capsys, "period", "--p", "3317044064679887385961983", "--n", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: p must be prime, got p=3317044064679887385961983\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_large_profile_prints_in_bounded_memory(self, capsys, fmt):

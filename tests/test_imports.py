@@ -1,14 +1,15 @@
 """Import contracts: which modules a call loads, and where each name lives.
 
-Library-only code (the general Buchberger engine, verify_minimal_period,
-enumerate_realizations) lives in modules that hkkit, hkkit.groebner,
-hkkit.period and hkkit.realize import on the first use of one of their names
-(PEP 562), so importing the CLI never compiles it.  The oracle, hkkit.groebner,
-loads with the first gb or verify call or the first use of one of its names
-on hkkit, and argparse with the first argv that the CLI's own reader refuses.
-These tests pin that the CLI path stays clear of them, that every import path
-still reaches every name, and that bench/trace.py, which this file reads but
-never edits, still finds and restores everything it wraps.
+The general Buchberger engine, which no command runs, lives in a module that
+hkkit and hkkit.groebner import on the first use of one of its names (PEP 562),
+so importing the CLI never compiles it.  verify_minimal_period and
+enumerate_realizations live in hkkit.period and hkkit.realize, which load with
+the CLI.  The oracle, hkkit.groebner, loads with the first gb or verify call or
+the first use of one of its names on hkkit, and argparse with the first argv
+that the CLI's own reader refuses.  These tests pin that the CLI path stays
+clear of them, that every import path still reaches every name, and that
+bench/trace.py, which this file reads but never edits, still finds and
+restores everything it wraps.
 """
 
 import ast
@@ -39,7 +40,7 @@ def traced_pairs() -> list[tuple[str, str]]:
 
 def test_the_oracle_never_loads_the_general_engine():
     # import hkkit.groebner alone, the oracle's library calls and gb and
-    # verify load no library-only module; the first FpPoly does
+    # verify never load the general engine; the first FpPoly does
     out = fresh(
         "import sys\n"
         "import hkkit.groebner\n"
@@ -114,13 +115,21 @@ def test_every_traced_name_resolves_after_the_cli_import():
 
 
 def test_the_tracer_leaves_no_wrapper_behind():
-    # Tracer.install() loads the library-only modules while it is rebinding
-    # names; uninstall() must still leave every hkkit module as it found it
+    # Tracer.install() loads the general engine while it is rebinding names;
+    # uninstall() must still leave every hkkit module as it found it.  The
+    # period check and the census are defined, with no PEP 562 hook, in the
+    # modules whose period_of and is_prime they call, so the tracer wraps
+    # those calls and puts the originals back
     out = fresh(
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import hkkit, hkkit.cli\n"
         "import trace\n"
+        "period, realize = hkkit.period, sys.modules['hkkit.realize']\n"
+        "print(sorted({'PeriodCheck', 'verify_minimal_period'} & vars(period).keys()),\n"
+        "      'enumerate_realizations' in vars(realize),\n"
+        "      [hasattr(m, '__getattr__') for m in (period, realize)])\n"
+        "originals = period.period_of, realize.is_prime\n"
         "def wrappers():\n"
         "    return sorted(f'{k}.{a}' for k, m in list(sys.modules.items())\n"
         "                  if k.startswith('hkkit') for a, v in vars(m).items()\n"
@@ -128,12 +137,15 @@ def test_the_tracer_leaves_no_wrapper_behind():
         "                  == trace.__file__)\n"
         "tracer = trace.Tracer()\n"
         "tracer.install()\n"
-        "during = len(wrappers())\n"
+        "during = wrappers()\n"
         "tracer.uninstall()\n"
         "init = hkkit.groebner.FpPoly.__init__\n"
-        "print(during > 0, wrappers(), init.__code__.co_filename == trace.__file__)\n",
+        "print({'hkkit.period.period_of', 'hkkit.realize.is_prime'} <= set(during),\n"
+        "      wrappers(), init.__code__.co_filename == trace.__file__,\n"
+        "      [f is g for f, g in zip((period.period_of, realize.is_prime), originals)])\n",
         str(BENCH))
-    assert out == "True [] False\n"
+    assert out == ("['PeriodCheck', 'verify_minimal_period'] True [False, False]\n"
+                   "True [] False [True, True]\n")
 
 
 def test_every_public_name_is_one_object_on_every_path():
@@ -153,7 +165,7 @@ def test_every_public_name_is_one_object_on_every_path():
 
 def test_realize_stays_the_function():
     # the package attribute hkkit.realize is the function, not its module,
-    # after the module is imported by name and after the census is loaded
+    # after the module is imported by name and after the census runs
     out = fresh(
         "import hkkit.realize, hkkit.cli\n"
         "import hkkit\n"

@@ -300,10 +300,14 @@ class TestIsPrime:
             assert is_prime(m) == _thirteen_witness_prime(m), m
 
     def test_refuses_beyond_certified_range(self):
+        # the bound is 1287836182261 * 2575672364521, with no factor up to 41,
+        # and 2^89 - 1 is prime: both are left to Miller-Rabin, which refuses
         with pytest.raises(ValueError):
             is_prime(_MR_CERTIFIED_BOUND)
         with pytest.raises(ValueError):
-            is_prime(_MR_CERTIFIED_BOUND + 2)
+            is_prime(2**89 - 1)
+        # trial division answers a composite past the bound: 3 divides this one
+        assert is_prime(_MR_CERTIFIED_BOUND + 2) is False
         # just below the bound is still answered (even, so composite)
         assert not is_prime(_MR_CERTIFIED_BOUND - 1)
 

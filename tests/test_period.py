@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hkkit.period
-import hkkit.period_verify
 from hkkit.closed_form import RingSpec, phi_value
 from hkkit.numtheory import multiplicative_order, prime_factors
-from hkkit.period import Branch, PeriodCheck, period_of, verify_minimal_period
-from hkkit.period_verify import _check_claimed_period, _first_mismatch
+from hkkit.period import (Branch, PeriodCheck, _check_claimed_period, _first_mismatch, period_of,
+                          verify_minimal_period)
 from measure import traced
 
 VALID_SPECS = st.sampled_from(
@@ -188,7 +187,7 @@ class TestVerifyMinimalPeriod:
         assert time.perf_counter() - start < 0.1
         assert check.ok
         assert check == _check_claimed_period(spec, 2**62 - 13)
-        assert not hasattr(hkkit.period_verify, "_STEP_BUDGET")
+        assert not hasattr(hkkit.period, "_STEP_BUDGET")
 
     def test_detects_non_period_claim(self):
         # 3 is not a period of the (2, 5) profile 4,6,4,6

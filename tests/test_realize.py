@@ -248,10 +248,8 @@ class TestEnumerateRealizations:
         def refuse(*args):
             raise AssertionError("called per ring")
 
-        # refused in every hkkit module that holds either name, the census's
-        # own included; hkkit.realize names the function, so the census
-        # module comes from importlib
-        importlib.import_module("hkkit.realize_census")
+        # refused in every hkkit module that holds either name; hkkit.realize
+        # names the function, so the module comes from importlib
         patched = set()
         for key, module in list(sys.modules.items()):
             if key.startswith("hkkit."):
@@ -275,14 +273,14 @@ class TestEnumerateRealizations:
     def test_moduli_without_pi_in_gcd_are_skipped(self, monkeypatch):
         # pi | omega | gcd(2*pi, lambda(n)) for any ring of period pi, so an n
         # where pi does not divide that gcd never needs an order
-        census = importlib.import_module("hkkit.realize_census")
-        honest, reached = census._order_dividing, set()
+        realize_module = importlib.import_module("hkkit.realize")
+        honest, reached = realize_module._order_dividing, set()
 
         def counted(a, n, m, primes):
             reached.add(n)
             return honest(a, n, m, primes)
 
-        monkeypatch.setattr(census, "_order_dividing", counted)
+        monkeypatch.setattr(realize_module, "_order_dividing", counted)
         pi, box = 24, 300
         results = enumerate_realizations(pi, box, box, 10**6)
         lam = {n: math.lcm(*(multiplicative_order(a, n) for a in range(1, n)
@@ -303,20 +301,20 @@ class TestEnumerateRealizations:
     def test_window_edges_change_nothing(self, pi, n_limit, p_limit, max_results):
         # windows of 7 moduli, so a box crosses many window edges
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(importlib.import_module("hkkit.realize_census"), "_WINDOW", 7)
+            patch.setattr(importlib.import_module("hkkit.realize"), "_WINDOW", 7)
             got = enumerate_realizations(pi, n_limit, p_limit, max_results)
         assert got == enumerate_by_sweep(pi, n_limit, p_limit, max_results)
 
     def test_sieve_matches_factoring(self, monkeypatch):
-        census = importlib.import_module("hkkit.realize_census")
-        monkeypatch.setattr(census, "_WINDOW", 64)
-        swept = list(census._moduli(3000))
+        realize_module = importlib.import_module("hkkit.realize")
+        monkeypatch.setattr(realize_module, "_WINDOW", 64)
+        swept = list(realize_module._moduli(3000))
         assert [n for n, _, _ in swept] == list(range(2, 3001))
         # the window is read per sweep: the first 64 moduli take the
         # sieving primes up to sqrt(65), tested one integer at a time
         tested = []
-        monkeypatch.setattr(census.numtheory, "is_prime", lambda m: tested.append(m) or is_prime(m))
-        next(census._moduli(3000))
+        monkeypatch.setattr(realize_module, "is_prime", lambda m: tested.append(m) or is_prime(m))
+        next(realize_module._moduli(3000))
         assert tested == list(range(2, 9))
         for n, lam, primes in swept:
             factors = prime_factors(n)
@@ -336,17 +334,17 @@ class TestEnumerateRealizations:
         # the primes up to p_limit are sieved, not tested one integer at a
         # time: is_prime serves only the moduli sieve's primes up to sqrt(11)
         # and the result's RingSpec, not 10^6 candidates
-        census = importlib.import_module("hkkit.realize_census")
+        realize_module = importlib.import_module("hkkit.realize")
         calls = []
 
         def counted(m):
             calls.append(m)
             return is_prime(m)
 
-        # the sweep looks is_prime up in numtheory; the RingSpec uses its own
-        monkeypatch.setattr(census.numtheory, "is_prime", counted)
+        # the sweep reads is_prime from hkkit.realize; the RingSpec uses its own
+        monkeypatch.setattr(realize_module, "is_prime", counted)
         results = enumerate_realizations(2, 10, 10**6, 1)
         assert [(r.spec.p, r.spec.n) for r in results] == [(2, 5)]
         assert calls == [2, 3], calls  # the moduli sieve's primes up to sqrt(10)
-        assert census._primes_to(10**4) == [p for p in range(2, 10**4 + 1)
+        assert realize_module._primes_to(10**4) == [p for p in range(2, 10**4 + 1)
                                                    if is_prime(p)]

@@ -72,11 +72,8 @@ def _lazy(owner: str, modules: dict[str, str]):
     def __getattr__(name: str):
         if name not in where:
             raise AttributeError(f"module {owner!r} has no attribute {name!r}")
-        module = sys.modules.get(where[name])
-        if module is None:  # first use
-            __import__(where[name])
-            module = sys.modules[where[name]]
-        return getattr(module, name)
+        __import__(where[name])
+        return getattr(sys.modules[where[name]], name)
 
     return __getattr__
 

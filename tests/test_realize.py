@@ -248,8 +248,7 @@ class TestEnumerateRealizations:
         def refuse(*args):
             raise AssertionError("called per ring")
 
-        # refused in every hkkit module that holds either name; hkkit.realize
-        # names the function, so the module comes from importlib
+        # refused in every hkkit module that holds either name
         patched = set()
         for key, module in list(sys.modules.items()):
             if key.startswith("hkkit."):

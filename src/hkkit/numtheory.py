@@ -52,13 +52,16 @@ def _carmichael(factors: dict[int, int]) -> tuple[int, set[int]]:
     """From n's factors: lambda(n), the units' exponent, and a set holding its primes."""
     lam, primes = 1, set()
     for q, k in factors.items():
-        part = (q - 1) * q ** (k - 1)
-        if q == 2 and k >= 3:
-            part //= 2  # lambda(2^k) = 2^(k-2) for k >= 3
-        lam = math.lcm(lam, part)
+        lam = math.lcm(lam, _prime_power_lambda(q, k))
         primes.add(q)
         primes.update(prime_factors(q - 1))
     return lam, primes
+
+
+def _prime_power_lambda(q: int, k: int) -> int:
+    """lambda(q^k) for a prime q and k >= 1: (q-1)*q^(k-1), halved for 2^k with k >= 3."""
+    lam = (q - 1) * q ** (k - 1)
+    return lam // 2 if q == 2 and k >= 3 else lam
 
 
 def _order_dividing(a: int, n: int, m: int, primes: set[int]) -> int:

@@ -143,11 +143,13 @@ def _check_claimed_period(spec: RingSpec, pi: int) -> PeriodCheck:
 
 
 def _first_mismatch(spec: RingSpec, d: int) -> int | None:
-    """Least e >= 0 with phi(e + d) != phi(e), or None.
+    """Least e >= 0 with phi(e + d) != phi(e), or None: e = 0 or nowhere (_is_period)."""
+    return None if _is_period(spec.p, spec.n, d) else 0
 
-    With b = p^e and c = p^(e+d) mod n, both in 0 < b, c < n,
-    b(n - b) - c(n - c) = (b - c)(n - b - c), so phi(e + d) == phi(e) exactly
-    when c == +-b, that is when p^d == +-1 (mod n), for every e at once: the
-    first mismatch is at e = 0 or nowhere.
-    """
-    return 0 if pow(spec.p, d, spec.n) not in (1, spec.n - 1) else None
+
+def _is_period(p: int, n: int, d: int) -> bool:
+    """Whether d is a period of phi for p mod n: p^d == +-1 (mod n), as for
+    b = p^e and c = p^(e+d) mod n, b(n - b) - c(n - c) = (b - c)(n - b - c)
+    is 0 exactly when c == +-b, for every e at once.  A p dividing n passes
+    no d, as p^d mod n is then a multiple of p."""
+    return pow(p, d, n) in (1, n - 1)

@@ -15,8 +15,8 @@ from bisect import bisect_left, bisect_right
 from itertools import compress
 
 from .closed_form import _N_MAX, RingSpec, _Value
-from .numtheory import _order_dividing, find_prime_in_class, is_prime, prime_factors
-from .period import PeriodReport, _classify, period_of
+from .numtheory import _prime_power_lambda, find_prime_in_class, is_prime, prime_factors
+from .period import PeriodReport, _classify, _is_period, period_of
 
 SEARCH_LIMIT_DEFAULT = 10_000
 _WINDOW = 1 << 14  # moduli that enumerate_realizations factors at once
@@ -83,22 +83,23 @@ def realize(pi: int, n_limit: int = SEARCH_LIMIT_DEFAULT,
     hit wins, so the output is deterministic.  Raises SearchExhausted (with
     the candidate counts) when the limits run out.
 
-    The involution congruence p^pi == -1 (mod n) and the resulting period are
-    re-checked on the way out; a violation would be a bug in this library,
-    not bad input, and raises RuntimeError.
+    p^pi == r^pi == -1 (mod n) holds by the residue test; the period is
+    re-checked on the way out by period_of, whose order comes from
+    lambda(n), and a violation, a bug in this library, raises RuntimeError.
     """
     _check_search_args(pi, n_limit, p_limit)
     stats = SearchStats()
-    step = 2 * pi
-    step_primes: set[int] | None = None
-    for n in range(1 + step, min(n_limit, _N_MAX) + 1, step):  # RingSpec refuses larger n
+    pi_primes = None
+    for n in range(1 + 2 * pi, min(n_limit, _N_MAX) + 1, 2 * pi):  # RingSpec refuses larger n
         stats.n_candidates += 1
         if is_prime(n):
-            if step_primes is None:  # step < n, inside is_prime's range
-                step_primes = set(prime_factors(step))
+            if pi_primes is None:  # pi < n, inside is_prime's range
+                pi_primes = list(prime_factors(pi))
             # a class r > p_limit holds no p <= p_limit, since p >= r
             for r in range(2, min(n, p_limit + 1)):
-                if pow(r, step, n) != 1 or _order_dividing(r, n, step, step_primes) != step:
+                # pi is r's exact period and r^pi == -1: for prime n, order 2*pi
+                if (not _is_period(r, n, pi) or any(_is_period(r, n, pi // l) for l in pi_primes)
+                        or pow(r, pi, n) != n - 1):
                     continue
                 p = find_prime_in_class(r, n, p_limit)
                 # members r, r + n, ... scanned: up to p, or all up to p_limit
@@ -106,11 +107,6 @@ def realize(pi: int, n_limit: int = SEARCH_LIMIT_DEFAULT,
                 if p is None:
                     continue
                 spec = RingSpec(p, n)
-                if pow(p, pi, n) != n - 1:
-                    raise RuntimeError(
-                        f"unique-involution check failed for p={p}, n={n}: "
-                        "library bug"
-                    )
                 report = period_of(spec)
                 if report.pi != pi:
                     raise RuntimeError(
@@ -144,16 +140,15 @@ def _moduli(n_limit: int):
         lams, primes = [1] * len(rest), [[] for _ in rest]
         for q in sieving:
             for i in range(-lo % q, hi - lo, q):
-                m, part = rest[i] // q, q - 1
+                m, k = rest[i] // q, 1
                 while m % q == 0:
-                    m, part = m // q, part * q
+                    m, k = m // q, k + 1
                 rest[i] = m
-                # lambda(2^k) = 2^(k-2) for k >= 3
-                lams[i] = math.lcm(lams[i], part // 2 if q == 2 and part >= 4 else part)
+                lams[i] = math.lcm(lams[i], _prime_power_lambda(q, k))
                 primes[i].append(q)
         for i, m in enumerate(rest):
             if m > 1:
-                lams[i] = math.lcm(lams[i], m - 1)
+                lams[i] = math.lcm(lams[i], _prime_power_lambda(m, 1))
                 primes[i].append(m)
             yield lo + i, lams[i], primes[i]
 
@@ -178,40 +173,36 @@ def enumerate_realizations(
     Each result carries the cumulative candidate counts at the moment it was
     found.  Truncated at max_results.
 
-    _moduli sieves each n's lambda(n) and primes; each order is stripped
-    down from g = gcd(2*pi, lambda(n)), with g factored once per distinct g,
-    so pi is never factored.  Every p at an n where pi does not divide g is
-    skipped (but counted).  Only the rings returned become RingSpecs.
+    _moduli sieves each n's lambda(n) and primes.  Every p at an n where pi
+    does not divide lambda(n) (pi | omega | lambda(n)) is skipped but counted;
+    pi is factored once, at the first n where it does.  Only the rings
+    returned, where pi is a period and no pi/l is, become RingSpecs.
     """
     _check_search_args(pi, n_limit, p_limit)
     if max_results < 1:
         raise ValueError(f"max_results must be at least 1, got {max_results}")
     primes = _primes_to(p_limit)
-    g_primes: dict[int, set[int]] = {}
+    pi_primes = None
     counted = 0  # p_candidates: primes up to p_limit, less those dividing n
     results: list[RealizationResult] = []
     for n, lam, n_primes in _moduli(n_limit):
         before = counted
         counted += len(primes) - bisect_right(n_primes, p_limit)
-        g = math.gcd(2 * pi, lam)
-        if g % pi != 0:  # pi | omega | g for any p of period pi
+        if lam % pi:
             continue
-        if g not in g_primes:
-            g_primes[g] = set(prime_factors(g))
-        # a p dividing n leaves pow(p, g, n) a multiple of p, never 1
+        if pi_primes is None:  # pi <= lam < n, inside is_prime's range
+            pi_primes = list(prime_factors(pi))
         for i, p in enumerate(primes, 1):
-            if pow(p, g, n) != 1:
+            # the periods are the multiples of the exact one, so pi is exact
+            # when it is a period and no pi/l is, for each prime l of pi
+            if not _is_period(p, n, pi) or any(_is_period(p, n, pi // l) for l in pi_primes):
                 continue
-            # pi is omega or omega/2, so omega | 2*pi; omega | lam, so omega | g
-            omega = _order_dividing(p, n, g, g_primes[g])
-            classified = _classify(p, n, omega)
-            if classified[0] != pi:
-                continue
+            omega = pi if pow(p, pi, n) == 1 else 2 * pi  # p^pi == -1 otherwise
             spec = RingSpec(p, n)
             # p is the i-th prime, and n's primes below p were not candidates
             stats = SearchStats(n - 1, before + i - bisect_left(n_primes, p))
             results.append(RealizationResult(
-                pi, spec, PeriodReport(spec, omega, *classified), None, stats))
+                pi, spec, PeriodReport(spec, omega, *_classify(p, n, omega)), None, stats))
             if len(results) >= max_results:
                 return results
     return results

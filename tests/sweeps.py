@@ -1,6 +1,6 @@
 """CI's evidence sweeps, each run by its name:
 
-    PYTHONPATH=src python tests/sweeps.py oracle|definition|chains|enumerate|periods
+    PYTHONPATH=src python tests/sweeps.py oracle|definition|chains|enumerate|realize|periods
     python tests/sweeps.py readme|exits|module|json|long-table|long-profile|csv|startup|library
 
 run_sweep checks each row, prints a summary line that names the failed
@@ -31,8 +31,9 @@ from hkkit import RingSpec, hk_brute, verify_closed_form_basis
 from hkkit.cli import _generators
 from hkkit.groebner import (PairBudgetExceededError, _binomial_buchberger, _colength,
                             buchberger, frobenius_power_generators)
+from hkkit.numtheory import multiplicative_order
 from hkkit.period import period_of, verify_minimal_period
-from hkkit.realize import enumerate_realizations
+from hkkit.realize import SearchExhausted, enumerate_realizations, realize
 from test_cli_bytes import EXAMPLES, README, lifted_digit_limit
 from test_colength_definition import (basis_faults, chain_rows, colength_by_chains,
                                       colength_by_definition)
@@ -135,6 +136,25 @@ def enumerate_row(pi, tally) -> bool:
     want = enumerate_by_sweep(pi, 300, 300, 10**6)
     tally["rings"] += len(want)
     return enumerate_realizations(pi, 300, 300, 10**6) == want
+
+
+# realize for every pi up to 100 times tier-1's 200, at n, p <= 10^6: each
+# ring's residue has order 2*pi by multiplicative_order (lambda(n), not the
+# +-1 test realize applies), p^pi == -1 (mod n), and period_of finds pi; an
+# exhausted pi has scanned every n == 1 (mod 2*pi) up to 10^6
+REALIZE_LIMIT = 10**6
+
+
+def realize_row(pi, tally) -> bool:
+    try:
+        result = realize(pi, REALIZE_LIMIT, REALIZE_LIMIT)
+    except SearchExhausted as exhausted:
+        tally["exhausted"] += 1
+        return exhausted.stats.n_candidates == len(range(1 + 2 * pi, REALIZE_LIMIT + 1, 2 * pi))
+    tally["realized"] += 1
+    p, n = result.spec.p, result.spec.n
+    return (multiplicative_order(result.residue_used, n) == 2 * pi
+            and pow(p, pi, n) == n - 1 and period_of(result.spec).pi == pi)
 
 
 # verify_minimal_period at n up to 2^63 - 1: p = 2 and 3 at the largest prime
@@ -373,6 +393,8 @@ SWEEPS = {
                     chain_rows(((2, 14), (3, 9), (5, 6))), chain_row, 262),
     "enumerate": Sweep("enumerate sweep: pi = 1..24, {tally[rings]} rings, failed {failed}",
                        range(1, 25), enumerate_row, 11869, "rings", 60),
+    "realize": Sweep("realize sweep: pi = 1..20000, n, p <= 10^6, failed {failed}, "
+                     "pi per outcome {tally}", range(1, 20001), realize_row, 20000, limit=60),
     "periods": Sweep("period sweep: {rows} rings, failed {failed}, rings per kind {tally}",
                      PERIOD_ROWS, period_row, 383, limit=60),
     **INSTALLED,

@@ -222,7 +222,7 @@ class TestRealize:
         [10**40, 1000000000000037 * 1000000000000091],  # the latter: two primes near 10^15
     )
     def test_huge_period_exhausts_at_once(self, capsys, pi):
-        # 2*pi + 1 is already past --nlimit, so 2*pi is never factored
+        # 2*pi + 1 is already past --nlimit, so pi is never factored
         start = time.perf_counter()
         code, out, err = run(capsys, "realize", "--pi", str(pi))
         assert time.perf_counter() - start < 1.0

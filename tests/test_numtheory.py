@@ -183,8 +183,8 @@ class TestMultiplicativeOrder:
 
 class TestOrderHelpers:
     """The two halves of multiplicative_order: lambda(n) from n's factors,
-    then each order from a known multiple of it.  enumerate_realizations
-    calls the second on its own, with lambda(n) from its windowed sieve."""
+    then each order from a known multiple of it.  enumerate_realizations'
+    windowed sieve takes each lambda(q^k) from _prime_power_lambda too."""
 
     @given(
         st.integers(min_value=2, max_value=10**5 - 1),

@@ -237,7 +237,8 @@ class TestEnumerateRealizations:
     @example(10**30, 80, 80, 10**6)  # 2*pi with a large composite cofactor
     @settings(max_examples=50, deadline=None)
     def test_matches_sweep_reference_anywhere(self, pi, n_limit, p_limit, max_results):
-        # orders come from gcd(2*pi, lambda(n)), so pi is never factored
+        # pi is factored only at a modulus whose lambda(n) it divides, so
+        # these two pi, far past every lambda(n) of the box, are never factored
         assert enumerate_realizations(pi, n_limit, p_limit, max_results) == (
             enumerate_by_sweep(pi, n_limit, p_limit, max_results)
         )
@@ -271,15 +272,15 @@ class TestEnumerateRealizations:
 
     def test_moduli_without_pi_in_gcd_are_skipped(self, monkeypatch):
         # pi | omega | gcd(2*pi, lambda(n)) for any ring of period pi, so an n
-        # where pi does not divide that gcd never needs an order
+        # where pi does not divide that gcd never needs a period test
         realize_module = importlib.import_module("hkkit.realize")
-        honest, reached = realize_module._order_dividing, set()
+        honest, reached = realize_module._is_period, set()
 
-        def counted(a, n, m, primes):
+        def counted(p, n, d):
             reached.add(n)
-            return honest(a, n, m, primes)
+            return honest(p, n, d)
 
-        monkeypatch.setattr(realize_module, "_order_dividing", counted)
+        monkeypatch.setattr(realize_module, "_is_period", counted)
         pi, box = 24, 300
         results = enumerate_realizations(pi, box, box, 10**6)
         lam = {n: math.lcm(*(multiplicative_order(a, n) for a in range(1, n)
@@ -347,3 +348,21 @@ class TestEnumerateRealizations:
         assert calls == [2, 3], calls  # the moduli sieve's primes up to sqrt(10)
         assert realize_module._primes_to(10**4) == [p for p in range(2, 10**4 + 1)
                                                    if is_prime(p)]
+
+
+def test_one_period_test_decides_every_search_and_check(monkeypatch):
+    # realize, enumerate_realizations and verify_minimal_period accept a
+    # period only through period._is_period: refusing every d there leaves
+    # no ring realized and no period verified
+    assert realize(6) and enumerate_realizations(6, 50, 50, 10)
+    assert verify_minimal_period(RingSpec(2, 7), 2).ok
+
+    def never(p, n, d):
+        return False
+
+    monkeypatch.setattr(importlib.import_module("hkkit.realize"), "_is_period", never)
+    with pytest.raises(SearchExhausted):
+        realize(6)
+    assert enumerate_realizations(6, 50, 50, 10) == []
+    monkeypatch.setattr(importlib.import_module("hkkit.period"), "_is_period", never)
+    assert not verify_minimal_period(RingSpec(2, 7), 2).ok

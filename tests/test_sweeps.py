@@ -11,7 +11,8 @@ import hkkit
 from sweeps import CHECKOUT, INSTALLED, SWEEPS, Sweep, command_row, main, run_sweep
 
 # each sweep's first rows; q = 2^65536, the oracle's first row whose gb text
-# is past CPython's int/str limit of 4,300 digits, among them, and the period
+# is past CPython's int/str limit of 4,300 digits, among them, the realize
+# sweep's first exhausted pi and its last pi, and the period
 # sweep's largest prime and largest modulus; the installed-
 # script sweeps run `python -m hkkit.cli` from src in place of the script, so
 # none of startup's, as only the script lists hkkit.cli among its imports
@@ -19,6 +20,7 @@ FIRST_ROWS = {"oracle": [*SWEEPS["oracle"].rows[:3], (2, 3, 65536)],
               "definition": SWEEPS["definition"].rows[:1],
               "chains": SWEEPS["chains"].rows[:3],
               "enumerate": SWEEPS["enumerate"].rows[:1],
+              "realize": [*SWEEPS["realize"].rows[:3], 16672, 20000],
               "periods": [*SWEEPS["periods"].rows[:3], (3, 2**63 - 25), (2, 2**63 - 1)],
               **{name: sweep.rows[:1] for name, sweep in INSTALLED.items() if name != "startup"},
               "module": SWEEPS["module"].rows[:2], "library": SWEEPS["library"].rows}
@@ -45,9 +47,11 @@ def test_first_rows_pass_and_leave_the_digit_limit(monkeypatch):
 
 def test_full_row_lists_have_their_guard_counts():
     assert [(len(sweep.rows), sweep.count) for sweep in SWEEPS.values()] == [
-        (1512, 1512), (47, 47), (262, 262), (24, 11869), (383, 383), (5, 5), (20, 20), (3, 3),
-        (7, 7), (1, 1), (3, 3), (5, 5), (3, 3), (8, 5)]  # 8 library lines, of them 5 checked
+        (1512, 1512), (47, 47), (262, 262), (24, 11869), (20000, 20000), (383, 383), (5, 5),
+        (20, 20), (3, 3), (7, 7), (1, 1), (3, 3), (5, 5), (3, 3),
+        (8, 5)]  # 8 library lines, of them 5 checked
     assert list(SWEEPS["enumerate"].rows) == list(range(1, 25))
+    assert list(SWEEPS["realize"].rows) == list(range(1, 20001))
 
 
 @pytest.mark.parametrize("bad, count, unit, limit, code", [
@@ -74,8 +78,8 @@ def test_harness_names_failed_rows_and_exits_1_on_any_fault(capsys, bad, count, 
 def test_anything_but_one_sweep_name_exits_2_and_lists_the_names(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "usage: sweeps.py {oracle,definition,chains,enumerate,periods,readme,exits,module,json,"
-        "long-table,long-profile,csv,startup,library}\n")
+        "usage: sweeps.py {oracle,definition,chains,enumerate,realize,periods,readme,exits,module,"
+        "json,long-table,long-profile,csv,startup,library}\n")
 
 
 def test_installed_sweeps_refuse_hkkit_from_the_checkout(capsys):

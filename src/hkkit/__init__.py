@@ -4,7 +4,8 @@ The closed form HK(e) = n*p^e - b(n-b), with b = p^e mod n, drives tables
 and period analysis; an independent Groebner-basis oracle recomputes the
 same numbers as colengths so the two routes can be checked against each
 other.  A constructive search produces rings with any prescribed period.
-The `hkkit` console script exposes all of it.
+The `hkkit` console script exposes all of it.  The oracle, hkkit.groebner,
+loads on first use (see __getattr__).
 """
 
 from .closed_form import (
@@ -16,7 +17,6 @@ from .closed_form import (
     hk_value,
     phi_value,
     residue_b,
-    _lazy,
 )
 from .numtheory import (
     NoPrimesInClassError,
@@ -42,14 +42,17 @@ from .realize import (
 
 __version__ = "0.1.0"
 
-# the oracle, which only gb and verify run, and the general engine, which no
-# command runs, are imported on first use
-__getattr__ = _lazy(__name__, {
-    "groebner": "BasisCheck Monomial PairBudgetExceededError QCapExceededError "
-                "count_under_staircase hk_brute verify_closed_form_basis",
-    "groebner_general": "CharacteristicMismatchError FpPoly GroebnerBasis buchberger "
-                        "frobenius_power_generators s_polynomial",
-})
+
+def __getattr__(name: str):
+    """The oracle, hkkit.groebner, which only gb and verify run, loads on first
+    use (PEP 562): of the module, or of a name in __all__ that is not bound
+    above, all of which it holds.  Nothing is cached here, so a name rebound
+    in hkkit.groebner (as by bench/trace.py) shows through."""
+    if name != "groebner" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import hkkit.groebner as groebner  # `from . import` would call this hook again
+    return groebner if name == "groebner" else getattr(groebner, name)
+
 
 __all__ = [
     "BasisCheck",

@@ -21,6 +21,7 @@ from math import log2
 from operator import itemgetter
 from types import SimpleNamespace
 
+import hkkit  # its first read of groebner loads the oracle: gb and verify alone
 from .closed_form import Q_CAP_DEFAULT, HKRecord, RingSpec, _rows, _Value, hk_value
 from . import period
 from .period import PeriodReport, period_of
@@ -51,7 +52,6 @@ FORMATS = ("plain", "csv", "json")
 # a command's arguments: _parse_table's namespace, or argparse's for other argvs
 # (a string: argparse is imported by build_parser, which a well-formed argv never runs)
 _Args = "SimpleNamespace | argparse.Namespace"
-_oracle = None  # hkkit.groebner, imported by the first gb or verify call (_groebner)
 _quote = None  # json.encoder's C string escaper, imported by the first _json call
 _EXACT = None  # table's exact decimal context, built by its first long table
 # table's measured crossover, q = 2^830 (250 digits): below it the int walk is
@@ -205,14 +205,6 @@ def _report(r: PeriodReport) -> dict:  # a view that prints the profile adds r i
             "involution": r.involution_check}
 
 
-def _groebner():
-    """The oracle's module, bound once in _oracle: only gb and verify load it."""
-    global _oracle
-    if _oracle is None:
-        from . import groebner as _oracle
-    return _oracle
-
-
 def cmd_table(args: _Args) -> int:
     global _EXACT
     spec = RingSpec(args.p, args.n)
@@ -273,7 +265,7 @@ def cmd_verify(args: _Args) -> int:
         # zero rows would report all_pass: a check that checked nothing
         raise ValueError(f"e_max must be nonnegative, got {args.emax}")
     name, basis_cell, status_cell = _VERIFY_CELLS[args.format]
-    groebner = _groebner()
+    groebner = hkkit.groebner
     rows, all_pass = [], True
     for e in range(args.emax + 1):
         try:
@@ -302,7 +294,7 @@ def cmd_verify(args: _Args) -> int:
 def _generators(p: int, basis: Sequence[tuple]) -> list[str]:
     """Each pair (lead, tail) as str(FpPoly) gives lead - tail over F_p, by
     Monomial.__str__: lead, or lead + (p-1)*tail, 1 left out, a constant tail as p - 1."""
-    unit, text = "" if p == 2 else f"{p - 1}*", _groebner().Monomial.__str__
+    unit, text = "" if p == 2 else f"{p - 1}*", hkkit.groebner.Monomial.__str__
     return [text(lead) if tail is None else f"{text(lead)} + {p - 1}" if tail == (0, 0)
             else f"{text(lead)} + {unit}{text(tail)}" for lead, tail in basis]
 
@@ -310,7 +302,7 @@ def _generators(p: int, basis: Sequence[tuple]) -> list[str]:
 def cmd_gb(args: _Args) -> int:
     """The basis _colength computes, printed from its pairs (_generators)."""
     spec = RingSpec(args.p, args.n)
-    groebner = _groebner()
+    groebner = hkkit.groebner
     q = groebner.capped_q(spec.p, args.e, args.qcap)
     basis, count = groebner._colength(spec, q)
     gens = _generators(spec.p, basis)

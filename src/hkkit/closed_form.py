@@ -9,7 +9,6 @@ so the Hilbert-Kunz multiplicity is n and the periodic term is
 phi(e) = b * (n - b).  All values are exact integers; e is uncapped.
 """
 
-import sys
 from collections import namedtuple
 from itertools import accumulate, cycle, repeat
 from operator import mul, sub
@@ -60,22 +59,6 @@ class _Value:
     def __delattr__(self, name):
         from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _lazy(owner: str, modules: dict[str, str]):
-    """A module __getattr__ (PEP 562) for owner: each name listed under a module
-    comes from hkkit.<module>, imported on first use.  Nothing is cached, so a
-    name rebound there (as by bench/trace.py) shows through; and as the module
-    may load while names are rebound, it looks up per call what it borrows."""
-    where = {name: f"hkkit.{m}" for m, names in modules.items() for name in names.split()}
-
-    def __getattr__(name: str):
-        if name not in where:
-            raise AttributeError(f"module {owner!r} has no attribute {name!r}")
-        __import__(where[name])
-        return getattr(sys.modules[where[name]], name)
-
-    return __getattr__
 
 
 class RingSpec(_Value):

@@ -5,7 +5,7 @@
 
 run_sweep checks each row, prints a summary line that names the failed
 rows, and returns 1 on a failed row, a count other than the guard's, or a
-run past the time limit.  Any argument but one sweep's name exits 2, and so
+run past the time limit, which it stops after the row that passes the limit.  Any argument but one sweep's name exits 2, and so
 does one of the last nine, which check the installed script and package,
 while hkkit comes from the checkout: run those after `pip install .`.
 """
@@ -53,14 +53,19 @@ class Sweep(NamedTuple):
 
 
 def run_sweep(sweep: Sweep) -> int:
-    start, failed, tally = time.perf_counter(), [], Counter()
+    """Check the rows in order, and stop after the first that ends past the
+    time limit: the summary then counts the rows run so far."""
+    start, failed, tally, ran, elapsed = time.perf_counter(), [], Counter(), 0, 0.0
     for row in sweep.rows:
+        ran += 1
         if not sweep.check(row, tally):
             failed.append(row)
-    elapsed = time.perf_counter() - start
-    found = len(sweep.rows) if sweep.unit == "rows" else tally[sweep.unit]
+        elapsed = time.perf_counter() - start
+        if elapsed > sweep.limit:
+            break
+    found = ran if sweep.unit == "rows" else tally[sweep.unit]
     limit = f" (limit {sweep.limit} s)" if sweep.limit < math.inf else ""
-    print(sweep.line.format(rows=len(sweep.rows), failed=failed,
+    print(sweep.line.format(rows=ran, failed=failed,
                             tally=dict(sorted(tally.items()))) + f", {elapsed:.2f} s{limit}")
     return int(found != sweep.count or bool(failed) or elapsed > sweep.limit)
 
@@ -324,8 +329,8 @@ def command_row(row, tally) -> bool:
 
 # start-up: the installed script imports none of the modules hkkit loads only
 # where it needs them, NOT_AT_STARTUP, nor argparse, which only a refused argv
-# needs; the oracle, hkkit.groebner, loads for gb alone (the import list is
-# what -X importtime writes to stderr, site's imports included).  realize runs
+# needs; of them, the oracle, hkkit.groebner, loads for gb alone (the import
+# list is what -X importtime writes to stderr, site's imports included).  realize runs
 # in plain format, since --format json loads json, which NOT_AT_STARTUP lists
 STARTUP_ROWS = [("period --p 2 --n 5", ()), ("realize --pi 6", ()),
                 ("gb --p 2 --n 5 --e 3", ("hkkit.groebner",))]
@@ -336,7 +341,7 @@ def startup_row(row, tally) -> bool:
     run = subprocess.run([*HKKIT, *command.split()], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPROFILEIMPORTTIME": "1"})
     loaded = set(re.findall(r"^import time:.*\|\s*(\S+)$", run.stderr, re.M))
-    heavy = sorted((NOT_AT_STARTUP | {"hkkit.groebner", "argparse"}) - set(wanted) & loaded)
+    heavy = sorted((NOT_AT_STARTUP | {"argparse"}) - set(wanted) & loaded)
     missing = sorted({"hkkit.cli", *wanted} - loaded)
     print(f"PYTHONPROFILEIMPORTTIME=1 hkkit {command}: exit {run.returncode}, "
           f"{len(loaded)} modules imported, of them {heavy or 'none'} unwanted, "

@@ -678,8 +678,7 @@ class TestBuchberger:
         # one rule per element the basis gains, one more per survivor of
         # _minimal for the final pass, and one per element of the result for
         # the member check; none per S-pair
-        general = importlib.import_module("hkkit.groebner_general")
-        honest_rule, honest_s = general._rule, general.s_polynomial
+        honest_rule, honest_s = groebner._rule, groebner.s_polynomial
         made, pairs = [], []  # made keeps each polynomial alive, so ids stay unique
 
         def counted_rule(g, earlier):
@@ -691,8 +690,8 @@ class TestBuchberger:
             return honest_s(f, g)
 
         expected = buchberger(gens)
-        monkeypatch.setattr(general, "_rule", counted_rule)
-        monkeypatch.setattr(general, "s_polynomial", counted_s)
+        monkeypatch.setattr(groebner, "_rule", counted_rule)
+        monkeypatch.setattr(groebner, "s_polynomial", counted_s)
         gb = buchberger(gens)
         assert gb == expected
         times = Counter(id(g) for g in made)
@@ -1048,18 +1047,16 @@ class TestVerifyClosedFormBasis:
 
 @pytest.fixture
 def is_prime_calls(monkeypatch):
-    """Count the calls that the oracle's module and the general engine's make
-    to is_prime from here on: neither holds it, and the engine's checking
-    constructor looks it up in numtheory at each call."""
+    """Count the calls that the oracle's module, the general engine's checking
+    constructor among them, makes to is_prime from here on: the name it binds."""
     calls = []
 
     def counting(m):
         calls.append(m)
         return is_prime(m)
 
-    general = importlib.import_module("hkkit.groebner_general")
-    assert "is_prime" not in vars(groebner) and "is_prime" not in vars(general)
-    monkeypatch.setattr(general.numtheory, "is_prime", counting)
+    assert groebner.is_prime is is_prime
+    monkeypatch.setattr(groebner, "is_prime", counting)
     return calls
 
 
@@ -1206,15 +1203,12 @@ class TestOracleIndependence:
 
 def refuse_all(monkeypatch, names, caller):
     """Set each function in names to raise when called, in every hkkit module
-    that holds it: the general engine's module, where groebner looks up each
-    name it serves (so groebner.<name> is the refusal too), and any that
-    imported it."""
+    that holds it: groebner, which defines it, and any that imported it."""
     def refuse(name):
         def refused(*args):
             raise AssertionError(f"{caller} called {name}")
         return refused
 
-    importlib.import_module("hkkit.groebner_general")
     for name in names:
         holders = [module for key, module in list(sys.modules.items())
                    if key.startswith("hkkit.") and name in vars(module)]

@@ -1,11 +1,11 @@
 """Import contracts: which modules a call loads, and where each name lives.
 
-The general Buchberger engine, which no command runs, lives in a module that
-hkkit and hkkit.groebner import on the first use of one of its names (PEP 562),
-so importing the CLI never compiles it.  verify_minimal_period and
-enumerate_realizations live in hkkit.period and hkkit.realize, which load with
-the CLI.  The oracle, hkkit.groebner, loads with the first gb or verify call or
-the first use of one of its names on hkkit, and argparse with the first argv
+The oracle, hkkit.groebner, with the general Buchberger engine that no
+command runs, loads with the first gb or verify call or the first use of it or
+of one of its names on hkkit: hkkit's module __getattr__ (PEP 562) is the one
+hook that loads it, so importing the CLI never compiles it.
+verify_minimal_period and enumerate_realizations live in hkkit.period and
+hkkit.realize, which load with the CLI, and argparse loads with the first argv
 that the CLI's own reader refuses.  These tests pin that the CLI path stays
 clear of them, that every import path still reaches every name, and that
 bench/trace.py, which this file reads but never edits, still finds and
@@ -38,24 +38,29 @@ def traced_pairs() -> list[tuple[str, str]]:
     raise AssertionError("no TRACED list in bench/trace.py")
 
 
-def test_the_oracle_never_loads_the_general_engine():
-    # import hkkit.groebner alone, the oracle's library calls and gb and
-    # verify never load the general engine; the first FpPoly does
+def test_neither_the_cli_import_nor_an_unknown_name_loads_the_oracle():
     out = fresh(
         "import sys\n"
-        "import hkkit.groebner\n"
-        "from hkkit import RingSpec, hk_brute, verify_closed_form_basis\n"
-        "from hkkit.cli import run\n"
-        "lazy = sorted(m for m in sys.modules if m in sys.argv[1:])\n"
-        "hk_brute(RingSpec(3, 5), 4)\n"
-        "verify_closed_form_basis(RingSpec(2, 7), 5)\n"
-        "codes = [run(['gb', '--p', '3', '--n', '5', '--e', '4'])[0],\n"
-        "         run(['verify', '--p', '2', '--n', '7', '--emax', '6'])[0]]\n"
-        "after = sorted(m for m in sys.modules if m in sys.argv[1:])\n"
-        "hkkit.groebner.FpPoly\n"
-        "print(lazy, codes, after, sorted(m for m in sys.modules if m in sys.argv[1:]))\n",
-        *sorted(LAZY))
-    assert out == "[] [0, 0] [] ['hkkit.groebner_general']\n"
+        "import hkkit.cli\n"
+        "print('hkkit.groebner' in sys.modules, 'groebner' in vars(hkkit))\n"
+        "try:\n"
+        "    hkkit.nonexistent\n"
+        "except AttributeError as exc:\n"
+        "    print(exc, 'hkkit.groebner' in sys.modules)\n")
+    assert out == "False False\nmodule 'hkkit' has no attribute 'nonexistent' False\n"
+
+
+@pytest.mark.parametrize("use", ["from hkkit import groebner", "groebner = hkkit.groebner"])
+def test_the_hook_serves_the_oracle_module_and_caches_no_name(use):
+    # `from hkkit import groebner` asks the hook through hasattr first: a hook
+    # that imported the module by `from . import groebner` would recurse
+    out = fresh(
+        "import sys\n"
+        "import hkkit\n"
+        f"{use}\n"
+        "print(groebner is sys.modules['hkkit.groebner'],\n"
+        "      hkkit.buchberger is hkkit.groebner.buchberger, 'buchberger' in vars(hkkit))\n")
+    assert out == "True True False\n"
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -91,9 +96,11 @@ def test_an_oracle_name_on_hkkit_loads_the_oracle(use):
         "import hkkit.groebner as oracle\n"
         "names = [n for n in hkkit.__all__ if n in vars(oracle)]\n"
         "print(before, after, names, all(getattr(hkkit, n) is vars(oracle)[n] for n in names))\n")
-    assert out == ("False True ['BasisCheck', 'Monomial', 'PairBudgetExceededError', "
-                   "'Q_CAP_DEFAULT', 'QCapExceededError', 'RingSpec', 'count_under_staircase', "
-                   "'hk_brute', 'verify_closed_form_basis'] True\n")
+    assert out == ("False True ['BasisCheck', 'CharacteristicMismatchError', 'FpPoly', "
+                   "'GroebnerBasis', 'Monomial', 'PairBudgetExceededError', 'Q_CAP_DEFAULT', "
+                   "'QCapExceededError', 'RingSpec', 'buchberger', 'count_under_staircase', "
+                   "'frobenius_power_generators', 'hk_brute', 'is_prime', 's_polynomial', "
+                   "'verify_closed_form_basis'] True\n")
 
 
 def test_every_traced_name_resolves_after_the_cli_import():
@@ -115,37 +122,48 @@ def test_every_traced_name_resolves_after_the_cli_import():
 
 
 def test_the_tracer_leaves_no_wrapper_behind():
-    # Tracer.install() loads the general engine while it is rebinding names;
-    # uninstall() must still leave every hkkit module as it found it.  The
-    # period check and the census are defined, with no PEP 562 hook, in the
-    # modules whose period_of and is_prime they call, so the tracer wraps
-    # those calls and puts the originals back
+    # Tracer.install() imports hkkit.groebner before it wraps anything, and
+    # then loads no module, so no module can load while names are rebound;
+    # uninstall() must leave every hkkit module as it found it.  The period
+    # check and the census are defined, with no PEP 562 hook, in the modules
+    # whose period_of and is_prime they call, and the general engine's
+    # checking constructor reads the is_prime that groebner binds, so the
+    # tracer wraps those calls and puts the originals back
     out = fresh(
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
-        "import hkkit, hkkit.cli\n"
+        "import hkkit, hkkit.cli, hkkit.groebner\n"
         "import trace\n"
         "period, realize = hkkit.period, sys.modules['hkkit.realize']\n"
+        "groebner = hkkit.groebner\n"
         "print(sorted({'PeriodCheck', 'verify_minimal_period'} & vars(period).keys()),\n"
         "      'enumerate_realizations' in vars(realize),\n"
-        "      [hasattr(m, '__getattr__') for m in (period, realize)])\n"
-        "originals = period.period_of, realize.is_prime\n"
+        "      [hasattr(m, '__getattr__') for m in (period, realize, groebner)])\n"
+        "originals = (period.period_of, realize.is_prime, groebner.is_prime,\n"
+        "             groebner.buchberger, groebner.FpPoly.__init__)\n"
+        "def modules():\n"
+        "    return sorted(k for k in sys.modules if k.startswith('hkkit'))\n"
         "def wrappers():\n"
         "    return sorted(f'{k}.{a}' for k, m in list(sys.modules.items())\n"
         "                  if k.startswith('hkkit') for a, v in vars(m).items()\n"
         "                  if getattr(getattr(v, '__code__', None), 'co_filename', '')\n"
         "                  == trace.__file__)\n"
+        "before = modules()\n"
         "tracer = trace.Tracer()\n"
         "tracer.install()\n"
-        "during = wrappers()\n"
+        "during, loaded = wrappers(), modules()\n"
         "tracer.uninstall()\n"
-        "init = hkkit.groebner.FpPoly.__init__\n"
-        "print({'hkkit.period.period_of', 'hkkit.realize.is_prime'} <= set(during),\n"
+        "init = groebner.FpPoly.__init__\n"
+        "now = (period.period_of, realize.is_prime, groebner.is_prime,\n"
+        "       groebner.buchberger, init)\n"
+        "print(loaded == before,\n"
+        "      {'hkkit.period.period_of', 'hkkit.realize.is_prime',\n"
+        "       'hkkit.groebner.is_prime', 'hkkit.groebner.buchberger'} <= set(during),\n"
         "      wrappers(), init.__code__.co_filename == trace.__file__,\n"
-        "      [f is g for f, g in zip((period.period_of, realize.is_prime), originals)])\n",
+        "      [f is g for f, g in zip(now, originals)])\n",
         str(BENCH))
-    assert out == ("['PeriodCheck', 'verify_minimal_period'] True [False, False]\n"
-                   "True [] False [True, True]\n")
+    assert out == ("['PeriodCheck', 'verify_minimal_period'] True [False, False, False]\n"
+                   "True True [] False [True, True, True, True, True]\n")
 
 
 def test_every_public_name_is_one_object_on_every_path():

@@ -4,6 +4,7 @@ full row list's guard count, and the harness's summary and exit codes."""
 import math
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -71,7 +72,29 @@ def test_harness_names_failed_rows_and_exits_1_on_any_fault(capsys, bad, count, 
     sweep = Sweep("toy sweep: {rows} rows, {tally[hits]} hits, failed {failed}", [1, 2, 3],
                   check, count, unit, limit)
     assert run_sweep(sweep) == code
-    assert capsys.readouterr().out.startswith(f"toy sweep: 3 rows, 6 hits, failed {list(bad)}, ")
+    # past its limit after the first row, a sweep stops there
+    ran = [1] if limit < 0 else [1, 2, 3]
+    assert capsys.readouterr().out.startswith(
+        f"toy sweep: {len(ran)} rows, {sum(ran)} hits, failed {list(bad)}, ")
+
+
+def test_a_sweep_stops_after_the_row_that_passes_its_time_limit(capsys, monkeypatch):
+    # a clock that moves one second per read: rows 1, 2 and 3 end at 1, 2 and
+    # 3 s, so a 2.5 s limit stops the sweep after its third row of ten
+    ticks = iter(range(100))
+    monkeypatch.setattr("sweeps.time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    ran = []
+
+    def check(row, tally):
+        ran.append(row)
+        tally["hits"] += 1
+        return True
+
+    sweep = Sweep("toy sweep: {rows} rows, {tally[hits]} hits, failed {failed}", range(1, 11),
+                  check, 10, limit=2.5)
+    assert run_sweep(sweep) == 1
+    assert ran == [1, 2, 3]
+    assert capsys.readouterr().out == "toy sweep: 3 rows, 3 hits, failed [], 3.00 s (limit 2.5 s)\n"
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["oracle", "chains"], ["--help"]])

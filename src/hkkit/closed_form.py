@@ -72,25 +72,20 @@ class RingSpec(_Value):
     __match_args__ = ("p", "n")
 
     def __init__(self, p: int, n: int) -> None:
+        """Refuse a (p, n) outside the family."""
+        if not (isinstance(p, int) and isinstance(n, int)):
+            raise InvalidRingError(f"p and n must be ints, got p={p!r}, n={n!r}")
+        if n < 2:
+            raise InvalidRingError(f"n must be at least 2, got n={n}")
+        if n > _N_MAX:
+            raise InvalidRingError(f"n={n} does not fit in a 64-bit word")
+        if not is_prime(p):
+            raise InvalidRingError(f"p must be prime, got p={p}")
+        if n % p == 0:
+            raise InvalidRingError(
+                f"p={p} divides n={n}: n must not be divisible by the characteristic")
         fields = self.__dict__
         fields["p"], fields["n"] = p, n
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        """Refuse a (p, n) outside the family; __init__'s validation hook."""
-        if not (isinstance(self.p, int) and isinstance(self.n, int)):
-            raise InvalidRingError(f"p and n must be ints, got p={self.p!r}, n={self.n!r}")
-        if self.n < 2:
-            raise InvalidRingError(f"n must be at least 2, got n={self.n}")
-        if self.n > _N_MAX:
-            raise InvalidRingError(f"n={self.n} does not fit in a 64-bit word")
-        if not is_prime(self.p):
-            raise InvalidRingError(f"p must be prime, got p={self.p}")
-        if self.n % self.p == 0:
-            raise InvalidRingError(
-                f"p={self.p} divides n={self.n}: n must not be divisible by "
-                "the characteristic"
-            )
 
     @property
     def hk_multiplicity(self) -> int:

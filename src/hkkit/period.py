@@ -110,14 +110,15 @@ def verify_minimal_period(spec: RingSpec, window_multiplier: int) -> PeriodCheck
     """Check the classified period against phi itself, from e = 0 on.
 
     Two independent checks:
-      (a) phi(e + pi) == phi(e) for every 0 <= e <= window_multiplier * omega,
-          starting at e = 0, so the period is immediate, with no transient;
+      (a) phi(e + pi) == phi(e) for every e >= 0, so the period is
+          immediate, with no transient;
       (b) every proper divisor d of pi has a witness e < omega with
           phi(e + d) != phi(e).  The minimal period of a periodic sequence
           divides every period, so testing divisors of pi suffices.
 
-    Each check is decided at e = 0 (see _first_mismatch), so the result does
-    not depend on window_multiplier, and every accepted n is answered.
+    Each check is decided at e = 0 (see _check_claimed_period), so the result
+    does not depend on window_multiplier, which is only checked, and every
+    accepted n is answered.
     """
     if window_multiplier < 2:
         raise ValueError(f"window_multiplier must be at least 2, "
@@ -126,25 +127,21 @@ def verify_minimal_period(spec: RingSpec, window_multiplier: int) -> PeriodCheck
 
 
 def _check_claimed_period(spec: RingSpec, pi: int) -> PeriodCheck:
-    failing = _first_mismatch(spec, pi)
-    if failing is not None:
-        return PeriodCheck(ok=False, failing_distance=pi, failing_index=failing)
+    # a d that is no period fails at e = 0 already: with c = p^d mod n,
+    # phi(0) - phi(d) = (1 - c)(n - 1 - c) is 0 only when c == +-1 (_is_period)
+    p, n = spec.p, spec.n
+    if not _is_period(p, n, pi):
+        return PeriodCheck(ok=False, failing_distance=pi, failing_index=0)
     witnesses: dict[int, int] = {}
     divisors = [1]
     for prime, k in prime_factors(pi).items():
         divisors = [d * prime**j for d in divisors for j in range(k + 1)]
     for d in sorted(divisors)[:-1]:  # the proper divisors of pi, ascending
-        witness = _first_mismatch(spec, d)
-        if witness is None:
+        if _is_period(p, n, d):
             return PeriodCheck(ok=False, failing_distance=d,
                                divisor_witnesses=witnesses)
-        witnesses[d] = witness
+        witnesses[d] = 0
     return PeriodCheck(ok=True, divisor_witnesses=witnesses)
-
-
-def _first_mismatch(spec: RingSpec, d: int) -> int | None:
-    """Least e >= 0 with phi(e + d) != phi(e), or None: e = 0 or nowhere (_is_period)."""
-    return None if _is_period(spec.p, spec.n, d) else 0
 
 
 def _is_period(p: int, n: int, d: int) -> bool:

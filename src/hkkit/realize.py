@@ -11,6 +11,7 @@ enumerate_realizations takes a census of a whole box of rings instead.
 """
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from itertools import compress
 
@@ -97,9 +98,8 @@ def realize(pi: int, n_limit: int = SEARCH_LIMIT_DEFAULT,
                 pi_primes = list(prime_factors(pi))
             # a class r > p_limit holds no p <= p_limit, since p >= r
             for r in range(2, min(n, p_limit + 1)):
-                # pi is r's exact period and r^pi == -1: for prime n, order 2*pi
-                if (not _is_period(r, n, pi) or any(_is_period(r, n, pi // l) for l in pi_primes)
-                        or pow(r, pi, n) != n - 1):
+                # r^pi == -1 and no pi/l is a period: for prime n, order exactly 2*pi
+                if pow(r, pi, n) != n - 1 or any(_is_period(r, n, pi // l) for l in pi_primes):
                     continue
                 p = find_prime_in_class(r, n, p_limit)
                 # members r, r + n, ... scanned: up to p, or all up to p_limit
@@ -181,6 +181,8 @@ def enumerate_realizations(
     _check_search_args(pi, n_limit, p_limit)
     if max_results < 1:
         raise ValueError(f"max_results must be at least 1, got {max_results}")
+    if p_limit >= sys.maxsize:  # past the largest sieve that _primes_to can index
+        raise ValueError(f"p_limit must be below {sys.maxsize}, got {p_limit}")
     primes = _primes_to(p_limit)
     pi_primes = None
     counted = 0  # p_candidates: primes up to p_limit, less those dividing n

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import hkkit.period
 from hkkit.closed_form import RingSpec, phi_value
 from hkkit.numtheory import multiplicative_order, prime_factors
-from hkkit.period import (Branch, PeriodCheck, _check_claimed_period, _first_mismatch, period_of,
+from hkkit.period import (Branch, PeriodCheck, _check_claimed_period, _is_period, period_of,
                           verify_minimal_period)
 from measure import traced
 
@@ -254,8 +254,8 @@ class TestVerifyMinimalPeriod:
 
 
 def first_mismatch_by_walk(spec: RingSpec, d: int, count: int) -> int | None:
-    # _first_mismatch as it was: b = p^e and c = p^(e+d) mod n walked side by
-    # side, one multiplication each per index, up to count indices
+    # the least e < count with phi(e + d) != phi(e), or None, from b = p^e and
+    # c = p^(e+d) mod n walked side by side, one multiplication each per index
     n, p = spec.n, spec.p
     b, c = 1, pow(p, d, n)
     for e in range(count):
@@ -273,8 +273,8 @@ NEAR_WORD_LIMIT = st.sampled_from([(2, 2**63 - 1), (2, 2**62 + 1), (3, 2**63 - 1
 
 
 class TestFirstMismatch:
-    """_first_mismatch decides at e = 0 what the walk over any count >= 1 of
-    indices finds."""
+    """_is_period decides at e = 0 what the walk over any count >= 1 of
+    indices finds: a d that is no period mismatches at e = 0."""
 
     @given(st.one_of(WIDER_SPECS, NEAR_WORD_LIMIT), st.integers(1, 10**6),
            st.integers(1, 64), st.booleans())
@@ -283,7 +283,8 @@ class TestFirstMismatch:
         pi = period_of(spec).pi
         if onto_a_period and pi <= d:  # a multiple of pi, where phi never mismatches
             d -= d % pi
-        assert _first_mismatch(spec, d) == first_mismatch_by_walk(spec, d, count)
+        assert (None if _is_period(spec.p, spec.n, d) else 0) == (
+            first_mismatch_by_walk(spec, d, count))
 
 
 def check_claimed_period_by_scan(
@@ -365,7 +366,7 @@ def is_prime_by_sinclair(m: int) -> bool:
 
 def has_period_evidence(spec: RingSpec, pi: int, factors: Mapping[int, int]) -> bool:
     # pi is the least d >= 1 with p^d == +-1 (mod n), so the minimal period of
-    # phi from e = 0 on (the identity in _first_mismatch); such d are the
+    # phi from e = 0 on (the identity in _is_period); such d are the
     # multiples of the least one, so p^pi == +-1 and p^(pi/r) != +-1 for each
     # prime r | pi leave pi itself.  The factors of pi are multiplied back and
     # proved prime here: the evidence shares only pow with numtheory

@@ -6,9 +6,10 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hkkit.cli
 from hkkit.closed_form import RingSpec
 from hkkit.numtheory import _carmichael, is_prime, multiplicative_order, prime_factors
-from hkkit.period import Branch, period_of, verify_minimal_period
+from hkkit.period import Branch, PeriodReport, period_of, verify_minimal_period
 from hkkit.realize import (
     RealizationResult,
     SearchExhausted,
@@ -208,6 +209,14 @@ class TestEnumerateRealizations:
         with pytest.raises(ValueError):
             enumerate_realizations(2, 10, 10, 0)
 
+    @pytest.mark.parametrize("p_limit", [10**30, sys.maxsize])
+    def test_refuses_a_p_limit_no_sieve_can_index(self, p_limit):
+        # refused as bad input before the sieve allocates, not as an
+        # OverflowError or MemoryError from its bytearray
+        with pytest.raises(ValueError, match=f"p_limit must be below {sys.maxsize}, "
+                                             f"got {p_limit}"):
+            enumerate_realizations(2, 10, p_limit, 1)
+
     @pytest.mark.parametrize(
         "pi, n_limit, p_limit",
         [(1, 60, 60), (2, 80, 50), (3, 50, 90), (4, 100, 100), (6, 120, 70), (10, 90, 90)],
@@ -259,13 +268,13 @@ class TestEnumerateRealizations:
         assert {("hkkit.period", "period_of"), ("hkkit.realize", "period_of"),
                 ("hkkit.numtheory", "multiplicative_order")} <= patched
         built = []
-        post_init = RingSpec.__post_init__
+        init = RingSpec.__init__
 
-        def counted(spec):
+        def counted(spec, p, n):
+            init(spec, p, n)
             built.append(spec)
-            post_init(spec)
 
-        monkeypatch.setattr(RingSpec, "__post_init__", counted)
+        monkeypatch.setattr(RingSpec, "__init__", counted)
         results = enumerate_realizations(6, 300, 300, 10**6)
         assert len(results) == len(built) == 1017
         assert [r.spec for r in results] == built
@@ -351,18 +360,44 @@ class TestEnumerateRealizations:
 
 
 def test_one_period_test_decides_every_search_and_check(monkeypatch):
-    # realize, enumerate_realizations and verify_minimal_period accept a
-    # period only through period._is_period: refusing every d there leaves
-    # no ring realized and no period verified
+    # realize, enumerate_realizations and verify_minimal_period decide a
+    # period only through period._is_period: realize asks it whether each
+    # pi/l is a period (r^pi == -1 already makes pi one), so answering True
+    # there leaves no ring realized; refusing every d leaves no ring
+    # enumerated and no period verified
     assert realize(6) and enumerate_realizations(6, 50, 50, 10)
     assert verify_minimal_period(RingSpec(2, 7), 2).ok
+
+    def always(p, n, d):
+        return True
 
     def never(p, n, d):
         return False
 
-    monkeypatch.setattr(importlib.import_module("hkkit.realize"), "_is_period", never)
+    realize_module = importlib.import_module("hkkit.realize")
+    monkeypatch.setattr(realize_module, "_is_period", always)
     with pytest.raises(SearchExhausted):
         realize(6)
+    monkeypatch.setattr(realize_module, "_is_period", never)
     assert enumerate_realizations(6, 50, 50, 10) == []
     monkeypatch.setattr(importlib.import_module("hkkit.period"), "_is_period", never)
     assert not verify_minimal_period(RingSpec(2, 7), 2).ok
+
+
+def test_wrong_period_is_a_library_bug(monkeypatch):
+    # realize re-checks the period of the ring it built; a wrong one is a
+    # fault of this library, which the CLI reports as exit 4
+    realize_module = importlib.import_module("hkkit.realize")  # hkkit.realize is the function
+    honest = realize_module.period_of
+
+    def off_by_one(spec):
+        report = honest(spec)
+        return PeriodReport(spec, report.omega, report.pi + 1, report.branch,
+                            report.involution_check)
+
+    monkeypatch.setattr(realize_module, "period_of", off_by_one)
+    fault = "constructed spec p=2, n=13 has period 7, expected 6: library bug"
+    with pytest.raises(RuntimeError) as info:
+        realize(6)
+    assert str(info.value) == fault
+    assert hkkit.cli.run(["realize", "--pi", "6"]) == (4, "", f"error: internal fault: {fault}\n")

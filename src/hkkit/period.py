@@ -88,8 +88,9 @@ class PeriodCheck(_Value):
     On success, divisor_witnesses maps each proper divisor d of the period to
     the least index e with phi(e + d) != phi(e), the witness that rejects d.
     On failure, failing_distance is the offending shift: the claimed period
-    itself if plain periodicity broke at index failing_index, or a proper
-    divisor that turned out to be a period too (failing_index is then None).
+    itself if plain periodicity broke, or the least divisor of the claim that
+    is a period too.  failing_index is 0 exactly when the claim itself is no
+    period, and None otherwise.
     """
 
     __match_args__ = ("ok", "failing_distance", "failing_index", "divisor_witnesses")
@@ -106,7 +107,7 @@ class PeriodCheck(_Value):
         return self.ok
 
 
-def verify_minimal_period(spec: RingSpec, window_multiplier: int) -> PeriodCheck:
+def verify_minimal_period(spec: RingSpec, window_multiplier: int = 2) -> PeriodCheck:
     """Check the classified period against phi itself, from e = 0 on.
 
     Two independent checks:
@@ -118,7 +119,8 @@ def verify_minimal_period(spec: RingSpec, window_multiplier: int) -> PeriodCheck
 
     Each check is decided at e = 0 (see _check_claimed_period), so the result
     does not depend on window_multiplier, which is only checked, and every
-    accepted n is answered.
+    accepted n is answered with one power for pi and one for each pi/l, l a
+    prime of pi.
     """
     if window_multiplier < 2:
         raise ValueError(f"window_multiplier must be at least 2, "
@@ -132,16 +134,15 @@ def _check_claimed_period(spec: RingSpec, pi: int) -> PeriodCheck:
     p, n = spec.p, spec.n
     if not _is_period(p, n, pi):
         return PeriodCheck(ok=False, failing_distance=pi, failing_index=0)
-    witnesses: dict[int, int] = {}
-    divisors = [1]
+    # the periods are the multiples of the least one, so stripping each prime
+    # of pi while what is left is a period ends at it, as _order_dividing does
+    least, divisors = pi, [1]
     for prime, k in prime_factors(pi).items():
+        while least % prime == 0 and _is_period(p, n, least // prime):
+            least //= prime
         divisors = [d * prime**j for d in divisors for j in range(k + 1)]
-    for d in sorted(divisors)[:-1]:  # the proper divisors of pi, ascending
-        if _is_period(p, n, d):
-            return PeriodCheck(ok=False, failing_distance=d,
-                               divisor_witnesses=witnesses)
-        witnesses[d] = 0
-    return PeriodCheck(ok=True, divisor_witnesses=witnesses)
+    return PeriodCheck(ok=least == pi, failing_distance=None if least == pi else least,
+                       divisor_witnesses=dict.fromkeys(sorted(d for d in divisors if d < least), 0))
 
 
 def _is_period(p: int, n: int, d: int) -> bool:

@@ -39,7 +39,8 @@ from test_colength_definition import (basis_faults, chain_rows, colength_by_chai
                                       colength_by_definition)
 from test_groebner import ORACLE_BOX, as_poly
 from test_cli import NOT_AT_STARTUP
-from test_period import check_claimed_period_by_pow, check_with_evidence, largest_prime_below
+from test_period import (P47, check_claimed_period_by_pow, check_with_evidence,
+                         largest_prime_below)
 from test_realize import enumerate_by_sweep
 
 
@@ -167,10 +168,12 @@ def realize_row(pi, tally) -> bool:
 # answer against test_period's evidence, which shares only pow with numtheory
 # (pi's factors multiplied back and proved prime, p^pi == +-1 and
 # p^(pi/r) != +-1 mod n), and where omega <= 2^16 against the reference that
-# takes one pow per index of the window too
+# takes one pow per index of the window too; and p = 2 at the prime
+# 14 * 47# + 1, where pi = 47# has 32,768 divisors
 PERIOD_ROWS = sorted({(p, n) for k in range(2, 64) for ps, ns in (
     ((2, 3), (largest_prime_below(2**k),)), ((2, 3, 5), (2**k - 1, 2**k + 1)))
-    for p in ps for n in ns if n % p and n < 2**63}, key=lambda pn: (pn[1], pn[0]))
+    for p in ps for n in ns if n % p and n < 2**63} | {(2, 14 * P47 + 1)},
+    key=lambda pn: (pn[1], pn[0]))
 
 
 def period_row(row, tally) -> bool:
@@ -401,7 +404,7 @@ SWEEPS = {
     "realize": Sweep("realize sweep: pi = 1..20000, n, p <= 10^6, failed {failed}, "
                      "pi per outcome {tally}", range(1, 20001), realize_row, 20000, limit=60),
     "periods": Sweep("period sweep: {rows} rings, failed {failed}, rings per kind {tally}",
-                     PERIOD_ROWS, period_row, 383, limit=60),
+                     PERIOD_ROWS, period_row, 384, limit=60),
     **INSTALLED,
 }
 

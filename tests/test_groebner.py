@@ -134,6 +134,18 @@ class TestFpPoly:
         assert FpPoly(5, {Monomial(1, 2): 3}) == FpPoly(5, {Monomial(1, 2): -2})
         assert FpPoly(5, {Monomial(1, 2): 3}) != FpPoly(7, {Monomial(1, 2): 3})
 
+    def test_an_int_is_no_polynomial(self):
+        # minus and equality take polynomials only: an int gets NotImplemented
+        f = FpPoly(2, {(1, 0): 1})
+        with pytest.raises(TypeError):
+            f - 1
+        assert (f == 1) is False
+        assert FpPoly(2, {}) != 0
+
+    def test_frobenius_power_generators_refuse_a_negative_e(self):
+        with pytest.raises(ValueError, match="^e must be nonnegative, got -1$"):
+            frobenius_power_generators(RingSpec(2, 3), -1)
+
 
 @st.composite
 def poly_pair(draw):

@@ -337,6 +337,73 @@ class TestDivisorsFromFactors:
                 assert (check.ok, check.failing_distance) == (False, report.pi)
 
 
+# 47#, the product of the 15 primes up to 47: 2^15 = 32,768 divisors
+P47 = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+
+
+def count_is_period(monkeypatch) -> list[int]:
+    """Patch _is_period to record each d it is asked about, in order."""
+    asked = []
+
+    def counted(p, n, d):
+        asked.append(d)
+        return _is_period(p, n, d)
+
+    monkeypatch.setattr(hkkit.period, "_is_period", counted)
+    return asked
+
+
+class TestLeastPeriodByStripping:
+    """_check_claimed_period asks _is_period about the claim, then about the
+    quotients left by stripping each prime of it, and about no other divisor."""
+
+    @staticmethod
+    def many_divisors() -> RingSpec:
+        # 14 * 47# + 1 is prime, 2 has order 2 * 47# mod it, and pi = 47#
+        return RingSpec(2, 14 * P47 + 1)
+
+    def test_the_true_period_costs_one_question_and_one_per_prime(self, monkeypatch):
+        asked = count_is_period(monkeypatch)
+        check = verify_minimal_period(self.many_divisors())
+        assert check.ok
+        assert len(check.divisor_witnesses) == 2**15 - 1
+        assert set(check.divisor_witnesses.values()) == {0}
+        assert asked == [P47, *(P47 // l for l in prime_factors(P47))]
+        assert len(asked) == 16  # pi, then pi/l for each of its 15 primes
+
+    def test_a_multiple_is_stripped_to_the_true_period(self, monkeypatch):
+        asked = count_is_period(monkeypatch)
+        check = _check_claimed_period(self.many_divisors(), 2 * P47)
+        assert (check.ok, check.failing_distance, check.failing_index) == (False, P47, None)
+        assert len(check.divisor_witnesses) == 3 * 2**14 - 2  # 2 * 47#'s, less 47# and itself
+        assert asked == [2 * P47, P47, *(P47 // l for l in prime_factors(P47))]
+        assert len(asked) == 17
+
+    @pytest.mark.parametrize("p, n, pi, k", [
+        (2, 35, 12, 4),  # 48: two strips of 2, then 2 and 3 stay
+        (2, 35, 12, 12),  # 144: two strips each of 2 and 3
+        (2, 37, 18, 6),  # 108 on the halved branch: omega = 36
+        (2, 73, 9, 25),  # 225: 5 stripped twice, 3 kept
+        (2, 51, 8, 45),  # 360: 3 twice and 5 stripped, 2 kept
+        (2, 19, 9, 14),  # 126, halved too: omega = 18
+    ])
+    def test_the_least_period_several_strips_below_the_claim(self, p, n, pi, k):
+        spec = RingSpec(p, n)
+        report = period_of(spec)
+        assert report.pi == pi
+        check = _check_claimed_period(spec, k * pi)
+        assert (check.ok, check.failing_distance) == (False, pi)
+        assert list(check.divisor_witnesses) == [d for d in range(1, pi) if k * pi % d == 0]
+        assert check == check_claimed_period_by_pow(spec, k * pi, report.omega, 2)
+
+    def test_window_multiplier_defaults_to_2(self):
+        for p, n in ((2, 5), (2, 17), (3, 31), (3, 2), (2, 35)):
+            spec = RingSpec(p, n)
+            assert verify_minimal_period(spec) == verify_minimal_period(spec, 2)
+        with pytest.raises(ValueError, match="^window_multiplier must be at least 2, got 1$"):
+            verify_minimal_period(RingSpec(2, 5), 1)
+
+
 # Miller-Rabin on J. Sinclair's seven bases (2011), deterministic below 2^64;
 # a base that the candidate divides proves nothing and is skipped
 SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)

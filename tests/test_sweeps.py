@@ -10,11 +10,12 @@ import pytest
 
 import hkkit
 from sweeps import CHECKOUT, INSTALLED, SWEEPS, Sweep, command_row, main, run_sweep
+from test_period import P47
 
 # each sweep's first rows; q = 2^65536, the oracle's first row whose gb text
 # is past CPython's int/str limit of 4,300 digits, among them, the realize
 # sweep's first exhausted pi and its last pi, and the period
-# sweep's largest prime and largest modulus; the installed-
+# sweep's largest prime, largest modulus and many-divisor ring; the installed-
 # script sweeps run `python -m hkkit.cli` from src in place of the script, so
 # none of startup's, as only the script lists hkkit.cli among its imports
 FIRST_ROWS = {"oracle": [*SWEEPS["oracle"].rows[:3], (2, 3, 65536)],
@@ -22,7 +23,8 @@ FIRST_ROWS = {"oracle": [*SWEEPS["oracle"].rows[:3], (2, 3, 65536)],
               "chains": SWEEPS["chains"].rows[:3],
               "enumerate": SWEEPS["enumerate"].rows[:1],
               "realize": [*SWEEPS["realize"].rows[:3], 16672, 20000],
-              "periods": [*SWEEPS["periods"].rows[:3], (3, 2**63 - 25), (2, 2**63 - 1)],
+              "periods": [*SWEEPS["periods"].rows[:3], (3, 2**63 - 25), (2, 2**63 - 1),
+                          (2, 14 * P47 + 1)],
               **{name: sweep.rows[:1] for name, sweep in INSTALLED.items() if name != "startup"},
               "module": SWEEPS["module"].rows[:2], "library": SWEEPS["library"].rows}
 
@@ -48,7 +50,7 @@ def test_first_rows_pass_and_leave_the_digit_limit(monkeypatch):
 
 def test_full_row_lists_have_their_guard_counts():
     assert [(len(sweep.rows), sweep.count) for sweep in SWEEPS.values()] == [
-        (1512, 1512), (47, 47), (262, 262), (24, 11869), (20000, 20000), (383, 383), (5, 5),
+        (1512, 1512), (47, 47), (262, 262), (24, 11869), (20000, 20000), (384, 384), (5, 5),
         (20, 20), (3, 3), (7, 7), (1, 1), (3, 3), (5, 5), (3, 3),
         (8, 5)]  # 8 library lines, of them 5 checked
     assert list(SWEEPS["enumerate"].rows) == list(range(1, 25))

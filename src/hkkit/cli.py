@@ -60,7 +60,8 @@ _INT_TABLE_BITS = 830
 # a profile prints phi(0), ..., phi(m - 1), m = min(omega, _PROFILE_CAP): the
 # smallest power of two above every omega the tests and the benchmark print
 _PROFILE_CAP = 1 << 20
-_FULL_BLOCK = {}  # separator -> the template of one full block of period._phi_blocks
+# (separator, period._BLOCK) -> the template of one full block of period._phi_blocks
+_FULL_BLOCK = {}
 _LITERALS = {None: "null", True: "true", False: "false"}  # as JSON writes them
 
 
@@ -76,7 +77,8 @@ def _cell(value, sep: str) -> str:
         # copies fit, and then the prefix that reaches the cap
         count = min(value.omega, _PROFILE_CAP)
         walked, size = min(value.pi, count), period._BLOCK
-        full = _FULL_BLOCK.get(sep) or _FULL_BLOCK.setdefault(sep, sep.join(["%d"] * size))
+        key = sep, size
+        full = _FULL_BLOCK.get(key) or _FULL_BLOCK.setdefault(key, sep.join(["%d"] * size))
         texts = [(full if len(block) == size else sep.join(["%d"] * len(block))) % tuple(block)
                  for block in period._phi_blocks(value.spec, walked)]
         blocks, rest = divmod(count % walked, size)

@@ -89,18 +89,15 @@ class PeriodCheck(_Value):
     the least index e with phi(e + d) != phi(e), the witness that rejects d.
     On failure, failing_distance is the offending shift: the claimed period
     itself if plain periodicity broke, or the least divisor of the claim that
-    is a period too.  failing_index is 0 exactly when the claim itself is no
-    period, and None otherwise.
+    is a period too.
     """
 
-    __match_args__ = ("ok", "failing_distance", "failing_index", "divisor_witnesses")
+    __match_args__ = ("ok", "failing_distance", "divisor_witnesses")
 
     def __init__(self, ok: bool, failing_distance: int | None = None,
-                 failing_index: int | None = None,
                  divisor_witnesses: Mapping[int, int] | None = None) -> None:
         fields = self.__dict__
         fields["ok"], fields["failing_distance"] = ok, failing_distance
-        fields["failing_index"] = failing_index
         fields["divisor_witnesses"] = {} if divisor_witnesses is None else divisor_witnesses
 
     def __bool__(self) -> bool:
@@ -133,7 +130,7 @@ def _check_claimed_period(spec: RingSpec, pi: int) -> PeriodCheck:
     # phi(0) - phi(d) = (1 - c)(n - 1 - c) is 0 only when c == +-1 (_is_period)
     p, n = spec.p, spec.n
     if not _is_period(p, n, pi):
-        return PeriodCheck(ok=False, failing_distance=pi, failing_index=0)
+        return PeriodCheck(ok=False, failing_distance=pi)
     # the periods are the multiples of the least one, so stripping each prime
     # of pi while what is left is a period ends at it, as _order_dividing does
     least, divisors = pi, [1]

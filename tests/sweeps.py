@@ -36,7 +36,7 @@ from hkkit.period import period_of, verify_minimal_period
 from hkkit.realize import SearchExhausted, enumerate_realizations, realize
 from test_cli_bytes import EXAMPLES, README, lifted_digit_limit
 from test_colength_definition import (basis_faults, chain_rows, colength_by_chains,
-                                      colength_by_definition)
+                                      colength_by_definition, colength_by_jordan)
 from test_groebner import ORACLE_BOX, as_poly
 from test_cli import NOT_AT_STARTUP
 from test_period import (P47, check_claimed_period_by_pow, check_with_evidence,
@@ -82,8 +82,9 @@ def returns(run, gens, budget):
 
 # every ring of the benchmark's oracle box with every q = p^e <= 2^17, then
 # two large powers of 2; the colength n*q - b*(n - b), b = q mod n, is
-# computed here, never by hk_value, and the basis of the oracle's
-# binomial engine, which builds its generators as pairs (lead, tail)
+# computed here, never by hk_value; the oracle's count must equal the
+# Jordan-chain count, which shares no code with hkkit; the basis of the
+# oracle's binomial engine, which builds its generators as pairs (lead, tail)
 # and returns pairs, must equal, as FpPolys and leads, the basis the
 # general buchberger computes from the generator FpPolys; gb's text,
 # printed from the pairs, must be str() of buchberger's generators; and
@@ -101,7 +102,8 @@ def oracle_row(row, budgets) -> bool:
     ok = hk_brute(spec, e, q_cap=q) == n * q - b * (n - b)
     if q > n:
         ok = ok and verify_closed_form_basis(spec, e, q_cap=q).ok
-    pairs = _colength(spec, q)[0]
+    pairs, count = _colength(spec, q)
+    ok = ok and count == colength_by_jordan(n, q)
     expected = buchberger(frobenius_power_generators(spec, e))
     ok = ok and tuple(as_poly(p, g) for g in pairs) == expected.generators
     ok = ok and tuple(g[0] for g in pairs) == expected.staircase

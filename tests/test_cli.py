@@ -580,7 +580,7 @@ class TestDriver:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert hkkit.cli._FULL_BLOCK == {sep: sep.join(["%d"] * 4096) for sep in seps}
+        assert hkkit.cli._FULL_BLOCK == {(sep, 4096): sep.join(["%d"] * 4096) for sep in seps}
         assert kept < 10**5
 
     def test_skipped_range_past_maxsize_exits_4(self, capsys):

@@ -512,7 +512,6 @@ def test_block_edges_change_no_capped_profile(capsys, monkeypatch):
     digests = {argv: set() for argv in argvs}
     for size in (1, 3, 4096):
         monkeypatch.setattr(hkkit.period, "_BLOCK", size)
-        monkeypatch.setattr(hkkit.cli, "_FULL_BLOCK", {})
         for argv in argvs:
             digests[argv].add(hashlib.sha256(stdout_of(capsys, argv).encode()).digest())
     assert {argv: len(found) for argv, found in digests.items()} == dict.fromkeys(argvs, 1)

@@ -32,7 +32,6 @@ def test_every_argv_gives_its_committed_bytes():
 def test_block_edges_change_no_period_or_realize_bytes(monkeypatch, size):
     # phi is walked and rendered in blocks of period._BLOCK values
     monkeypatch.setattr(hkkit.period, "_BLOCK", size)
-    monkeypatch.setattr(hkkit.cli, "_FULL_BLOCK", {})
     lines = [(argv, want) for argv, want in committed() if argv.startswith(("period", "realize"))]
     differ = [want for argv, want in lines if line(argv) != want]
     assert len(lines) == 551

@@ -20,6 +20,10 @@ The union-find costs O(q^2).  Its components are chains, one per
 antidiagonal and residue class, so colength_by_chains counts the same live
 components in O(q*n), which reaches q far past 512; it is checked against
 the union-find, and checks the count of _colength only, not its basis.
+
+colength_by_jordan counts by linear algebra instead, in O(n^2) at any q: it
+shares no code with the union-find or the chain count either, and imports
+nothing from hkkit.
 """
 
 import pytest
@@ -80,6 +84,19 @@ def colength_by_chains(n: int, q: int) -> int:
                     and lo2 + (r - lo2) % n > hi2):
                 count += 1
     return count
+
+
+def colength_by_jordan(n: int, q: int) -> int:
+    """dim F[x,y]/(x^q, y^q, x^n - y^n) as the kernel of x^n (x) 1 - 1 (x) y^n
+    on F[x]/(x^q) (x) F[y]/(y^q), in O(n^2) at any q.
+
+    Multiplication by x^n splits F[x]/(x^q) into n nilpotent Jordan chains,
+    x^i, x^(i+n), ... below x^q for each i < n: ceil((q - i)/n) long, 0 when
+    i >= q.  Over any field the kernel of J_a (x) 1 - 1 (x) J_b has dimension
+    min(a, b) (Gantmacher, The Theory of Matrices, Vol. 1, Ch. VIII), so the
+    kernel sums min over every pair of chains."""
+    chains = [(q - i + n - 1) // n for i in range(n)]
+    return sum(min(a, b) for a in chains for b in chains)
 
 
 def basis_faults(p: int, n: int, q: int, basis) -> list[str]:
@@ -170,4 +187,28 @@ def test_colength_matches_the_chain_count_past_128():
     assert len(CHAIN_ROWS) == 80
     wrong = [(p, n, q) for p, n, q in CHAIN_ROWS
              if _colength(RingSpec(p, n), q)[1] != colength_by_chains(n, q)]
+    assert wrong == []
+
+
+# every prime p <= 13, every 2 <= n < 30 coprime to p, q = p^e for e = 0..11
+# and then e = 12, 24, 48, ... while q < 2^4096
+JORDAN_ROWS = [(p, n, q) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 30) if n % p
+               for e in [*range(12), *(12 << k for k in range(12))] if (q := p**e) < 2**4096]
+
+
+def test_jordan_count_matches_the_union_find_and_the_chain_count():
+    # the hand-counted rings of test_definition_on_hand_counted_rings
+    hand = [colength_by_jordan(n, q) for n, q in ((3, 1), (5, 4), (3, 4), (2, 3))]
+    assert hand == [1, 16, 10, 5]
+    wrong = [(p, n, q) for p, n, q in ROWS
+             if colength_by_jordan(n, q) != colength_by_definition(n, q)]
+    wrong += [(p, n, q) for p, n, q in CHAIN_ROWS
+              if colength_by_jordan(n, q) != colength_by_chains(n, q)]
+    assert wrong == []
+
+
+def test_colength_matches_the_jordan_count_at_any_q():
+    assert len(JORDAN_ROWS) == 2578
+    wrong = [(p, n, q) for p, n, q in JORDAN_ROWS
+             if _colength(RingSpec(p, n), q)[1] != colength_by_jordan(n, q)]
     assert wrong == []

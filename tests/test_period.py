@@ -33,10 +33,12 @@ def _brute_minimal_period(spec: RingSpec, omega: int) -> int:
 def check_claimed_period_by_pow(
     spec: RingSpec, pi: int, omega: int, window_multiplier: int
 ) -> PeriodCheck:
-    # _check_claimed_period as it was, one pow per index, kept as the reference
+    # _check_claimed_period as it was, one pow per index, kept as the reference;
+    # a claim that is no period first fails at e = 0
     for e in range(window_multiplier * omega + 1):
         if phi_value(spec, e + pi) != phi_value(spec, e):
-            return PeriodCheck(ok=False, failing_distance=pi, failing_index=e)
+            assert e == 0
+            return PeriodCheck(ok=False, failing_distance=pi)
     witnesses: dict[int, int] = {}
     for d in range(1, pi):
         if pi % d != 0:
@@ -163,7 +165,6 @@ class TestVerifyMinimalPeriod:
             assert check.ok
             assert bool(check)
             assert check.failing_distance is None
-            assert check.failing_index is None
 
     def test_divisor_witnesses_cover_proper_divisors(self):
         spec = RingSpec(2, 17)  # pi = 4, proper divisors 1 and 2
@@ -195,16 +196,15 @@ class TestVerifyMinimalPeriod:
         check = _check_claimed_period(spec, 3)
         assert not check.ok
         assert check.failing_distance == 3
-        assert check.failing_index is not None
-        e = check.failing_index
-        assert phi_value(spec, e + 3) != phi_value(spec, e)
+        assert phi_value(spec, 3) != phi_value(spec, 0)  # it fails at e = 0
 
     def test_detects_non_minimal_claim(self):
         # 4 is a period of the (2, 5) profile but not the smallest one
-        check = _check_claimed_period(RingSpec(2, 5), 4)
+        spec = RingSpec(2, 5)
+        check = _check_claimed_period(spec, 4)
         assert not check.ok
         assert check.failing_distance == 2  # divisor with no witness
-        assert check.failing_index is None
+        assert all(phi_value(spec, e + 4) == phi_value(spec, e) for e in range(8))
 
     def test_builds_no_profile(self):
         # period_of used to build the 100002-entry profile and drop it
@@ -221,7 +221,7 @@ class TestVerifyMinimalPeriod:
         assert set(check.divisor_witnesses.values()) <= {0}
 
     def test_check_is_falsy_when_failed(self):
-        assert not PeriodCheck(ok=False, failing_distance=1, failing_index=0)
+        assert not PeriodCheck(ok=False, failing_distance=1)
 
     @pytest.mark.parametrize(
         "p, n, pi, omega",
@@ -291,10 +291,12 @@ def check_claimed_period_by_scan(
     spec: RingSpec, pi: int, omega: int, window_multiplier: int
 ) -> PeriodCheck:
     # _check_claimed_period with its divisors found by scanning 1..pi-1, as it
-    # was before it took them from prime_factors(pi), and its walk as it was
+    # was before it took them from prime_factors(pi), and its walk as it was;
+    # a claim that is no period first fails at e = 0
     failing = first_mismatch_by_walk(spec, pi, window_multiplier * omega + 1)
     if failing is not None:
-        return PeriodCheck(ok=False, failing_distance=pi, failing_index=failing)
+        assert failing == 0
+        return PeriodCheck(ok=False, failing_distance=pi)
     witnesses: dict[int, int] = {}
     for d in range(1, pi):
         if pi % d == 0:
@@ -374,7 +376,7 @@ class TestLeastPeriodByStripping:
     def test_a_multiple_is_stripped_to_the_true_period(self, monkeypatch):
         asked = count_is_period(monkeypatch)
         check = _check_claimed_period(self.many_divisors(), 2 * P47)
-        assert (check.ok, check.failing_distance, check.failing_index) == (False, P47, None)
+        assert (check.ok, check.failing_distance) == (False, P47)
         assert len(check.divisor_witnesses) == 3 * 2**14 - 2  # 2 * 47#'s, less 47# and itself
         assert asked == [2 * P47, P47, *(P47 // l for l in prime_factors(P47))]
         assert len(asked) == 17

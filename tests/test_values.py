@@ -36,8 +36,8 @@ CASES = {
     RingSpec: (("p", "n"), (2, 5), (2, 7), True),
     PeriodReport: (("spec", "omega", "pi", "branch", "involution_check"),
                    (SPEC, 4, 2, Branch.HALF, True), (SPEC, 4, 2, Branch.HALF, False), True),
-    PeriodCheck: (("ok", "failing_distance", "failing_index", "divisor_witnesses"),
-                  (True, None, None, {1: 0}), (True, None, None, {1: 1}), False),
+    PeriodCheck: (("ok", "failing_distance", "divisor_witnesses"),
+                  (True, None, {1: 0}), (True, None, {1: 1}), False),
     SearchStats: (("n_candidates", "p_candidates"), (4, 3), (4, 2), False),
     RealizationResult: (("target_pi", "spec", "report", "residue_used", "search_stats"),
                         (2, SPEC, REPORT, 2, SearchStats(2, 1)),
@@ -67,10 +67,9 @@ def test_fields_positional_and_keyword(cls):
 
 def test_defaults():
     check = PeriodCheck(True)
-    assert (check.ok, check.failing_distance, check.failing_index,
-            check.divisor_witnesses) == (True, None, None, {})
-    assert PeriodCheck(False, 3, 7) == PeriodCheck(ok=False, failing_distance=3,
-                                                   failing_index=7, divisor_witnesses={})
+    assert (check.ok, check.failing_distance, check.divisor_witnesses) == (True, None, {})
+    assert PeriodCheck(False, 3) == PeriodCheck(ok=False, failing_distance=3,
+                                                divisor_witnesses={})
     stats = SearchStats()
     assert (stats.n_candidates, stats.p_candidates) == (0, 0)
     assert SearchStats(5) == SearchStats(n_candidates=5, p_candidates=0)
@@ -124,7 +123,7 @@ def test_repr_text():
     assert repr(REPORT) == ("PeriodReport(spec=RingSpec(p=2, n=5), omega=4, pi=2, "
                             "branch=<Branch.HALF: 'HALF'>, involution_check=True)")
     assert repr(PeriodCheck(True)) == ("PeriodCheck(ok=True, failing_distance=None, "
-                                       "failing_index=None, divisor_witnesses={})")
+                                       "divisor_witnesses={})")
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
@@ -153,7 +152,7 @@ def test_match():
         case _:
             pytest.fail("realize(2) did not match its fields")
     match verify_minimal_period(SPEC, 2):
-        case PeriodCheck(True, None, None, witnesses):
+        case PeriodCheck(True, None, witnesses):
             assert witnesses == {1: 0}
         case _:
             pytest.fail("the check did not match its fields")
